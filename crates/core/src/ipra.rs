@@ -35,7 +35,7 @@ use crate::config::{AllocMode, AllocOptions};
 use crate::inline::{inline_hot_calls, InlineStats};
 use crate::lower::lower_function_with;
 use crate::normalize::normalize_entries;
-use crate::pipeline::{Pipeline, PreparedModule};
+use crate::pipeline::{numbering_key, Pipeline, PreparedModule};
 use crate::promote::{promote_globals, PromotionStats};
 use crate::scratch::{CompileScratch, ScratchPool};
 use crate::summary::FuncSummary;
@@ -230,10 +230,10 @@ pub(crate) fn compile_module_impl(
     // environment frozen at wave boundaries — and stays bit-identical to
     // the serial path for any hit/miss pattern.
     let mut cache = opts.effective_cache_dir().map(|d| AllocCache::load(&d));
-    let fingerprint = if cache.is_some() {
-        config_fingerprint(target, opts)
+    let (fingerprint, numbering) = if cache.is_some() {
+        (config_fingerprint(target, opts), numbering_key(module))
     } else {
-        0
+        (0, 0)
     };
     let mut cache_stats = CacheStats {
         enabled: cache.is_some(),
@@ -317,7 +317,7 @@ pub(crate) fn compile_module_impl(
                                 .zip(comp.iter())
                                 .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
                     };
-                    let memo = pipe.entries.lock().unwrap().get(&key).cloned();
+                    let memo = pipe.entries.lock().unwrap().get(&(key, numbering)).cloned();
                     if let Some(funcs) = memo {
                         if matches(&funcs) {
                             hits[i] = Some(funcs);
@@ -327,7 +327,10 @@ pub(crate) fn compile_module_impl(
                     if let Some(funcs) = c.lookup(key, module) {
                         if matches(&funcs) {
                             let funcs = Arc::new(funcs);
-                            pipe.entries.lock().unwrap().insert(key, Arc::clone(&funcs));
+                            pipe.entries
+                                .lock()
+                                .unwrap()
+                                .insert((key, numbering), Arc::clone(&funcs));
                             hits[i] = Some(funcs);
                         }
                     }
@@ -570,7 +573,10 @@ pub(crate) fn compile_module_impl(
             cache.insert(*key, &entry, module);
             // Mirror the store into the pipeline's entry image so the
             // next recompile through the same pipeline hits in memory.
-            pipe.entries.lock().unwrap().insert(*key, Arc::new(entry));
+            pipe.entries
+                .lock()
+                .unwrap()
+                .insert((*key, numbering), Arc::new(entry));
         }
         if !miss_records.is_empty() {
             cache.save();

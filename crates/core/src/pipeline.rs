@@ -117,6 +117,31 @@ impl<K: Eq + Hash + Clone, V> BoundedMemo<K, V> {
     }
 }
 
+/// Fingerprint of a module's function and global names in id order.
+///
+/// A component key names callees and globals by name, so it is the same
+/// in every module that contains the component; a decoded entry's machine
+/// code refers to them by id, in the numbering of the module it was
+/// decoded for. The decoded-entry memo is keyed by both, so an entry is
+/// replayed only into a module numbered the same way; any other module
+/// decodes it again, by name.
+pub(crate) fn numbering_key(module: &Module) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_usize(module.funcs.len());
+    for f in module.funcs.values() {
+        h.write_str(&f.name);
+    }
+    h.write_usize(module.globals.len());
+    for g in module.globals.values() {
+        h.write_str(&g.name);
+    }
+    h.finish()
+}
+
+/// Key of the decoded-entry memo: the component key and the
+/// [`numbering_key`] of the module the entry was decoded for.
+type EntryKey = (u64, u64);
+
 /// Long-lived compilation state: analysis memo, scratch pool, and the
 /// in-memory incremental-cache image. Create one per daemon/JIT/bench
 /// process and push every compile through it.
@@ -131,9 +156,10 @@ pub struct Pipeline {
     pub(crate) analyses: AnalysisCache,
     /// Recycled per-worker scratch buffers.
     pub(crate) scratch: ScratchPool,
-    /// Decoded incremental-cache entries by component key, so a warm
-    /// recompile never touches the cache directory again.
-    pub(crate) entries: Mutex<BoundedMemo<u64, Arc<Vec<CachedFunc>>>>,
+    /// Decoded incremental-cache entries by component key and
+    /// [`numbering_key`], so a warm recompile never touches the cache
+    /// directory again.
+    pub(crate) entries: Mutex<BoundedMemo<EntryKey, Arc<Vec<CachedFunc>>>>,
     /// Prepared (transformed + module-level-analyzed) modules by
     /// whole-module hash plus inline configuration, so a warm recompile
     /// of an unchanged module skips the clone, the normalization /

@@ -327,18 +327,24 @@ fn remote_main(socket: &str, args: &Args) -> Result<(), String> {
                 .to_string())
         }
     }
-    if let Some(c) = resp.get("cache") {
-        if c.get("enabled") == Some(&Json::Bool(true)) {
-            eprintln!(
-                "[cache] hits: {}  misses: {}  cutoffs: {}",
-                c.get("hits").and_then(Json::as_i64).unwrap_or(0),
-                c.get("misses").and_then(Json::as_i64).unwrap_or(0),
-                c.get("cutoffs").and_then(Json::as_i64).unwrap_or(0)
-            );
-        }
+    let cache = resp
+        .get("cache")
+        .filter(|c| c.get("enabled") == Some(&Json::Bool(true)));
+    if let Some(c) = cache {
+        eprintln!(
+            "[cache] hits: {}  misses: {}  cutoffs: {}",
+            c.get("hits").and_then(Json::as_i64).unwrap_or(0),
+            c.get("misses").and_then(Json::as_i64).unwrap_or(0),
+            c.get("cutoffs").and_then(Json::as_i64).unwrap_or(0)
+        );
     }
     if resp.get("warm") == Some(&Json::Bool(true)) {
-        eprintln!("[remote] warm: replayed from the daemon's analysis memo");
+        let from = if cache.is_some() {
+            "the cache"
+        } else {
+            "the daemon's analysis memo"
+        };
+        eprintln!("[remote] warm: replayed from {from}");
     }
     if args.emit.as_deref() == Some("asm") {
         if let Some(asm) = resp.get("asm").and_then(Json::as_str) {

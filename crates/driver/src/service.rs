@@ -46,8 +46,9 @@
 //! defaults to the `mini-cc` defaults (`-O3`, shrink-wrap on, auto
 //! jobs, full register file, no cache, inliner off). Responses carry `id` back,
 //! `status` (`ok` | `error` | `busy`), and on success the rendered
-//! `asm`, a `warm` flag (the whole compile was answered from the
-//! analysis memo), `cache`/`analysis` statistics, plus `output` and
+//! `asm`, a `warm` flag (the whole compile was answered from the cache
+//! when a `cache_dir` is set, else from the analysis memo),
+//! `cache`/`analysis` statistics, plus `output` and
 //! `stats` when `run` was set and a `trace` document when `trace` was.
 //! The other commands are `{"cmd": "ping"}`, `{"cmd": "metrics"}` and
 //! `{"cmd": "shutdown"}`.
@@ -520,9 +521,14 @@ impl Service {
             );
             asm.push('\n');
         }
-        // "Warm" means the whole compile was answered from the analysis
-        // memo: nothing had to be recomputed from source.
-        let warm = compiled.analysis.misses == 0 && compiled.analysis.hits > 0;
+        // "Warm" means nothing had to be recomputed from source: with a
+        // cache directory, the cache answered every function; without
+        // one, the analysis memo did.
+        let warm = if compiled.cache.enabled {
+            compiled.cache.misses == 0 && compiled.cache.hits > 0
+        } else {
+            compiled.analysis.misses == 0 && compiled.analysis.hits > 0
+        };
         if warm {
             self.metric_counter("service.warm_hits", &[], 1);
         }

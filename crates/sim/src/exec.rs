@@ -9,11 +9,9 @@ use std::fmt;
 
 use ipra_ir::{BlockId, FuncId};
 use ipra_machine::{
-    CostModel, MAddress, MCallee, MFunction, MInst, MModule, MOperand, MTerminator, PReg, RegFile,
-    RegMask,
+    CostModel, MAddress, MBlock, MCallee, MFunction, MInst, MModule, MOperand, MTerminator,
+    MemClass, PReg, RegFile, RegMask,
 };
-
-use ipra_machine::MemClass;
 
 use crate::stats::{EdgePenalty, FuncStats, Stats, ROOT_CALLER};
 
@@ -145,23 +143,85 @@ pub struct SimResult {
     pub block_profile: Option<Vec<Vec<u64>>>,
 }
 
+/// Where one function keeps its state. Every activation of a function has
+/// the same shape, so this is computed once per run.
+struct Layout {
+    /// `(offset, cells)` of each frame slot, relative to the frame base.
+    slots: Vec<(usize, usize)>,
+    /// Offset of the outgoing-argument area, which follows the slots.
+    outgoing: usize,
+    /// Cells in the outgoing-argument area (`max_outgoing`).
+    outgoing_len: usize,
+    /// Frame size in cells: slots plus outgoing area.
+    size: usize,
+    /// Registers the function must preserve, in register order (empty
+    /// without convention checking).
+    preserve: Vec<PReg>,
+}
+
+impl Layout {
+    fn new(f: &MFunction, clobbers: Option<RegMask>, exempt: RegMask, num_regs: usize) -> Self {
+        let mut size = 0;
+        let slots = f
+            .frame
+            .values()
+            .map(|s| {
+                let at = size;
+                size += s.size as usize;
+                (at, s.size as usize)
+            })
+            .collect();
+        let outgoing_len = f.max_outgoing as usize;
+        let preserve = match clobbers {
+            Some(c) => (0..num_regs as u8)
+                .map(PReg)
+                .filter(|r| !c.contains(*r) && !exempt.contains(*r))
+                .collect(),
+            None => Vec::new(),
+        };
+        Layout {
+            slots,
+            outgoing: size,
+            outgoing_len,
+            size: size + outgoing_len,
+            preserve,
+        }
+    }
+}
+
+/// Ledger index of an activation whose edge has no entry yet: only `main`'s
+/// root activation, whose entry edge is created when it is first charged.
+const NO_EDGE: usize = usize::MAX;
+
+/// One activation. Its frame occupies `mem[base..base + layout.size]`.
+#[derive(Clone, Copy)]
 struct Activation {
     func: FuncId,
     block: BlockId,
     ip: usize,
-    slots: Vec<Vec<i64>>,
-    incoming: Vec<i64>,
-    outgoing: Vec<i64>,
-    /// Register values the returning function must reproduce (convention
-    /// checking only).
-    preserved: Option<Vec<(PReg, i64)>>,
-    /// The call edge `(caller, callee)` that created this activation;
-    /// `(ROOT_CALLER, main)` for the program entry. Save/restore and spill
-    /// traffic executed by this activation is charged to this edge.
-    edge: (u32, u32),
+    /// First cell of the frame in the memory arena.
+    base: usize,
+    /// First cell of the incoming stack arguments: the start of the
+    /// caller's outgoing area (the two coincide across the frame boundary
+    /// on a real stack).
+    args: usize,
+    /// Incoming stack arguments: `num_stack_args` of the creating call.
+    nargs: usize,
+    /// Where this activation's entry values of its preserved registers
+    /// start on the snapshot stack (convention checking only).
+    snap: usize,
+    /// Ledger index of the call edge `(caller, callee)` that created this
+    /// activation; save/restore and spill traffic executed by the
+    /// activation is charged to it.
+    edge: usize,
 }
 
 /// Runs `main` of a lowered module.
+///
+/// All memory is one arena of cells: the globals at fixed offsets, then
+/// the frame stack, which each call extends with a zero-filled frame and
+/// each return truncates. Nothing is allocated or hashed per call or per
+/// instruction once the arena, the stack and the ledger have grown.
 ///
 /// # Errors
 ///
@@ -169,18 +229,30 @@ struct Activation {
 pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimResult, SimTrap> {
     let main = module.main.ok_or(SimTrap::NoMain)?;
 
-    let mut reg_file = vec![0i64; regs.num_regs()];
-    let mut globals: Vec<Vec<i64>> = module
+    let layouts: Vec<Layout> = module
+        .funcs
+        .iter()
+        .map(|(fid, f)| {
+            let clobbers = opts.preserve_masks.as_ref().map(|m| m[fid.index()]);
+            Layout::new(f, clobbers, opts.exempt, regs.num_regs())
+        })
+        .collect();
+    // The memory arena, and the offset and length of each global in it.
+    let mut mem: Vec<i64> = Vec::new();
+    let globals: Vec<(usize, usize)> = module
         .globals
         .values()
         .map(|g| {
-            let mut v = vec![0i64; g.size as usize];
-            for (i, init) in g.init.iter().enumerate().take(g.size as usize) {
-                v[i] = *init;
+            let (at, len) = (mem.len(), g.size as usize);
+            mem.resize(at + len, 0);
+            for (cell, init) in mem[at..].iter_mut().zip(&g.init) {
+                *cell = *init;
             }
-            v
+            (at, len)
         })
         .collect();
+
+    let mut reg_file = vec![0i64; regs.num_regs()];
     let mut output = Vec::new();
     let mut stats = Stats {
         per_func: vec![FuncStats::default(); module.funcs.len()],
@@ -188,39 +260,12 @@ pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimRes
     };
     // One ledger entry per dynamic call edge: call counts and the
     // save/restore + spill traffic charged to activations the edge created.
-    let mut edge_pen: std::collections::HashMap<(u32, u32), EdgePenalty> =
-        std::collections::HashMap::new();
-
-    let new_activation = |module: &MModule, func: FuncId, incoming: Vec<i64>| -> Activation {
-        let f = &module.funcs[func];
-        Activation {
-            func,
-            block: f.entry,
-            ip: 0,
-            slots: f
-                .frame
-                .values()
-                .map(|s| vec![0i64; s.size as usize])
-                .collect(),
-            incoming,
-            outgoing: vec![0i64; f.max_outgoing as usize],
-            preserved: None,
-            edge: (ROOT_CALLER, func.0),
-        }
-    };
-
-    let snapshot =
-        |opts: &SimOptions, func: FuncId, regs_now: &[i64]| -> Option<Vec<(PReg, i64)>> {
-            opts.preserve_masks.as_ref().map(|masks| {
-                let clobbers = masks[func.index()];
-                (0..regs_now.len() as u8)
-                    .map(PReg)
-                    .filter(|r| !clobbers.contains(*r) && !opts.exempt.contains(*r))
-                    .map(|r| (r, regs_now[r.index()]))
-                    .collect()
-            })
-        };
-
+    // `callees[f]` maps each callee `f` has called to its ledger index; a
+    // function calls few distinct callees, so a scan finds it.
+    let mut ledger: Vec<EdgePenalty> = Vec::new();
+    let mut callees: Vec<Vec<(FuncId, usize)>> = vec![Vec::new(); module.funcs.len()];
+    // Entry values of the preserved registers of every live activation.
+    let mut snaps: Vec<i64> = Vec::new();
     let mut profile: Option<Vec<Vec<u64>>> = if opts.collect_block_profile {
         Some(
             module
@@ -234,11 +279,38 @@ pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimRes
     };
 
     let mut stack: Vec<Activation> = Vec::new();
-    let mut cur = new_activation(module, main, Vec::new());
-    cur.preserved = snapshot(opts, main, &reg_file);
-    stats.record_depth(1);
-    if let Some(p) = profile.as_mut() {
-        p[cur.func.index()][cur.block.index()] += 1;
+    // The current activation, its function, layout and block.
+    let mut cur: Activation;
+    let mut func: &MFunction;
+    let mut lay: &Layout;
+    let mut block: &MBlock;
+
+    // Pushes a zeroed frame for `target` and makes it current.
+    macro_rules! enter {
+        ($target:expr, $args:expr, $nargs:expr, $edge:expr) => {{
+            let target: FuncId = $target;
+            func = &module.funcs[target];
+            lay = &layouts[target.index()];
+            let base = mem.len();
+            mem.resize(base + lay.size, 0);
+            let snap = snaps.len();
+            snaps.extend(lay.preserve.iter().map(|r| reg_file[r.index()]));
+            cur = Activation {
+                func: target,
+                block: func.entry,
+                ip: 0,
+                base,
+                args: $args,
+                nargs: $nargs,
+                snap,
+                edge: $edge,
+            };
+            block = &func.blocks[cur.block];
+            stats.record_depth(stack.len() + 1);
+            if let Some(p) = profile.as_mut() {
+                p[target.index()][cur.block.index()] += 1;
+            }
+        }};
     }
 
     // Cycles are attributed to the currently-executing activation, so the
@@ -254,37 +326,42 @@ pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimRes
         }};
     }
 
-    loop {
-        let func: &MFunction = &module.funcs[cur.func];
-        let block = &func.blocks[cur.block];
+    // The ledger entry of the current activation's edge.
+    macro_rules! edge {
+        () => {{
+            if cur.edge == NO_EDGE {
+                cur.edge = ledger.len();
+                ledger.push(EdgePenalty {
+                    caller: ROOT_CALLER,
+                    callee: cur.func.0,
+                    ..EdgePenalty::default()
+                });
+            }
+            &mut ledger[cur.edge]
+        }};
+    }
 
-        if cur.ip < block.insts.len() {
-            let inst = &block.insts[cur.ip];
+    enter!(main, 0, 0, NO_EDGE);
+    loop {
+        if let Some(inst) = block.insts.get(cur.ip) {
             cur.ip += 1;
             stats.insts += 1;
             stats.per_func[cur.func.index()].insts += 1;
 
-            let read = |regs_now: &[i64], o: MOperand| -> i64 {
-                match o {
-                    MOperand::Reg(r) => regs_now[r.index()],
-                    MOperand::Imm(i) => i,
-                }
-            };
-
             match inst {
                 MInst::Copy { dst, src } => {
                     charge!(opts.cost.alu);
-                    reg_file[dst.index()] = read(&reg_file, *src);
+                    reg_file[dst.index()] = value(&reg_file, *src);
                 }
                 MInst::Bin { op, dst, lhs, rhs } => {
                     charge!(opts.cost.bin_op(*op));
-                    let a = read(&reg_file, *lhs);
-                    let b = read(&reg_file, *rhs);
+                    let a = value(&reg_file, *lhs);
+                    let b = value(&reg_file, *rhs);
                     reg_file[dst.index()] = op.eval(a, b).ok_or(SimTrap::DivideByZero)?;
                 }
                 MInst::Un { op, dst, src } => {
                     charge!(opts.cost.alu);
-                    reg_file[dst.index()] = op.eval(read(&reg_file, *src));
+                    reg_file[dst.index()] = op.eval(value(&reg_file, *src));
                 }
                 MInst::Load { dst, addr, class } => {
                     charge!(opts.cost.load);
@@ -292,17 +369,15 @@ pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimRes
                     stats.per_func[cur.func.index()].count_load(*class);
                     match class {
                         MemClass::SaveRestore => {
-                            let e = edge_pen.entry(cur.edge).or_default();
+                            let e = edge!();
                             e.sr_loads += 1;
                             e.penalty_cycles += opts.cost.load;
                         }
-                        MemClass::Spill => {
-                            edge_pen.entry(cur.edge).or_default().spill_loads += 1;
-                        }
+                        MemClass::Spill => edge!().spill_loads += 1,
                         _ => {}
                     }
-                    let v = read_mem(module, &globals, &cur, &reg_file, *addr)?;
-                    reg_file[dst.index()] = v;
+                    let at = resolve(module, &globals, lay, &cur, &reg_file, *addr, false)?;
+                    reg_file[dst.index()] = mem[at];
                 }
                 MInst::Store { src, addr, class } => {
                     charge!(opts.cost.store);
@@ -310,17 +385,16 @@ pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimRes
                     stats.per_func[cur.func.index()].count_store(*class);
                     match class {
                         MemClass::SaveRestore => {
-                            let e = edge_pen.entry(cur.edge).or_default();
+                            let e = edge!();
                             e.sr_stores += 1;
                             e.penalty_cycles += opts.cost.store;
                         }
-                        MemClass::Spill => {
-                            edge_pen.entry(cur.edge).or_default().spill_stores += 1;
-                        }
+                        MemClass::Spill => edge!().spill_stores += 1,
                         _ => {}
                     }
-                    let v = read(&reg_file, *src);
-                    write_mem(module, &mut globals, &mut cur, &reg_file, *addr, v)?;
+                    let v = value(&reg_file, *src);
+                    let at = resolve(module, &globals, lay, &cur, &reg_file, *addr, true)?;
+                    mem[at] = v;
                 }
                 MInst::Call {
                     callee,
@@ -332,233 +406,182 @@ pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimRes
                     let target = match callee {
                         MCallee::Direct(id) => *id,
                         MCallee::Indirect(t) => {
-                            let raw = read(&reg_file, *t);
+                            let raw = value(&reg_file, *t);
                             if raw < 0 || raw as usize >= module.funcs.len() {
                                 return Err(SimTrap::BadIndirectTarget(raw));
                             }
                             FuncId(raw as u32)
                         }
                     };
-                    // The first cells of the caller's outgoing area become
-                    // the callee's incoming stack arguments (the two areas
-                    // coincide across the frame boundary on a real stack).
-                    let n = *num_stack_args as usize;
-                    if n > cur.outgoing.len() {
+                    // The first cells of the caller's outgoing area are the
+                    // callee's incoming stack arguments.
+                    let nargs = *num_stack_args as usize;
+                    if nargs > lay.outgoing_len {
                         return Err(SimTrap::OutOfBounds {
                             what: "outgoing-argument area".into(),
-                            index: n as i64 - 1,
+                            index: nargs as i64 - 1,
                         });
                     }
-                    let incoming = cur.outgoing[..n].to_vec();
                     if stack.len() + 1 >= opts.max_depth {
                         return Err(SimTrap::StackOverflow);
                     }
-                    edge_pen.entry((cur.func.0, target.0)).or_default().calls += 1;
-                    let mut callee_act = new_activation(module, target, incoming);
-                    callee_act.edge = (cur.func.0, target.0);
-                    callee_act.preserved = snapshot(opts, target, &reg_file);
-                    stack.push(std::mem::replace(&mut cur, callee_act));
-                    stats.record_depth(stack.len() + 1);
-                    if let Some(p) = profile.as_mut() {
-                        p[cur.func.index()][cur.block.index()] += 1;
-                    }
+                    let edge = edge_index(&mut callees, &mut ledger, cur.func, target);
+                    ledger[edge].calls += 1;
+                    let args = cur.base + lay.outgoing;
+                    stack.push(cur);
+                    enter!(target, args, nargs, edge);
                 }
-                MInst::FuncAddr { dst, func } => {
+                MInst::FuncAddr { dst, func: f } => {
                     charge!(opts.cost.alu);
-                    reg_file[dst.index()] = func.index() as i64;
+                    reg_file[dst.index()] = f.index() as i64;
                 }
                 MInst::Print { arg } => {
                     charge!(opts.cost.print);
-                    output.push(read(&reg_file, *arg));
+                    output.push(value(&reg_file, *arg));
                 }
             }
         } else {
             stats.insts += 1;
             stats.per_func[cur.func.index()].insts += 1;
-            match block.term {
-                MTerminator::Ret => {
-                    charge!(opts.cost.ret);
-                    if let Some(preserved) = &cur.preserved {
-                        for &(r, before) in preserved {
-                            let after = reg_file[r.index()];
-                            if after != before {
-                                return Err(SimTrap::ConventionViolation {
-                                    func: func.name.clone(),
-                                    reg: r,
-                                    before,
-                                    after,
-                                });
-                            }
-                        }
-                    }
-                    match stack.pop() {
-                        Some(parent) => cur = parent,
-                        None => {
-                            let mut ledger: Vec<EdgePenalty> = edge_pen
-                                .into_iter()
-                                .map(|((a, b), e)| EdgePenalty {
-                                    caller: a,
-                                    callee: b,
-                                    ..e
-                                })
-                                .collect();
-                            // ROOT_CALLER is u32::MAX, so plain (caller,
-                            // callee) order puts the entry edge last.
-                            ledger.sort_unstable_by_key(|e| (e.caller, e.callee));
-                            stats.call_edges = ledger
-                                .iter()
-                                .filter(|e| e.calls > 0)
-                                .map(|e| (e.caller, e.callee, e.calls))
-                                .collect();
-                            stats.edge_penalty = ledger;
-                            return Ok(SimResult {
-                                output,
-                                return_value: reg_file[regs.ret_reg().index()],
-                                stats,
-                                block_profile: profile,
-                            });
-                        }
-                    }
-                }
-                MTerminator::Br(t) => {
-                    charge!(opts.cost.branch);
-                    cur.block = t;
-                    cur.ip = 0;
-                    if let Some(p) = profile.as_mut() {
-                        p[cur.func.index()][cur.block.index()] += 1;
-                    }
-                }
+            let target = match block.term {
+                MTerminator::Br(t) => t,
                 MTerminator::CondBr {
                     cond,
                     then_to,
                     else_to,
                 } => {
-                    charge!(opts.cost.branch);
-                    let c = match cond {
-                        MOperand::Reg(r) => reg_file[r.index()],
-                        MOperand::Imm(i) => i,
-                    };
-                    cur.block = if c != 0 { then_to } else { else_to };
-                    cur.ip = 0;
-                    if let Some(p) = profile.as_mut() {
-                        p[cur.func.index()][cur.block.index()] += 1;
+                    if value(&reg_file, cond) != 0 {
+                        then_to
+                    } else {
+                        else_to
                     }
                 }
+                MTerminator::Ret => {
+                    charge!(opts.cost.ret);
+                    for (&reg, &before) in lay.preserve.iter().zip(&snaps[cur.snap..]) {
+                        let after = reg_file[reg.index()];
+                        if after != before {
+                            return Err(SimTrap::ConventionViolation {
+                                func: func.name.clone(),
+                                reg,
+                                before,
+                                after,
+                            });
+                        }
+                    }
+                    snaps.truncate(cur.snap);
+                    mem.truncate(cur.base);
+                    let Some(parent) = stack.pop() else {
+                        break;
+                    };
+                    cur = parent;
+                    func = &module.funcs[cur.func];
+                    lay = &layouts[cur.func.index()];
+                    block = &func.blocks[cur.block];
+                    continue;
+                }
+            };
+            charge!(opts.cost.branch);
+            cur.block = target;
+            cur.ip = 0;
+            block = &func.blocks[target];
+            if let Some(p) = profile.as_mut() {
+                p[cur.func.index()][target.index()] += 1;
             }
         }
     }
+
+    // ROOT_CALLER is u32::MAX, so plain (caller, callee) order puts the
+    // entry edge last.
+    ledger.sort_unstable_by_key(|e| (e.caller, e.callee));
+    stats.call_edges = ledger
+        .iter()
+        .filter(|e| e.calls > 0)
+        .map(|e| (e.caller, e.callee, e.calls))
+        .collect();
+    stats.edge_penalty = ledger;
+    Ok(SimResult {
+        output,
+        return_value: reg_file[regs.ret_reg().index()],
+        stats,
+        block_profile: profile,
+    })
 }
 
-fn read_mem(
+fn value(regs: &[i64], o: MOperand) -> i64 {
+    match o {
+        MOperand::Reg(r) => regs[r.index()],
+        MOperand::Imm(i) => i,
+    }
+}
+
+/// Ledger index of the call edge `caller -> callee`, appending a fresh
+/// entry the first time the edge is taken.
+fn edge_index(
+    callees: &mut [Vec<(FuncId, usize)>],
+    ledger: &mut Vec<EdgePenalty>,
+    caller: FuncId,
+    callee: FuncId,
+) -> usize {
+    let known = &mut callees[caller.index()];
+    if let Some(&(_, i)) = known.iter().find(|(f, _)| *f == callee) {
+        return i;
+    }
+    let i = ledger.len();
+    ledger.push(EdgePenalty {
+        caller: caller.0,
+        callee: callee.0,
+        ..EdgePenalty::default()
+    });
+    known.push((callee, i));
+    i
+}
+
+/// The arena cell `addr` names for the current activation, or the trap an
+/// access outside its object raises.
+fn resolve(
     module: &MModule,
-    globals: &[Vec<i64>],
+    globals: &[(usize, usize)],
+    lay: &Layout,
     cur: &Activation,
     regs: &[i64],
     addr: MAddress,
-) -> Result<i64, SimTrap> {
-    let idx = |o: MOperand| -> i64 {
-        match o {
-            MOperand::Reg(r) => regs[r.index()],
-            MOperand::Imm(i) => i,
-        }
-    };
+    write: bool,
+) -> Result<usize, SimTrap> {
     match addr {
         MAddress::Global { global, index } => {
-            let i = idx(index);
-            let g = &globals[global.index()];
-            if i < 0 || i as usize >= g.len() {
-                return Err(SimTrap::OutOfBounds {
-                    what: format!("global `{}`", module.globals[global].name),
-                    index: i,
-                });
-            }
-            Ok(g[i as usize])
+            let (at, len) = globals[global.index()];
+            cell(at, len, value(regs, index), || {
+                format!("global `{}`", module.globals[global].name)
+            })
         }
         MAddress::Frame { slot, index } => {
-            let i = idx(index);
-            let s = &cur.slots[slot.index()];
-            if i < 0 || i as usize >= s.len() {
-                return Err(SimTrap::OutOfBounds {
-                    what: format!("frame slot {slot}"),
-                    index: i,
-                });
-            }
-            Ok(s[i as usize])
+            let (at, len) = lay.slots[slot.index()];
+            cell(cur.base + at, len, value(regs, index), || {
+                format!("frame slot {slot}")
+            })
         }
-        MAddress::Incoming(i) => {
-            cur.incoming
-                .get(i as usize)
-                .copied()
-                .ok_or(SimTrap::OutOfBounds {
-                    what: "incoming arguments".into(),
-                    index: i as i64,
-                })
-        }
-        MAddress::Outgoing(i) => {
-            cur.outgoing
-                .get(i as usize)
-                .copied()
-                .ok_or(SimTrap::OutOfBounds {
-                    what: "outgoing arguments".into(),
-                    index: i as i64,
-                })
-        }
+        MAddress::Incoming(i) if write => Err(SimTrap::OutOfBounds {
+            what: "incoming arguments (write)".into(),
+            index: i.into(),
+        }),
+        MAddress::Incoming(i) => cell(cur.args, cur.nargs, i.into(), || {
+            "incoming arguments".into()
+        }),
+        MAddress::Outgoing(i) => cell(cur.base + lay.outgoing, lay.outgoing_len, i.into(), || {
+            "outgoing arguments".into()
+        }),
     }
 }
 
-fn write_mem(
-    module: &MModule,
-    globals: &mut [Vec<i64>],
-    cur: &mut Activation,
-    regs: &[i64],
-    addr: MAddress,
-    value: i64,
-) -> Result<(), SimTrap> {
-    let idx = |o: MOperand| -> i64 {
-        match o {
-            MOperand::Reg(r) => regs[r.index()],
-            MOperand::Imm(i) => i,
-        }
-    };
-    match addr {
-        MAddress::Global { global, index } => {
-            let i = idx(index);
-            let g = &mut globals[global.index()];
-            if i < 0 || i as usize >= g.len() {
-                return Err(SimTrap::OutOfBounds {
-                    what: format!("global `{}`", module.globals[global].name),
-                    index: i,
-                });
-            }
-            g[i as usize] = value;
-            Ok(())
-        }
-        MAddress::Frame { slot, index } => {
-            let i = idx(index);
-            let s = &mut cur.slots[slot.index()];
-            if i < 0 || i as usize >= s.len() {
-                return Err(SimTrap::OutOfBounds {
-                    what: format!("frame slot {slot}"),
-                    index: i,
-                });
-            }
-            s[i as usize] = value;
-            Ok(())
-        }
-        MAddress::Incoming(i) => Err(SimTrap::OutOfBounds {
-            what: "incoming arguments (write)".into(),
-            index: i as i64,
-        }),
-        MAddress::Outgoing(i) => {
-            let slot = cur
-                .outgoing
-                .get_mut(i as usize)
-                .ok_or(SimTrap::OutOfBounds {
-                    what: "outgoing arguments".into(),
-                    index: i as i64,
-                })?;
-            *slot = value;
-            Ok(())
-        }
+/// Cell `i` of the `len`-cell object at `at`, or an out-of-bounds trap
+/// naming the object.
+fn cell(at: usize, len: usize, i: i64, what: impl FnOnce() -> String) -> Result<usize, SimTrap> {
+    if i < 0 || i as usize >= len {
+        return Err(SimTrap::OutOfBounds {
+            what: what(),
+            index: i,
+        });
     }
+    Ok(at + i as usize)
 }

@@ -462,6 +462,50 @@ mod tests {
     }
 
     #[test]
+    fn global_index_out_of_bounds_traps() {
+        // Globals sit next to each other in memory: `a[2]` and `b[-1]`
+        // name cells of the other global and must still trap.
+        let t0 = RegFile::mips_like().allocatable()[4];
+        let global = |name: &str, init: Vec<i64>| ipra_ir::GlobalData {
+            name: name.into(),
+            size: 2,
+            init,
+        };
+        let at = |g: u32, i: i64| MAddress::Global {
+            global: ipra_ir::GlobalId(g),
+            index: MOperand::Imm(i),
+        };
+        let print = MInst::Print {
+            arg: MOperand::Reg(t0),
+        };
+        for (bad, what, index) in [(at(0, 2), "global `a`", 2), (at(1, -1), "global `b`", -1)] {
+            let main = straight(
+                "main",
+                vec![
+                    load(t0, at(0, 1), MemClass::Data),
+                    print.clone(),
+                    load(t0, at(1, 0), MemClass::Data),
+                    print.clone(),
+                    load(t0, bad, MemClass::Data),
+                    print.clone(),
+                ],
+            );
+            let mut m = module(vec![main]);
+            m.globals.push(global("a", vec![1, 2]));
+            m.globals.push(global("b", vec![3]));
+            let regs = RegFile::mips_like();
+            let opts = SimOptions::for_target(&regs);
+            assert_eq!(
+                run(&m, &regs, &opts).unwrap_err(),
+                out_of_bounds(what, index)
+            );
+            // Without the bad access, the initial values are read back.
+            m.funcs[FuncId(0)].blocks[BlockId(0)].insts.truncate(4);
+            assert_eq!(run(&m, &regs, &opts).unwrap().output, vec![2, 3]);
+        }
+    }
+
+    #[test]
     fn incoming_beyond_num_stack_args_traps() {
         // The caller stages three outgoing cells but passes only one: the
         // other two are not the callee's arguments.

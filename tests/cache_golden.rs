@@ -6,6 +6,7 @@
 
 use ipra_callgraph::{CallGraph, SccInfo};
 use ipra_core::ipra::CompiledModule;
+use ipra_core::Pipeline;
 use ipra_driver::{compile_only, run_compiled, Config};
 
 /// A scratch cache directory, unique per test and process.
@@ -349,5 +350,54 @@ fn damaged_cache_degrades_to_cold_compile() {
     std::fs::write(dir.join("ipra-cache.json"), "legacy").unwrap();
     let still_warm = compile_only(&module, &cfg);
     assert_eq!(still_warm.cache.hits, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One `Pipeline` with a cache directory compiles the whole corpus in
+/// Table 1 order. The programs share helpers (eight of them carry the
+/// same `rand`), so later programs hit entries the pipeline memoized for
+/// earlier ones, whose functions and globals are numbered differently.
+/// Each compile must still equal a fresh one-shot compile of the same
+/// program.
+#[test]
+fn shared_pipeline_replays_memoized_entries_in_the_current_numbering() {
+    let dir = cache_dir("memo-numbering");
+    let pipe = Pipeline::new();
+    let mut cfg = Config::c();
+    cfg.opts.cache_dir = Some(dir.clone());
+    for w in ipra_workloads::all() {
+        let module = ipra_workloads::compile_workload(w).unwrap();
+        let want = observe(&compile_only(&module, &Config::c()), &cfg);
+        let got = pipe.compile(&module, &cfg.target, &cfg.opts);
+        assert!(got.cache.enabled, "[{}] cache configured", w.name);
+        assert_eq!(observe(&got, &cfg), want, "[{}] shared pipeline", w.name);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A function whose body is unchanged keeps its component key when a new
+/// global shifts every `GlobalId`; replaying its memoized machine code
+/// must not read the global that now has its old id.
+#[test]
+fn memoized_entry_survives_a_global_inserted_before_it() {
+    let before = "global a: int; fn get() -> int { return a; } \
+                  fn main() { a = 7; print(get()); }";
+    let after = "global z: int; global a: int; fn get() -> int { return a; } \
+                 fn main() { z = 99; a = 7; print(get() + z); }";
+    let dir = cache_dir("memo-global");
+    let pipe = Pipeline::new();
+    let mut cfg = Config::c();
+    cfg.opts.cache_dir = Some(dir.clone());
+    for (src, want) in [(before, vec![7]), (after, vec![106])] {
+        let module = ipra_frontend::compile(src).unwrap();
+        let compiled = pipe.compile(&module, &cfg.target, &cfg.opts);
+        let out = run_compiled(&compiled, &cfg).expect("program runs").output;
+        assert_eq!(out, want, "{src}");
+        assert_eq!(
+            observe(&compiled, &cfg),
+            observe(&compile_only(&module, &Config::c()), &cfg),
+            "{src}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

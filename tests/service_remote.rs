@@ -197,3 +197,35 @@ fn remote_trace_document_is_served() {
         );
     });
 }
+
+/// With a `cache_dir`, "warm" means the cache answered every function. A
+/// request that misses an empty cache directory is cold even when the
+/// shared analysis memo already holds every function, and a fresh daemon
+/// replaying a populated cache directory is warm although its analysis
+/// memo is empty.
+#[test]
+fn warm_flag_follows_the_cache_when_one_is_configured() {
+    let dir = std::env::temp_dir().join(format!("ipra-remote-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let w = ipra_workloads::by_name("nim").unwrap();
+    let want = local_asm(w.source, &Config::o3());
+    let plain = CompileRequest::new(1, RequestSource::Workload(w.name.into()));
+    let mut cached = plain.clone();
+    cached.cache_dir = Some(dir.to_string_lossy().into_owned());
+
+    let expect = |service: &Service, req: &CompileRequest, warm: bool, why: &str| {
+        let (asm, got) = remote_asm(service, req);
+        assert!(asm == want, "{why}: daemon vs local asm diverged");
+        assert_eq!(got, warm, "{why}: warm flag");
+    };
+
+    let service = Service::with_defaults();
+    expect(&service, &plain, false, "first compile");
+    expect(&service, &plain, true, "analysis-memo replay");
+    expect(&service, &cached, false, "every function missed the cache");
+
+    let fresh = Service::with_defaults();
+    expect(&fresh, &cached, true, "every function replayed from disk");
+    expect(&fresh, &cached, true, "every function replayed from memory");
+    let _ = std::fs::remove_dir_all(&dir);
+}

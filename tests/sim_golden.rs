@@ -10,8 +10,8 @@
 //! stable text form and pinned by its FNV-1a digest, so any change to the
 //! simulator's internals that moves a single counter fails here.
 //!
-//! On a mismatch the test prints the full table of observed values in
-//! the same form as [`PINS`].
+//! There is one test per configuration. On a mismatch it prints that
+//! configuration's observed rows in the same form as [`PINS`].
 
 use ipra_driver::{compile_only, Config};
 use ipra_ir::Fnv64;
