@@ -3,7 +3,7 @@
 //! ```text
 //! inline_ablation [--small] [--jobs <n>] [--out <path>] [--history <path>]
 //!   --small        only the three smallest workloads (CI smoke runs)
-//!   --jobs <n>     wave-scheduler worker threads (0 = auto, 1 = serial)
+//!   --jobs <n>     wave-scheduler worker threads (0 = auto)
 //!   --out <path>   artifact path (default BENCH_inline.json)
 //!   --history <p>  trajectory file to append one summary line to
 //!                  (default BENCH_history.jsonl; `--history none` skips)

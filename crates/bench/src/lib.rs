@@ -8,7 +8,7 @@
 //!   --trace-json <dir>  also run each configuration traced and write one
 //!                       JSON compile trace per (workload, configuration)
 //!                       to <dir>/<workload>-<config>.json
-//!   --jobs <n>          wave-scheduler worker threads (0 = auto, 1 = serial)
+//!   --jobs <n>          wave-scheduler worker threads (0 = auto)
 //! ```
 
 pub mod alloc_meter;

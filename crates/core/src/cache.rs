@@ -132,10 +132,8 @@ pub fn config_fingerprint(target: &Target, opts: &AllocOptions) -> u64 {
     for f in forced {
         h.write_str(f);
     }
-    // The *effective* inline setting (matching what `prepare_module`
-    // consults), so an `IPRA_INLINE` flip separates keys exactly like a
-    // flag flip. The budget only separates keys while inlining is on.
-    if opts.effective_inline() {
+    // The budget only separates keys while inlining is on.
+    if opts.inline {
         h.write_u8(1);
         h.write_u32(opts.inline_budget);
     } else {
@@ -856,8 +854,12 @@ mod tests {
     use ipra_ir::builder::FunctionBuilder;
     use ipra_ir::Operand;
 
+    /// A fresh directory under the workspace's build directory (the
+    /// crate reads no environment, its tests included).
     fn test_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("ipra-cache-test-{}-{tag}", std::process::id()));
+        let d = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/tmp")
+            .join(format!("ipra-cache-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
     }

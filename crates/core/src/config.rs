@@ -40,24 +40,20 @@ pub struct AllocOptions {
     /// information (§3) without editing the IR.
     pub forced_open: HashSet<String>,
     /// Run the profile-guided inliner (see [`crate::inline`]) between
-    /// global promotion and the call-graph phases. Off in every preset;
-    /// the `IPRA_INLINE` environment variable (`1`/`on` or `0`/`off`)
-    /// overrides this field when set.
+    /// global promotion and the call-graph phases. Off in every preset.
     pub inline: bool,
     /// Per-caller growth budget for the inliner, in instructions. Only
-    /// consulted when inlining is (effectively) on.
+    /// consulted when inlining is on.
     pub inline_budget: u32,
     /// Worker threads for the wave scheduler: `0` picks
-    /// `std::thread::available_parallelism`, `1` forces the serial path.
-    /// Results are bit-identical for every value. The `IPRA_JOBS`
-    /// environment variable overrides this field when set.
+    /// `std::thread::available_parallelism`. Results are bit-identical
+    /// for every value.
     pub jobs: usize,
     /// Directory for the incremental allocation cache (`ipra-cache.json`
-    /// inside it). `None` disables caching. The `IPRA_CACHE` environment
-    /// variable supplies a directory when this field is `None`. Warm
-    /// compiles are bit-identical to cold ones; the cache key covers the
-    /// function body, every option in this struct (except `jobs` and
-    /// `cache_dir` themselves), the target, and all callee summaries.
+    /// inside it). `None` disables caching. Warm compiles are
+    /// bit-identical to cold ones; the cache key covers the function
+    /// body, every option in this struct (except `jobs` and `cache_dir`
+    /// themselves), the target, and all callee summaries.
     pub cache_dir: Option<std::path::PathBuf>,
 }
 
@@ -137,20 +133,6 @@ impl AllocOptions {
         self
     }
 
-    /// Resolves [`AllocOptions::inline`]: `IPRA_INLINE` (when set to a
-    /// recognized value) wins, then the field. `1`/`on`/`true` enable,
-    /// `0`/`off`/`false` disable; anything else falls through.
-    pub fn effective_inline(&self) -> bool {
-        match std::env::var("IPRA_INLINE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "1" | "on" | "true" => true,
-                "0" | "off" | "false" => false,
-                _ => self.inline,
-            },
-            Err(_) => self.inline,
-        }
-    }
-
     /// Sets the wave-scheduler worker count (see [`AllocOptions::jobs`]).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
@@ -163,30 +145,13 @@ impl AllocOptions {
         self
     }
 
-    /// Resolves [`AllocOptions::cache_dir`]: the field wins; otherwise a
-    /// non-empty `IPRA_CACHE` environment variable supplies the directory.
-    pub fn effective_cache_dir(&self) -> Option<std::path::PathBuf> {
-        if let Some(d) = &self.cache_dir {
-            return Some(d.clone());
-        }
-        match std::env::var("IPRA_CACHE") {
-            Ok(v) if !v.trim().is_empty() => Some(std::path::PathBuf::from(v.trim())),
-            _ => None,
-        }
-    }
-
-    /// Resolves [`AllocOptions::jobs`] to a concrete worker count:
-    /// `IPRA_JOBS` (when set and parseable) wins, then the field; `0`
+    /// Resolves [`AllocOptions::jobs`] to a concrete worker count: `0`
     /// means "ask the OS", clamped to at least 1.
     pub fn effective_jobs(&self) -> usize {
-        let requested = std::env::var("IPRA_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(self.jobs);
-        if requested == 0 {
+        if self.jobs == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
-            requested
+            self.jobs
         }
     }
 }
@@ -221,26 +186,15 @@ mod tests {
 
     #[test]
     fn cache_dir_resolution() {
-        // Note: assumes IPRA_CACHE is unset in the test environment.
-        if std::env::var_os("IPRA_CACHE").is_some() {
-            return;
-        }
-        assert_eq!(AllocOptions::o3().effective_cache_dir(), None);
+        assert_eq!(AllocOptions::o3().cache_dir, None);
         let o = AllocOptions::o3().with_cache_dir("/tmp/x");
-        assert_eq!(
-            o.effective_cache_dir(),
-            Some(std::path::PathBuf::from("/tmp/x"))
-        );
+        assert_eq!(o.cache_dir, Some(std::path::PathBuf::from("/tmp/x")));
     }
 
     #[test]
     fn inline_resolution() {
-        // Note: assumes IPRA_INLINE is unset in the test environment.
-        if std::env::var_os("IPRA_INLINE").is_some() {
-            return;
-        }
-        assert!(!AllocOptions::o3().effective_inline());
-        assert!(AllocOptions::o3().with_inline(true).effective_inline());
+        assert!(!AllocOptions::o3().inline);
+        assert!(AllocOptions::o3().with_inline(true).inline);
         assert_eq!(AllocOptions::o3().with_inline_budget(7).inline_budget, 7);
         assert_eq!(
             AllocOptions::o3().inline_budget,
@@ -250,10 +204,6 @@ mod tests {
 
     #[test]
     fn jobs_resolution() {
-        // Note: assumes IPRA_JOBS is unset in the test environment.
-        if std::env::var_os("IPRA_JOBS").is_some() {
-            return;
-        }
         assert_eq!(AllocOptions::o3().with_jobs(3).effective_jobs(), 3);
         assert_eq!(AllocOptions::o3().with_jobs(1).effective_jobs(), 1);
         assert!(AllocOptions::o3().with_jobs(0).effective_jobs() >= 1);

@@ -13,13 +13,15 @@
 //! functions whose callees are all summarized are mutually independent.
 //! The driver therefore partitions the SCC condensation into levels
 //! ([`SccInfo::levels`]) and fans each level out across scoped worker
-//! threads when [`AllocOptions::jobs`] resolves to more than one. The unit
-//! of work is the *component*, not the function: members of a multi-node
-//! SCC see each other's whole-tree usage in serial processing order, so a
-//! worker replays that order against a private copy of the environment.
-//! Workers collect their own observability shards; the driver merges
-//! summaries and shards in `FuncId` order, making output, reports, and
-//! traces independent of thread scheduling — bit-identical to `jobs = 1`.
+//! threads when [`AllocOptions::jobs`] resolves to more than one; with one
+//! worker, or a one-component level, the level runs inline on the driver
+//! thread. Every compile takes this one path. The unit of work is the
+//! *component*, not the function: members of a multi-node SCC see each
+//! other's whole-tree usage in their processing order, so a worker
+//! replays that order against a private copy of the environment. Workers
+//! collect their own observability shards; the driver merges summaries
+//! and shards in `FuncId` order, making output, reports, and traces
+//! independent of thread scheduling and of the worker count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -141,7 +143,7 @@ pub(crate) fn prepare_module(
     // the incremental cache, the analysis memo, the SCC condensation and
     // the openness classification all see the transformed bodies —
     // summary/body-hash invalidation falls out of the key derivation.
-    let inline_on = opts.effective_inline();
+    let inline_on = opts.inline;
     let inline = if inline_on {
         inline_hot_calls(&mut module, opts.inline_budget, &opts.forced_open, profile)
     } else {
@@ -209,8 +211,8 @@ pub(crate) fn compile_module_impl(
     openness.record_stats();
 
     // Flight-recorder shape of the traversal. Recorded from the SCC
-    // structure itself (not from the scheduler) so serial and wave
-    // compilations produce identical metrics.
+    // structure itself (not from the scheduler) so every worker count
+    // produces identical metrics.
     if ipra_obs::is_enabled() {
         for comp in &scc.components {
             ipra_obs::metric_observe("callgraph.scc_size", &[], comp.len() as u64);
@@ -225,11 +227,10 @@ pub(crate) fn compile_module_impl(
     let jobs = opts.effective_jobs();
     let mut env = SummaryEnv::default();
 
-    // Incremental cache (see `crate::cache`). When enabled, compilation
-    // always takes the wave path below — the per-wave lookup needs the
-    // environment frozen at wave boundaries — and stays bit-identical to
-    // the serial path for any hit/miss pattern.
-    let mut cache = opts.effective_cache_dir().map(|d| AllocCache::load(&d));
+    // Incremental cache (see `crate::cache`). The per-wave lookup below
+    // runs against the environment frozen at wave boundaries, so output
+    // is bit-identical for any hit/miss pattern.
+    let mut cache = opts.cache_dir.as_deref().map(AllocCache::load);
     let (fingerprint, numbering) = if cache.is_some() {
         (config_fingerprint(target, opts), numbering_key(module))
     } else {
@@ -244,187 +245,157 @@ pub(crate) fn compile_module_impl(
 
     let mut results: Vec<Option<FuncResult>> = (0..n).map(|_| None).collect();
 
-    if jobs <= 1 && cache.is_none() {
-        // Serial path: one pass over the flat bottom-up order, one
-        // scratch checked out for the whole pass.
-        let mut scratch = pipe.scratch.acquire();
-        for fid in scc.bottom_up_order() {
-            let _obs = ipra_obs::scope(&module.funcs[fid].name);
-            let forced = opts.forced_open.contains(&module.funcs[fid].name);
-            let is_open = !inter || forced || openness.is_open(fid);
-            let art = allocate_function_with(
-                module,
-                fid,
-                target,
-                opts,
-                is_open,
-                &env,
-                profile.map(|p| p[fid.index()].as_slice()),
-                &pipe.analyses,
-                body_hashes[fid.index()],
-                &mut scratch,
-            );
-            if inter && !is_open {
-                env.summaries.insert(fid, art.alloc.summary.clone());
-            }
-            env.tree_used.insert(fid, art.alloc.tree_used);
-            results[fid.index()] = Some(FuncResult::Fresh(Box::new(art)));
-        }
-        pipe.scratch.release(scratch);
-    } else {
-        // Wave scheduler: every component of a level has all its callees
-        // summarized, so a whole level fans out at once. `env` is frozen
-        // (shared read-only) while a wave runs and updated between waves
-        // in FuncId order, so results match the serial path bit for bit.
-        let tracing = ipra_obs::is_enabled();
-        for wave in scc.levels(cg) {
-            let comps: Vec<&[FuncId]> = wave
-                .iter()
-                .map(|&ci| scc.components[ci].as_slice())
-                .collect();
+    // Wave scheduler: every component of a level has all its callees
+    // summarized, so a whole level fans out at once. `env` is frozen
+    // (shared read-only) while a wave runs and updated between waves in
+    // FuncId order, so results are independent of the worker count.
+    let tracing = ipra_obs::is_enabled();
+    for wave in scc.levels(cg) {
+        let comps: Vec<&[FuncId]> = wave
+            .iter()
+            .map(|&ci| scc.components[ci].as_slice())
+            .collect();
 
-            // Cache lookup, serial and deterministic, against the frozen
-            // environment (every external callee lives in a lower wave).
-            // The pipeline's in-memory entry image is consulted first; a
-            // disk hit is decoded once and promoted into it, so a warm
-            // recompile through a persistent [`Pipeline`] never rereads
-            // or reparses the cache directory.
-            let mut comp_keys = vec![0u64; comps.len()];
-            let mut hits: Vec<Option<Arc<Vec<CachedFunc>>>> =
-                (0..comps.len()).map(|_| None).collect();
-            if let Some(c) = &cache {
-                for (i, comp) in comps.iter().enumerate() {
-                    let key = component_key(
-                        module,
-                        body_hashes,
-                        comp,
-                        |fid| {
-                            let forced = opts.forced_open.contains(&module.funcs[fid].name);
-                            !inter || forced || openness.is_open(fid)
-                        },
-                        fingerprint,
-                        inter,
-                        &env,
-                        profile,
-                    );
-                    comp_keys[i] = key;
-                    // The names guard against FNV collisions and stale
-                    // entries; a mismatch is just a miss.
-                    let matches = |funcs: &[CachedFunc]| {
-                        funcs.len() == comp.len()
-                            && funcs
-                                .iter()
-                                .zip(comp.iter())
-                                .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
-                    };
-                    let memo = pipe.entries.lock().unwrap().get(&(key, numbering)).cloned();
-                    if let Some(funcs) = memo {
-                        if matches(&funcs) {
-                            hits[i] = Some(funcs);
-                            continue;
-                        }
-                    }
-                    if let Some(funcs) = c.lookup(key, module) {
-                        if matches(&funcs) {
-                            let funcs = Arc::new(funcs);
-                            pipe.entries
-                                .lock()
-                                .unwrap()
-                                .insert((key, numbering), Arc::clone(&funcs));
-                            hits[i] = Some(funcs);
-                        }
-                    }
-                }
-            }
-
-            // Fan the misses out across the workers.
-            let miss_idx: Vec<usize> = (0..comps.len()).filter(|&i| hits[i].is_none()).collect();
-            let mut fresh = run_tasks(jobs, miss_idx.len(), &pipe.scratch, |out, scratch, t| {
-                alloc_component(
+        // Cache lookup, serial and deterministic, against the frozen
+        // environment (every external callee lives in a lower wave).
+        // The pipeline's in-memory entry image is consulted first; a
+        // disk hit is decoded once and promoted into it, so a warm
+        // recompile through a persistent [`Pipeline`] never rereads
+        // or reparses the cache directory.
+        let mut comp_keys = vec![0u64; comps.len()];
+        let mut hits: Vec<Option<Arc<Vec<CachedFunc>>>> = (0..comps.len()).map(|_| None).collect();
+        if let Some(c) = &cache {
+            for (i, comp) in comps.iter().enumerate() {
+                let key = component_key(
                     module,
-                    comps[miss_idx[t]],
-                    target,
-                    opts,
+                    body_hashes,
+                    comp,
+                    |fid| {
+                        let forced = opts.forced_open.contains(&module.funcs[fid].name);
+                        !inter || forced || openness.is_open(fid)
+                    },
+                    fingerprint,
                     inter,
-                    openness,
                     &env,
                     profile,
-                    tracing,
-                    &pipe.analyses,
-                    body_hashes,
-                    scratch,
-                    out,
                 );
-            });
-            fresh.sort_by_key(|(fid, _, _)| fid.index());
-            if cache.is_some() {
-                for &i in &miss_idx {
-                    miss_records.push((comp_keys[i], comps[i].to_vec()));
-                }
-            }
-
-            // Deterministic merge: interleave the hit and miss streams in
-            // FuncId order so the environment, observability records and
-            // counters come out independent of thread scheduling.
-            let mut hit_funcs: Vec<(FuncId, Arc<Vec<CachedFunc>>, usize)> = Vec::new();
-            for (i, h) in hits.into_iter().enumerate() {
-                if let Some(funcs) = h {
-                    for (m, &fid) in comps[i].iter().enumerate() {
-                        hit_funcs.push((fid, Arc::clone(&funcs), m));
-                    }
-                }
-            }
-            hit_funcs.sort_by_key(|(fid, _, _)| fid.index());
-            let mut fresh_it = fresh.into_iter().peekable();
-            let mut hit_it = hit_funcs.into_iter().peekable();
-            loop {
-                let take_fresh = match (fresh_it.peek(), hit_it.peek()) {
-                    (Some((f, _, _)), Some((h, _, _))) => f.index() < h.index(),
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
+                comp_keys[i] = key;
+                // The names guard against FNV collisions and stale
+                // entries; a mismatch is just a miss.
+                let matches = |funcs: &[CachedFunc]| {
+                    funcs.len() == comp.len()
+                        && funcs
+                            .iter()
+                            .zip(comp.iter())
+                            .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
                 };
-                if take_fresh {
-                    let (fid, art, shard) = fresh_it.next().expect("peeked");
-                    if inter && !art.alloc.is_open {
-                        env.summaries.insert(fid, art.alloc.summary.clone());
+                let memo = pipe.entries.lock().unwrap().get(&(key, numbering)).cloned();
+                if let Some(funcs) = memo {
+                    if matches(&funcs) {
+                        hits[i] = Some(funcs);
+                        continue;
                     }
-                    env.tree_used.insert(fid, art.alloc.tree_used);
-                    ipra_obs::absorb(shard);
-                    recompiled[fid.index()] = true;
-                    if cache.is_some() {
-                        cache_stats.misses += 1;
-                        cache_stats.recompiled.push(module.funcs[fid].name.clone());
-                        let _obs = ipra_obs::scope(&module.funcs[fid].name);
-                        ipra_obs::counter("cache.miss", 1);
-                        ipra_obs::metric_counter("cache.lookup", &[("result", "miss")], 1);
-                    }
-                    results[fid.index()] = Some(FuncResult::Fresh(Box::new(art)));
-                } else {
-                    let (fid, entry, idx) = hit_it.next().expect("peeked");
-                    let cf = &entry[idx];
-                    if inter && !cf.is_open {
-                        env.summaries.insert(fid, cf.summary.clone());
-                    }
-                    env.tree_used.insert(fid, cf.tree_used);
-                    cache_stats.hits += 1;
-                    // A hit whose direct callee was recompiled is an early
-                    // cutoff: the callee changed but its summary bytes did
-                    // not, so invalidation stopped here.
-                    let cutoff = cg.callees(fid).iter().any(|c| recompiled[c.index()]);
-                    {
-                        let _obs = ipra_obs::scope(&module.funcs[fid].name);
-                        let _t = ipra_obs::span("cache.hit");
-                        ipra_obs::counter("cache.hit", 1);
-                        ipra_obs::metric_counter("cache.lookup", &[("result", "hit")], 1);
-                        if cutoff {
-                            cache_stats.cutoffs += 1;
-                            ipra_obs::counter("cache.cutoff", 1);
-                            ipra_obs::metric_counter("cache.lookup", &[("result", "cutoff")], 1);
-                        }
-                    }
-                    results[fid.index()] = Some(FuncResult::Cached(entry, idx));
                 }
+                if let Some(funcs) = c.lookup(key, module) {
+                    if matches(&funcs) {
+                        let funcs = Arc::new(funcs);
+                        pipe.entries
+                            .lock()
+                            .unwrap()
+                            .insert((key, numbering), Arc::clone(&funcs));
+                        hits[i] = Some(funcs);
+                    }
+                }
+            }
+        }
+
+        // Fan the misses out across the workers.
+        let miss_idx: Vec<usize> = (0..comps.len()).filter(|&i| hits[i].is_none()).collect();
+        let mut fresh = run_tasks(jobs, miss_idx.len(), &pipe.scratch, |out, scratch, t| {
+            alloc_component(
+                module,
+                comps[miss_idx[t]],
+                target,
+                opts,
+                inter,
+                openness,
+                &env,
+                profile,
+                tracing,
+                &pipe.analyses,
+                body_hashes,
+                scratch,
+                out,
+            );
+        });
+        fresh.sort_by_key(|(fid, _, _)| fid.index());
+        if cache.is_some() {
+            for &i in &miss_idx {
+                miss_records.push((comp_keys[i], comps[i].to_vec()));
+            }
+        }
+
+        // Deterministic merge: interleave the hit and miss streams in
+        // FuncId order so the environment, observability records and
+        // counters come out independent of thread scheduling.
+        let mut hit_funcs: Vec<(FuncId, Arc<Vec<CachedFunc>>, usize)> = Vec::new();
+        for (i, h) in hits.into_iter().enumerate() {
+            if let Some(funcs) = h {
+                for (m, &fid) in comps[i].iter().enumerate() {
+                    hit_funcs.push((fid, Arc::clone(&funcs), m));
+                }
+            }
+        }
+        hit_funcs.sort_by_key(|(fid, _, _)| fid.index());
+        let mut fresh_it = fresh.into_iter().peekable();
+        let mut hit_it = hit_funcs.into_iter().peekable();
+        loop {
+            let take_fresh = match (fresh_it.peek(), hit_it.peek()) {
+                (Some((f, _, _)), Some((h, _, _))) => f.index() < h.index(),
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if take_fresh {
+                let (fid, art, shard) = fresh_it.next().expect("peeked");
+                if inter && !art.alloc.is_open {
+                    env.summaries.insert(fid, art.alloc.summary.clone());
+                }
+                env.tree_used.insert(fid, art.alloc.tree_used);
+                ipra_obs::absorb(shard);
+                recompiled[fid.index()] = true;
+                if cache.is_some() {
+                    cache_stats.misses += 1;
+                    cache_stats.recompiled.push(module.funcs[fid].name.clone());
+                    let _obs = ipra_obs::scope(&module.funcs[fid].name);
+                    ipra_obs::counter("cache.miss", 1);
+                    ipra_obs::metric_counter("cache.lookup", &[("result", "miss")], 1);
+                }
+                results[fid.index()] = Some(FuncResult::Fresh(Box::new(art)));
+            } else {
+                let (fid, entry, idx) = hit_it.next().expect("peeked");
+                let cf = &entry[idx];
+                if inter && !cf.is_open {
+                    env.summaries.insert(fid, cf.summary.clone());
+                }
+                env.tree_used.insert(fid, cf.tree_used);
+                cache_stats.hits += 1;
+                // A hit whose direct callee was recompiled is an early
+                // cutoff: the callee changed but its summary bytes did
+                // not, so invalidation stopped here.
+                let cutoff = cg.callees(fid).iter().any(|c| recompiled[c.index()]);
+                {
+                    let _obs = ipra_obs::scope(&module.funcs[fid].name);
+                    let _t = ipra_obs::span("cache.hit");
+                    ipra_obs::counter("cache.hit", 1);
+                    ipra_obs::metric_counter("cache.lookup", &[("result", "hit")], 1);
+                    if cutoff {
+                        cache_stats.cutoffs += 1;
+                        ipra_obs::counter("cache.cutoff", 1);
+                        ipra_obs::metric_counter("cache.lookup", &[("result", "cutoff")], 1);
+                    }
+                }
+                results[fid.index()] = Some(FuncResult::Cached(entry, idx));
             }
         }
     }
@@ -434,7 +405,6 @@ pub(crate) fn compile_module_impl(
     let fresh_ids: Vec<usize> = (0..n)
         .filter(|&i| matches!(results[i], Some(FuncResult::Fresh(_))))
         .collect();
-    let tracing = ipra_obs::is_enabled();
     let mut lowered_parts = run_tasks(jobs, fresh_ids.len(), &pipe.scratch, |out, scratch, t| {
         let fi = fresh_ids[t];
         let fid = FuncId(fi as u32);
@@ -613,7 +583,7 @@ fn run_tasks<T: Send>(
 ) -> Vec<T> {
     let workers = jobs.min(tasks).max(1);
     if workers == 1 {
-        // Narrow wave (or serial request): run inline, no thread overhead.
+        // Narrow wave (or one worker): run inline, no thread overhead.
         let mut out = Vec::new();
         let mut scratch = pool.acquire();
         for t in 0..tasks {

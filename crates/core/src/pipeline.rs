@@ -222,7 +222,7 @@ impl Pipeline {
     /// prepared module, as before), otherwise a hash of the budget and
     /// the full profile the inliner would consume.
     fn inline_key(opts: &AllocOptions, profile: Option<&[Vec<u64>]>) -> u64 {
-        if !opts.effective_inline() {
+        if !opts.inline {
             return 0;
         }
         let mut h = Fnv64::new();
@@ -273,7 +273,7 @@ impl Pipeline {
         opts: &AllocOptions,
         profile: Option<&[Vec<u64>]>,
     ) -> Arc<PreparedModule> {
-        let inline_on = opts.effective_inline();
+        let inline_on = opts.inline;
         let key = (
             hash_module(module),
             opts.promote_globals,

@@ -4,6 +4,7 @@
 //! mini-cc [OPTIONS] <file.mini>
 //!   -O0 | -O2 | -O3        optimization level (default -O3)
 //!   --no-shrink-wrap       disable save/restore shrink-wrapping
+//!   --shrink-wrap          enable it (the -O2/-O3 default)
 //!   --limit <nc>,<ne>      restrict allocatable registers per class
 //!   --target <name>        compile for a named target from the registry
 //!                          (mips-like, table2-d, table2-e, embedded8,
@@ -14,7 +15,7 @@
 //!   --trace                print the compile/execution trace to stderr
 //!   --trace-json <path>    write the trace as JSON to <path>
 //!   --trace-chrome <path>  write a Chrome/Perfetto trace-event file to <path>
-//!   --jobs <n>             wave-scheduler worker threads (0 = auto, 1 = serial)
+//!   --jobs <n>             wave-scheduler worker threads (0 = auto)
 //!   --cache-dir <dir>      incremental allocation cache directory
 //!   --verify-mc            statically verify register contracts of the
 //!                          lowered code (default on in debug builds)
@@ -26,9 +27,7 @@
 //!                          estimated save/restore penalty; pairs with
 //!                          --profile-in, falls back to static ranking)
 //!   --inline-budget <n>    instruction-growth budget for --inline
-//!                          (default 48); the IPRA_INLINE env var can
-//!                          force the pass on (1/on/true) or off
-//!                          (0/off/false) regardless of the flag
+//!                          (default 48)
 //!   --workload <name>      compile a bundled benchmark instead of a file
 //!   --remote <socket>      send the compile to a running mini-ccd instead
 //!                          of compiling locally (same options, same output)
@@ -36,24 +35,26 @@
 //!   --shutdown             with --remote: ask the daemon to shut down
 //! ```
 //!
-//! With `--remote`, `--emit metrics` fetches the daemon's metrics
-//! registry as JSON (readable by `trace-tool top`).
+//! The compile flags (level, shrink-wrap, limit, target, jobs, cache,
+//! inliner, `--run`) are parsed into one
+//! `ipra_driver::service::CompileRequest`, which the local compile and
+//! `--remote` resolve the same way; flag order does not matter. With
+//! `--remote`, `--emit metrics` fetches the daemon's metrics registry as
+//! JSON (readable by `trace-tool top`).
 
 use std::process::ExitCode;
 
-use ipra_core::config::{AllocMode, AllocOptions};
+use ipra_driver::service::{CompileRequest, RequestSource};
 use ipra_driver::{profile_from_json, profile_to_json, run_compiled, CompileTrace, Config};
-use ipra_machine::Target;
 
 struct Args {
-    opts: AllocOptions,
-    target: Target,
-    /// `--limit NC,NE` as given, for forwarding to a remote daemon.
-    limit: Option<(usize, usize)>,
-    /// `--target NAME` as given, for forwarding to a remote daemon.
-    target_name: Option<String>,
+    /// The compile flags. Its `source` is a placeholder: the input is
+    /// attached where the request is used.
+    spec: CompileRequest,
+    /// `spec` resolved, so a bad option fails before any work, local or
+    /// remote.
+    config: Config,
     emit: Option<String>,
-    run: bool,
     trace: bool,
     trace_json: Option<String>,
     trace_chrome: Option<String>,
@@ -63,16 +64,11 @@ struct Args {
     remote: Option<String>,
     ping: bool,
     shutdown: bool,
-    input: Option<Input>,
-}
-
-enum Input {
-    File(String),
-    Workload(String),
+    input: Option<RequestSource>,
 }
 
 fn usage() -> &'static str {
-    "usage: mini-cc [-O0|-O2|-O3] [--no-shrink-wrap] [--limit NC,NE] \
+    "usage: mini-cc [-O0|-O2|-O3] [--no-shrink-wrap|--shrink-wrap] [--limit NC,NE] \
      [--target NAME|conv:P,C,A] \
      [--emit ir|asm|summary] [--run] [--trace] [--trace-json PATH] \
      [--trace-chrome PATH] [--jobs N] [--cache-dir DIR] [--profile-out PATH] [--profile-in PATH] \
@@ -82,10 +78,8 @@ fn usage() -> &'static str {
 }
 
 fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut opts = AllocOptions::o3();
-    let mut target = Target::mips_like();
+    let mut spec = CompileRequest::new(1, RequestSource::Source(String::new()));
     let mut emit = None;
-    let mut run = false;
     let mut trace = false;
     let mut trace_json = None;
     let mut trace_chrome = None;
@@ -97,70 +91,26 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut remote = None;
     let mut ping = false;
     let mut shutdown = false;
-    let mut limit = None;
-    let mut target_name = None;
     let mut input = None;
-    // `-O2`/`-O3` replace the whole option set, so `--no-shrink-wrap`,
-    // `--jobs` and `--cache-dir` are remembered separately and applied
-    // after the flag loop — otherwise `--no-shrink-wrap -O3` would
-    // silently re-enable shrink-wrapping (and likewise reset the job
-    // count or drop the cache directory).
-    let mut no_shrink_wrap = false;
-    let mut jobs = None;
-    let mut cache_dir = None;
-    let mut inline = false;
-    let mut inline_budget = None;
 
     let mut args = args;
     while let Some(a) = args.next() {
+        if spec.parse_flag(&a, &mut args)? {
+            continue;
+        }
         match a.as_str() {
-            "-O0" => opts = AllocOptions::no_alloc(),
-            "-O2" => opts = AllocOptions::o2_shrink_wrap(),
-            "-O3" => opts = AllocOptions::o3(),
-            "--no-shrink-wrap" => no_shrink_wrap = true,
-            "--limit" => {
-                let v = args.next().ok_or("--limit needs NC,NE")?;
-                let (nc, ne) = v.split_once(',').ok_or("--limit needs NC,NE")?;
-                let nc: usize = nc.trim().parse().map_err(|_| "bad NC")?;
-                let ne: usize = ne.trim().parse().map_err(|_| "bad NE")?;
-                if nc > 11 || ne > 9 {
-                    return Err("--limit is at most 11,9 for the mips family".into());
-                }
-                target = Target::with_class_limits(nc, ne);
-                limit = Some((nc, ne));
-            }
-            "--target" => {
-                let v = args.next().ok_or("--target needs a name")?;
-                target = Target::parse(&v)?;
-                target_name = Some(v);
-            }
             "--emit" => emit = Some(args.next().ok_or("--emit needs a kind")?),
-            "--run" => run = true,
             "--trace" => trace = true,
             "--trace-json" => trace_json = Some(args.next().ok_or("--trace-json needs a path")?),
             "--trace-chrome" => {
                 trace_chrome = Some(args.next().ok_or("--trace-chrome needs a path")?)
             }
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a count")?;
-                jobs = Some(v.trim().parse::<usize>().map_err(|_| "bad --jobs count")?);
-            }
-            "--cache-dir" => cache_dir = Some(args.next().ok_or("--cache-dir needs a directory")?),
             "--verify-mc" => verify_mc = true,
             "--no-verify-mc" => verify_mc = false,
             "--profile-out" => profile_out = Some(args.next().ok_or("--profile-out needs a path")?),
             "--profile-in" => profile_in = Some(args.next().ok_or("--profile-in needs a path")?),
-            "--inline" => inline = true,
-            "--inline-budget" => {
-                let v = args.next().ok_or("--inline-budget needs a count")?;
-                inline_budget = Some(
-                    v.trim()
-                        .parse::<u32>()
-                        .map_err(|_| "bad --inline-budget count")?,
-                );
-            }
             "--workload" => {
-                input = Some(Input::Workload(
+                input = Some(RequestSource::Workload(
                     args.next().ok_or("--workload needs a name")?,
                 ))
             }
@@ -168,28 +118,16 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--ping" => ping = true,
             "--shutdown" => shutdown = true,
             "-h" | "--help" => return Err(usage().to_string()),
-            other if !other.starts_with('-') => input = Some(Input::File(other.to_string())),
+            other if !other.starts_with('-') => {
+                input = Some(RequestSource::Path(other.to_string()))
+            }
             other => return Err(format!("unknown option `{other}`\n{}", usage())),
         }
     }
-    if no_shrink_wrap {
-        opts.shrink_wrap = false;
-    }
-    if let Some(j) = jobs {
-        opts.jobs = j;
-    }
-    if let Some(d) = cache_dir {
-        opts.cache_dir = Some(std::path::PathBuf::from(d));
-    }
-    if inline {
-        opts.inline = true;
-    }
-    if let Some(b) = inline_budget {
-        opts.inline_budget = b;
-    }
-    if limit.is_some() && target_name.is_some() {
-        return Err("--limit and --target are mutually exclusive".to_string());
-    }
+    let config = spec.config()?;
+    // Without `--emit` the program runs; `--profile-out` needs the run's
+    // block counts.
+    spec.run |= emit.is_none() || profile_out.is_some();
     if (ping || shutdown) && remote.is_none() {
         return Err("--ping/--shutdown require --remote".to_string());
     }
@@ -200,12 +138,9 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
         return Err(usage().to_string());
     }
     Ok(Args {
-        opts,
-        target,
-        limit,
-        target_name,
+        spec,
+        config,
         emit,
-        run,
         trace,
         trace_json,
         trace_chrome,
@@ -220,11 +155,11 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<Args, String> {
 }
 
 /// Client mode: forward the compile (or a management command) to a
-/// running `mini-ccd` over its Unix socket. Options are forwarded field
-/// for field, so the daemon's output is byte-identical to a local
-/// compile under the same flags.
+/// running `mini-ccd` over its Unix socket. The daemon resolves the same
+/// compile spec the local path would, so its output is byte-identical to
+/// a local compile under the same flags.
 fn remote_main(socket: &str, args: &Args) -> Result<(), String> {
-    use ipra_driver::service::{roundtrip, CompileRequest, RequestSource};
+    use ipra_driver::service::roundtrip;
     use ipra_obs::json::Json;
 
     let mut stream =
@@ -282,32 +217,11 @@ fn remote_main(socket: &str, args: &Args) -> Result<(), String> {
 
     // The client reads files itself and ships the source inline, so the
     // daemon never depends on the client's filesystem layout.
-    let source = match args.input.as_ref().expect("validated in parse") {
-        Input::File(path) => RequestSource::Source(
-            std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
-        ),
-        Input::Workload(name) => RequestSource::Workload(name.clone()),
+    let mut req = args.spec.clone();
+    req.source = match args.input.clone().expect("validated in parse") {
+        path @ RequestSource::Path(_) => RequestSource::Source(path.text()?),
+        other => other,
     };
-    let mut req = CompileRequest::new(1, source);
-    req.opt = match args.opts.mode {
-        AllocMode::NoAlloc => "O0".into(),
-        AllocMode::Intra => "O2".into(),
-        AllocMode::Inter => "O3".into(),
-    };
-    req.shrink_wrap = Some(args.opts.shrink_wrap);
-    req.jobs = args.opts.jobs;
-    req.limit = args.limit;
-    req.target = args.target_name.clone();
-    req.cache_dir = args
-        .opts
-        .cache_dir
-        .as_ref()
-        .map(|p| p.display().to_string());
-    if args.opts.inline {
-        req.inline = Some(true);
-        req.inline_budget = Some(args.opts.inline_budget);
-    }
-    req.run = args.run || args.emit.is_none();
     req.trace = args.trace_json.is_some();
 
     let resp = ask(&mut stream, &req.to_json())?;
@@ -392,19 +306,11 @@ fn real_main() -> Result<(), String> {
     if let Some(socket) = args.remote.clone() {
         return remote_main(&socket, &args);
     }
-    let source = match args.input.as_ref().ok_or_else(|| usage().to_string())? {
-        Input::File(path) => std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
-        Input::Workload(name) => ipra_workloads::by_name(name)
-            .ok_or_else(|| {
-                let names: Vec<_> = ipra_workloads::all()
-                    .iter()
-                    .map(|w| w.name.to_string())
-                    .collect();
-                format!("unknown workload `{name}`; available: {}", names.join(", "))
-            })?
-            .source
-            .to_string(),
-    };
+    let source = args
+        .input
+        .as_ref()
+        .ok_or_else(|| usage().to_string())?
+        .text()?;
 
     let module = ipra_frontend::compile(&source).map_err(|e| format!("compile error: {e}"))?;
     let loaded_profile = match &args.profile_in {
@@ -415,15 +321,7 @@ fn real_main() -> Result<(), String> {
         }
         None => None,
     };
-    let config = Config {
-        name: match args.opts.mode {
-            AllocMode::NoAlloc => "-O0".into(),
-            AllocMode::Intra => "-O2".into(),
-            AllocMode::Inter => "-O3".into(),
-        },
-        target: args.target,
-        opts: args.opts,
-    };
+    let config = args.config;
 
     // Compile once (with tracing when requested) and reuse the result for
     // every emit kind and the run.
@@ -496,8 +394,7 @@ fn real_main() -> Result<(), String> {
     }
 
     let mut stats = None;
-    // `--profile-out` implies a run: the profile is the run's block counts.
-    if args.run || args.profile_out.is_some() || args.emit.is_none() {
+    if args.spec.run {
         let (run_stats, output) = if let Some(path) = &args.profile_out {
             let sim_opts = ipra_sim::SimOptions::for_target(&config.target.regs)
                 .check_preservation(compiled.clobber_masks.clone())
@@ -571,37 +468,37 @@ mod tests {
         // The footgun: `-O3` replaces the whole option set, which used to
         // silently re-enable shrink-wrapping requested off earlier.
         let a = parse(&["--no-shrink-wrap", "-O3", "x.mini"]);
-        assert!(!a.opts.shrink_wrap);
+        assert!(!a.config.opts.shrink_wrap);
         let b = parse(&["--no-shrink-wrap", "-O2", "x.mini"]);
-        assert!(!b.opts.shrink_wrap);
+        assert!(!b.config.opts.shrink_wrap);
         let c = parse(&["-O3", "--no-shrink-wrap", "x.mini"]);
-        assert!(!c.opts.shrink_wrap);
+        assert!(!c.config.opts.shrink_wrap);
     }
 
     #[test]
     fn shrink_wrap_on_by_default_at_o3() {
         let a = parse(&["-O3", "x.mini"]);
-        assert!(a.opts.shrink_wrap);
+        assert!(a.config.opts.shrink_wrap);
     }
 
     #[test]
     fn jobs_flag_parses_and_survives_opt_level() {
         let a = parse(&["--jobs", "4", "-O3", "x.mini"]);
-        assert_eq!(a.opts.jobs, 4);
+        assert_eq!(a.config.opts.jobs, 4);
         let b = parse(&["-O2", "--jobs", "1", "x.mini"]);
-        assert_eq!(b.opts.jobs, 1);
+        assert_eq!(b.config.opts.jobs, 1);
         let c = parse(&["x.mini"]);
-        assert_eq!(c.opts.jobs, 0, "default: auto");
+        assert_eq!(c.config.opts.jobs, 0, "default: auto");
     }
 
     #[test]
     fn cache_dir_flag_survives_opt_level() {
         let a = parse(&["--cache-dir", "/tmp/c", "-O3", "x.mini"]);
-        assert_eq!(a.opts.cache_dir.as_deref(), Some("/tmp/c".as_ref()));
+        assert_eq!(a.config.opts.cache_dir.as_deref(), Some("/tmp/c".as_ref()));
         let b = parse(&["-O2", "--cache-dir", "/tmp/c", "x.mini"]);
-        assert_eq!(b.opts.cache_dir.as_deref(), Some("/tmp/c".as_ref()));
+        assert_eq!(b.config.opts.cache_dir.as_deref(), Some("/tmp/c".as_ref()));
         let c = parse(&["x.mini"]);
-        assert_eq!(c.opts.cache_dir, None, "default: no cache");
+        assert_eq!(c.config.opts.cache_dir, None, "default: no cache");
     }
 
     #[test]
@@ -611,22 +508,25 @@ mod tests {
         assert!(a.profile_in.is_none());
         let b = parse(&["--profile-in", "p.json", "--run", "x.mini"]);
         assert_eq!(b.profile_in.as_deref(), Some("p.json"));
-        assert!(b.run);
+        assert!(b.spec.run);
     }
 
     #[test]
     fn inline_flags_parse_and_survive_opt_level() {
         let a = parse(&["--inline", "-O3", "x.mini"]);
-        assert!(a.opts.inline);
-        assert_eq!(a.opts.inline_budget, ipra_core::DEFAULT_INLINE_BUDGET);
+        assert!(a.config.opts.inline);
+        assert_eq!(
+            a.config.opts.inline_budget,
+            ipra_core::DEFAULT_INLINE_BUDGET
+        );
         let b = parse(&["-O2", "--inline", "--inline-budget", "96", "x.mini"]);
-        assert!(b.opts.inline);
-        assert_eq!(b.opts.inline_budget, 96);
+        assert!(b.config.opts.inline);
+        assert_eq!(b.config.opts.inline_budget, 96);
         // Budget order doesn't matter relative to the opt level either.
         let c = parse(&["--inline-budget", "7", "--inline", "-O3", "x.mini"]);
-        assert_eq!(c.opts.inline_budget, 7);
+        assert_eq!(c.config.opts.inline_budget, 7);
         let d = parse(&["x.mini"]);
-        assert!(!d.opts.inline, "default: inliner off");
+        assert!(!d.config.opts.inline, "default: inliner off");
         assert!(parse_args_from(
             ["--inline-budget", "many", "x.mini"]
                 .iter()
@@ -673,31 +573,31 @@ mod tests {
     #[test]
     fn limit_is_remembered_for_forwarding() {
         let a = parse(&["--limit", "7,0", "x.mini"]);
-        assert_eq!(a.limit, Some((7, 0)));
-        assert_eq!(parse(&["x.mini"]).limit, None);
+        assert_eq!(a.spec.limit, Some((7, 0)));
+        assert_eq!(parse(&["x.mini"]).spec.limit, None);
     }
 
     #[test]
     fn target_flag_parses_names_and_conv_triples() {
         let a = parse(&["--target", "embedded8", "x.mini"]);
-        assert_eq!(a.target_name.as_deref(), Some("embedded8"));
-        assert_eq!(a.target.regs.allocatable().len(), 8);
+        assert_eq!(a.spec.target.as_deref(), Some("embedded8"));
+        assert_eq!(a.config.target.regs.allocatable().len(), 8);
         let b = parse(&["--target", "conv:8,6,2", "x.mini"]);
         assert_eq!(
-            b.target.regs.fingerprint(),
-            a.target.regs.fingerprint(),
+            b.config.target.regs.fingerprint(),
+            a.config.target.regs.fingerprint(),
             "conv:8,6,2 is embedded8's spec"
         );
         // The target survives a later opt-level flag.
         let c = parse(&["--target", "searched", "-O2", "x.mini"]);
         assert_eq!(
-            c.target.regs.fingerprint(),
+            c.config.target.regs.fingerprint(),
             ipra_machine::Target::by_name("searched")
                 .unwrap()
                 .regs
                 .fingerprint()
         );
-        assert_eq!(parse(&["x.mini"]).target_name, None);
+        assert_eq!(parse(&["x.mini"]).spec.target, None);
     }
 
     #[test]
@@ -722,7 +622,7 @@ mod tests {
     #[test]
     fn trace_flags_parse() {
         let a = parse(&["--trace", "--trace-json", "t.json", "--run", "x.mini"]);
-        assert!(a.trace && a.run);
+        assert!(a.trace && a.spec.run);
         assert_eq!(a.trace_json.as_deref(), Some("t.json"));
         let b = parse(&["x.mini"]);
         assert!(!b.trace && b.trace_json.is_none() && b.trace_chrome.is_none());

@@ -42,9 +42,15 @@
 //! ```
 //!
 //! `source` may be replaced by `path` (read server-side) or `workload`
-//! (a bundled benchmark name). Every `options` field is optional and
-//! defaults to the `mini-cc` defaults (`-O3`, shrink-wrap on, auto
-//! jobs, full register file, no cache, inliner off). Responses carry `id` back,
+//! (a bundled benchmark name); exactly one of the three is required.
+//! Every `options` field is optional and defaults to the `mini-cc`
+//! defaults (`-O3`, shrink-wrap on, auto jobs, full register file, no
+//! cache, inliner off); the request is the wire form of
+//! [`CompileRequest`], the one compile spec `mini-cc` also uses.
+//! Decoding is strict: a field of the wrong type (`"opt": 2`,
+//! `"run": "yes"`), an unknown top-level field or an unknown `options`
+//! key (`"limt"`) is answered with a structured `error` naming the field;
+//! only `null` counts as absent. Responses carry `id` back,
 //! `status` (`ok` | `error` | `busy`), and on success the rendered
 //! `asm`, a `warm` flag (the whole compile was answered from the cache
 //! when a `cache_dir` is set, else from the analysis memo),
@@ -58,7 +64,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use ipra_core::config::{AllocMode, AllocOptions};
+use ipra_core::config::AllocOptions;
 use ipra_core::Pipeline;
 use ipra_machine::Target;
 use ipra_obs::frame::{read_frame, read_frame_with_limit, write_frame, FrameError, MAX_FRAME_LEN};
@@ -164,13 +170,6 @@ pub struct Service {
     admission: Admission,
     metrics: Mutex<Metrics>,
     shutdown: AtomicBool,
-}
-
-fn as_bool(j: &Json) -> Option<bool> {
-    match j {
-        Json::Bool(b) => Some(*b),
-        _ => None,
-    }
 }
 
 fn error_response(id: &Json, msg: &str) -> Json {
@@ -358,23 +357,18 @@ impl Service {
     }
 
     fn handle_compile(&self, req: &Json, id: &Json) -> Json {
-        let source = if let Some(s) = req.get("source").and_then(Json::as_str) {
-            s.to_string()
-        } else if let Some(p) = req.get("path").and_then(Json::as_str) {
-            match std::fs::read_to_string(p) {
-                Ok(s) => s,
-                Err(e) => return error_response(id, &format!("{p}: {e}")),
-            }
-        } else if let Some(n) = req.get("workload").and_then(Json::as_str) {
-            match ipra_workloads::by_name(n) {
-                Some(w) => w.source.to_string(),
-                None => return error_response(id, &format!("unknown workload `{n}`")),
-            }
-        } else {
-            return error_response(id, "compile needs `source`, `path` or `workload`");
-        };
-        let (config, run, trace) = match self.request_config(req) {
-            Ok(x) => x,
+        let resolved = CompileRequest::from_json(req).and_then(|mut spec| {
+            // Per-request clamp: auto (0) resolves to the cap, explicit
+            // requests are honored up to it. Output is jobs-independent,
+            // so the clamp is invisible to clients.
+            spec.jobs = match spec.jobs {
+                0 => self.config.jobs_cap,
+                j => j.min(self.config.jobs_cap),
+            };
+            Ok((spec.source.text()?, spec.config()?, spec.run, spec.trace))
+        });
+        let (source, config, run, trace) = match resolved {
+            Ok(resolved) => resolved,
             Err(e) => return error_response(id, &e),
         };
 
@@ -397,98 +391,6 @@ impl Service {
         self.admission.release();
         self.refresh_gauges();
         resp
-    }
-
-    /// Rebuilds the `mini-cc` configuration surface from the request's
-    /// `options` object, with the daemon's jobs clamp applied.
-    fn request_config(&self, req: &Json) -> Result<(Config, bool, bool), String> {
-        let run = req.get("run").and_then(as_bool).unwrap_or(false);
-        let trace = req.get("trace").and_then(as_bool).unwrap_or(false);
-        let o = req.get("options");
-        let field = |k: &str| o.and_then(|o| o.get(k));
-
-        let level = field("opt").and_then(Json::as_str).unwrap_or("O3");
-        let mut opts = match level {
-            "O0" => AllocOptions::no_alloc(),
-            "O2" => AllocOptions::o2_shrink_wrap(),
-            "O3" => AllocOptions::o3(),
-            other => return Err(format!("unknown opt level `{other}`")),
-        };
-        if let Some(b) = field("shrink_wrap").and_then(as_bool) {
-            opts.shrink_wrap = b;
-        }
-        let requested = field("jobs").and_then(Json::as_i64).unwrap_or(0);
-        if requested < 0 {
-            return Err("jobs must be non-negative".into());
-        }
-        // Per-request clamp: auto (0) resolves to the cap, explicit
-        // requests are honored up to it. Output is jobs-independent, so
-        // the clamp is invisible to clients.
-        opts.jobs = if requested == 0 {
-            self.config.jobs_cap
-        } else {
-            (requested as usize).min(self.config.jobs_cap)
-        };
-        if let Some(d) = field("cache_dir").and_then(Json::as_str) {
-            opts.cache_dir = Some(std::path::PathBuf::from(d));
-        }
-        if let Some(b) = field("inline").and_then(as_bool) {
-            opts.inline = b;
-        }
-        match field("inline_budget") {
-            None | Some(Json::Null) => {}
-            Some(v) => match v.as_i64() {
-                // Bounds-checked like `limit`: a malformed request must
-                // never panic a session thread or smuggle in a budget the
-                // CLI's u32 flag could not express.
-                Some(b) if (0..=i64::from(u32::MAX)).contains(&b) => {
-                    opts.inline_budget = b as u32;
-                }
-                _ => return Err("inline_budget must be a non-negative integer".into()),
-            },
-        }
-        let named = match field("target") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(name)) => Some(Target::parse(name)?),
-            Some(_) => return Err("target must be a string".into()),
-        };
-        let target = match field("limit") {
-            None | Some(Json::Null) => named.unwrap_or_else(Target::mips_like),
-            Some(_) if named.is_some() => {
-                return Err("limit and target are mutually exclusive".into())
-            }
-            Some(Json::Arr(a)) if a.len() == 2 => {
-                let nc = a[0].as_i64().filter(|v| *v >= 0);
-                let ne = a[1].as_i64().filter(|v| *v >= 0);
-                match (nc, ne) {
-                    // Bounds-checked here rather than panicking inside
-                    // `with_class_limits`: a malformed request must never
-                    // take a session thread down.
-                    (Some(nc), Some(ne)) if nc <= 11 && ne <= 9 => {
-                        Target::with_class_limits(nc as usize, ne as usize)
-                    }
-                    (Some(_), Some(_)) => {
-                        return Err("limit is at most [11, 9] for the mips family".into())
-                    }
-                    _ => return Err("limit must be [nc, ne] with non-negative counts".into()),
-                }
-            }
-            Some(_) => return Err("limit must be [nc, ne]".into()),
-        };
-        let name = match opts.mode {
-            AllocMode::NoAlloc => "-O0",
-            AllocMode::Intra => "-O2",
-            AllocMode::Inter => "-O3",
-        };
-        Ok((
-            Config {
-                name: name.into(),
-                target,
-                opts,
-            },
-            run,
-            trace,
-        ))
     }
 
     fn compile_admitted(
@@ -580,47 +482,111 @@ impl Service {
 }
 
 /// Where a [`CompileRequest`] takes its program text from.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RequestSource {
     /// Inline Mini source.
     Source(String),
-    /// A path the *server* reads.
+    /// A path, read by whichever side compiles.
     Path(String),
     /// A bundled benchmark name.
     Workload(String),
 }
 
-/// Client-side builder for `compile` requests, mirroring the `mini-cc`
-/// option surface field for field so a remote compile is specified
-/// exactly like a local one.
-#[derive(Clone, Debug)]
+impl RequestSource {
+    /// The program text: inline source as is, a path read from this
+    /// process's filesystem, or a bundled benchmark by name.
+    ///
+    /// # Errors
+    ///
+    /// An unreadable path, or an unknown workload (the message lists the
+    /// bundled names).
+    pub fn text(&self) -> Result<String, String> {
+        match self {
+            RequestSource::Source(s) => Ok(s.clone()),
+            RequestSource::Path(p) => std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}")),
+            RequestSource::Workload(name) => ipra_workloads::by_name(name)
+                .map(|w| w.source.to_string())
+                .ok_or_else(|| {
+                    let names: Vec<_> = ipra_workloads::all().iter().map(|w| w.name).collect();
+                    format!("unknown workload `{name}`; available: {}", names.join(", "))
+                }),
+        }
+    }
+}
+
+/// One compile, fully specified: the program, every option of the
+/// `mini-cc` surface, and what to send back. This is the single compile
+/// spec. `mini-cc` builds one from argv ([`CompileRequest::parse_flag`]),
+/// `mini-cc --remote` sends it ([`CompileRequest::to_json`]), the daemon
+/// decodes it ([`CompileRequest::from_json`]), and every side resolves it
+/// with [`CompileRequest::config`], so a remote compile equals the local
+/// one by construction.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompileRequest {
     /// Echoed back in the response.
     pub id: i64,
     /// Program text source.
     pub source: RequestSource,
-    /// `"O0"` | `"O2"` | `"O3"`.
+    /// Optimization level, `"O0"` | `"O2"` | `"O3"` (`-O3`; the default).
     pub opt: String,
-    /// Override shrink-wrapping (default: the level's default).
+    /// Override shrink-wrapping (`--shrink-wrap` / `--no-shrink-wrap`;
+    /// default: the level's default).
     pub shrink_wrap: Option<bool>,
-    /// Wave-scheduler jobs (0 = server default; clamped server-side).
+    /// Wave-scheduler jobs (`--jobs N`; 0 = auto, clamped by the daemon).
     pub jobs: usize,
-    /// Register class limits, as in `--limit NC,NE`.
+    /// Register class limits (`--limit NC,NE`).
     pub limit: Option<(usize, usize)>,
-    /// Named target or `conv:POOL,CALLER,ARGS`, as in `--target NAME`.
+    /// Named target or `conv:POOL,CALLER,ARGS` (`--target NAME`).
     /// Mutually exclusive with `limit`.
     pub target: Option<String>,
-    /// Server-side incremental-cache directory.
+    /// Incremental-cache directory on the compiling side (`--cache-dir`).
     pub cache_dir: Option<String>,
-    /// Override the profile-guided inliner (default: the level's
-    /// default, which is off), as in `--inline`.
-    pub inline: Option<bool>,
-    /// Inliner growth budget, as in `--inline-budget N`.
-    pub inline_budget: Option<u32>,
-    /// Simulate after compiling.
+    /// Run the profile-guided inliner (`--inline`).
+    pub inline: bool,
+    /// Inliner growth budget (`--inline-budget N`; default
+    /// [`ipra_core::DEFAULT_INLINE_BUDGET`]).
+    pub inline_budget: Option<usize>,
+    /// Simulate after compiling (`--run`).
     pub run: bool,
     /// Return a `CompileTrace` document.
     pub trace: bool,
+}
+
+/// The members of a decoded object that are not `null` (a `null` member
+/// counts as absent).
+fn present(pairs: &[(String, Json)]) -> impl Iterator<Item = (&str, &Json)> {
+    pairs
+        .iter()
+        .filter(|(_, v)| *v != Json::Null)
+        .map(|(k, v)| (k.as_str(), v))
+}
+
+/// `v` as a string, or an error naming `field`.
+fn string_field(field: &str, v: &Json) -> Result<String, String> {
+    v.as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("`{field}` must be a string"))
+}
+
+/// `v` as a boolean, or an error naming `field`.
+fn bool_field(field: &str, v: &Json) -> Result<bool, String> {
+    match v {
+        Json::Bool(b) => Ok(*b),
+        _ => Err(format!("`{field}` must be true or false")),
+    }
+}
+
+/// `v` as a non-negative integer, or an error naming `field`.
+fn count_field(field: &str, v: &Json) -> Result<usize, String> {
+    v.as_i64()
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| format!("`{field}` must be a non-negative integer"))
+}
+
+/// A count on the wire, saturating at `i64::MAX` rather than wrapping
+/// negative.
+fn count_json(n: usize) -> Json {
+    Json::Int(i64::try_from(n).unwrap_or(i64::MAX))
 }
 
 impl CompileRequest {
@@ -635,14 +601,110 @@ impl CompileRequest {
             limit: None,
             target: None,
             cache_dir: None,
-            inline: None,
+            inline: false,
             inline_budget: None,
             run: false,
             trace: false,
         }
     }
 
-    /// The wire form [`Service::dispatch`] consumes.
+    /// Applies one `mini-cc` compile flag, taking its value (if it has
+    /// one) from `rest`. Returns `Ok(false)`, consuming nothing, when
+    /// `flag` is not a compile flag, so the caller can handle it.
+    ///
+    /// # Errors
+    ///
+    /// A missing or non-numeric flag value. Values are only checked
+    /// against their ranges by [`CompileRequest::config`].
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        rest: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        let mut value = |what: &str| rest.next().ok_or_else(|| format!("{flag} needs {what}"));
+        let count = |v: &str, bad: &str| v.trim().parse::<usize>().map_err(|_| bad.to_string());
+        match flag {
+            level if level.starts_with("-O") => self.opt = level[1..].to_string(),
+            "--shrink-wrap" => self.shrink_wrap = Some(true),
+            "--no-shrink-wrap" => self.shrink_wrap = Some(false),
+            "--limit" => {
+                let v = value("NC,NE")?;
+                let (nc, ne) = v.split_once(',').ok_or("--limit needs NC,NE")?;
+                self.limit = Some((count(nc, "bad NC")?, count(ne, "bad NE")?));
+            }
+            "--target" => self.target = Some(value("a name")?),
+            "--jobs" => self.jobs = count(&value("a count")?, "bad --jobs count")?,
+            "--cache-dir" => self.cache_dir = Some(value("a directory")?),
+            "--inline" => self.inline = true,
+            "--inline-budget" => {
+                self.inline_budget = Some(count(&value("a count")?, "bad --inline-budget count")?)
+            }
+            "--run" => self.run = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Decodes a `compile` request document, the inverse of
+    /// [`CompileRequest::to_json`]. Decoding is strict: a field of the
+    /// wrong type, an unknown field or `options` key, or anything but
+    /// exactly one of `source`/`path`/`workload` is an error naming the
+    /// field, never a silent default. A `null` field counts as absent.
+    ///
+    /// # Errors
+    ///
+    /// The first offending field, as a one-line message.
+    pub fn from_json(req: &Json) -> Result<CompileRequest, String> {
+        let fields = req.as_obj().ok_or("a request must be a JSON object")?;
+        let mut id = 0;
+        let mut sources = Vec::new();
+        let mut options: &[(String, Json)] = &[];
+        let (mut run, mut trace) = (false, false);
+        for (key, v) in present(fields) {
+            match key {
+                "cmd" if v.as_str() == Some("compile") => {}
+                "cmd" => return Err("`cmd` must be \"compile\"".into()),
+                "id" => id = v.as_i64().ok_or("`id` must be an integer")?,
+                "source" => sources.push(RequestSource::Source(string_field(key, v)?)),
+                "path" => sources.push(RequestSource::Path(string_field(key, v)?)),
+                "workload" => sources.push(RequestSource::Workload(string_field(key, v)?)),
+                "options" => options = v.as_obj().ok_or("`options` must be an object")?,
+                "run" => run = bool_field(key, v)?,
+                "trace" => trace = bool_field(key, v)?,
+                other => return Err(format!("unknown request field `{other}`")),
+            }
+        }
+        let [source]: [RequestSource; 1] = sources
+            .try_into()
+            .map_err(|_| "compile needs exactly one of `source`, `path` or `workload`")?;
+        let mut r = CompileRequest {
+            run,
+            trace,
+            ..CompileRequest::new(id, source)
+        };
+        for (key, v) in present(options) {
+            let field = format!("options.{key}");
+            match key {
+                "opt" => r.opt = string_field(&field, v)?,
+                "shrink_wrap" => r.shrink_wrap = Some(bool_field(&field, v)?),
+                "jobs" => r.jobs = count_field(&field, v)?,
+                "limit" => match v.as_arr() {
+                    Some([nc, ne]) => {
+                        r.limit = Some((count_field(&field, nc)?, count_field(&field, ne)?))
+                    }
+                    _ => return Err(format!("`{field}` must be [nc, ne]")),
+                },
+                "target" => r.target = Some(string_field(&field, v)?),
+                "cache_dir" => r.cache_dir = Some(string_field(&field, v)?),
+                "inline" => r.inline = bool_field(&field, v)?,
+                "inline_budget" => r.inline_budget = Some(count_field(&field, v)?),
+                other => return Err(format!("unknown option `{other}`")),
+            }
+        }
+        Ok(r)
+    }
+
+    /// The wire form [`CompileRequest::from_json`] decodes.
     pub fn to_json(&self) -> Json {
         let (src_key, src_val) = match &self.source {
             RequestSource::Source(s) => ("source", s.clone()),
@@ -651,16 +713,13 @@ impl CompileRequest {
         };
         let mut options = vec![
             ("opt", Json::Str(self.opt.clone())),
-            ("jobs", Json::Int(self.jobs as i64)),
+            ("jobs", count_json(self.jobs)),
         ];
         if let Some(b) = self.shrink_wrap {
             options.push(("shrink_wrap", Json::Bool(b)));
         }
         if let Some((nc, ne)) = self.limit {
-            options.push((
-                "limit",
-                Json::Arr(vec![Json::Int(nc as i64), Json::Int(ne as i64)]),
-            ));
+            options.push(("limit", Json::Arr(vec![count_json(nc), count_json(ne)])));
         }
         if let Some(t) = &self.target {
             options.push(("target", Json::Str(t.clone())));
@@ -668,11 +727,11 @@ impl CompileRequest {
         if let Some(d) = &self.cache_dir {
             options.push(("cache_dir", Json::Str(d.clone())));
         }
-        if let Some(b) = self.inline {
-            options.push(("inline", Json::Bool(b)));
+        if self.inline {
+            options.push(("inline", Json::Bool(true)));
         }
         if let Some(b) = self.inline_budget {
-            options.push(("inline_budget", Json::Int(i64::from(b))));
+            options.push(("inline_budget", count_json(b)));
         }
         Json::obj(vec![
             ("cmd", Json::Str("compile".into())),
@@ -682,6 +741,45 @@ impl CompileRequest {
             ("run", Json::Bool(self.run)),
             ("trace", Json::Bool(self.trace)),
         ])
+    }
+
+    /// Resolves the options to a compile configuration named after the
+    /// level (`-O0`/`-O2`/`-O3`). The only place that maps levels to
+    /// allocator presets and checks option values.
+    ///
+    /// # Errors
+    ///
+    /// An unknown level or target, a `limit` beyond `11,9`, `limit`
+    /// together with `target`, or an inline budget beyond `u32`.
+    pub fn config(&self) -> Result<Config, String> {
+        let mut opts = match self.opt.as_str() {
+            "O0" => AllocOptions::no_alloc(),
+            "O2" => AllocOptions::o2_shrink_wrap(),
+            "O3" => AllocOptions::o3(),
+            other => return Err(format!("unknown opt level `{other}`")),
+        };
+        if let Some(b) = self.shrink_wrap {
+            opts.shrink_wrap = b;
+        }
+        opts.jobs = self.jobs;
+        opts.cache_dir = self.cache_dir.as_ref().map(std::path::PathBuf::from);
+        opts.inline = self.inline;
+        if let Some(b) = self.inline_budget {
+            opts.inline_budget =
+                u32::try_from(b).map_err(|_| format!("inline_budget is at most {}", u32::MAX))?;
+        }
+        let target = match (self.limit, &self.target) {
+            (Some(_), Some(_)) => return Err("limit and target are mutually exclusive".into()),
+            (Some((nc, ne)), None) if nc <= 11 && ne <= 9 => Target::with_class_limits(nc, ne),
+            (Some(_), None) => return Err("limit is at most 11,9 for the mips family".into()),
+            (None, Some(name)) => Target::parse(name)?,
+            (None, None) => Target::mips_like(),
+        };
+        Ok(Config {
+            name: format!("-{}", self.opt),
+            target,
+            opts,
+        })
     }
 }
 
@@ -850,7 +948,7 @@ mod tests {
         // inline=true at O3 must match a local Config::inline_c() compile.
         let service = Service::with_defaults();
         let mut req = CompileRequest::new(1, RequestSource::Source(DEMO.into()));
-        req.inline = Some(true);
+        req.inline = true;
         let resp = &serve(&service, &[req.to_json()])[0];
         let module = ipra_frontend::compile(DEMO).unwrap();
         let ic = Config::inline_c();

@@ -377,3 +377,69 @@ fn bad_target_requests_are_structured_errors_not_panics() {
     let msg = resp.get("error").and_then(Json::as_str).unwrap_or("");
     assert!(msg.contains("at most"), "{msg}");
 }
+
+/// A compile request with `options` and extra top-level fields.
+fn compile_request(options: Vec<(&str, Json)>, extra: Vec<(&str, Json)>) -> Json {
+    let mut fields = vec![
+        ("cmd", Json::Str("compile".into())),
+        ("id", Json::Int(1)),
+        ("source", Json::Str(DEMO.into())),
+        ("options", Json::obj(options)),
+    ];
+    fields.extend(extra);
+    Json::obj(fields)
+}
+
+#[test]
+fn mistyped_or_misspelled_fields_are_structured_errors_naming_the_field() {
+    // Each of these used to compile with a default in place of what the
+    // client asked for.
+    let bad = [
+        ("opt", compile_request(vec![("opt", Json::Int(2))], vec![])),
+        (
+            "shrink_wrap",
+            compile_request(vec![("shrink_wrap", Json::Int(0))], vec![]),
+        ),
+        (
+            "inline",
+            compile_request(vec![("inline", Json::Str("yes".into()))], vec![]),
+        ),
+        (
+            "limt",
+            compile_request(
+                vec![("limt", Json::Arr(vec![Json::Int(7), Json::Int(0)]))],
+                vec![],
+            ),
+        ),
+        (
+            "run",
+            compile_request(vec![], vec![("run", Json::Str("yes".into()))]),
+        ),
+    ];
+    let service = Service::with_defaults();
+    let mut input = Vec::new();
+    for (_, req) in &bad {
+        write_frame(&mut input, req).unwrap();
+    }
+    // The session survives every rejection.
+    write_frame(&mut input, &compile_request(vec![], vec![])).unwrap();
+    let mut output = Vec::new();
+    service
+        .serve_session(Cursor::new(input), &mut output)
+        .unwrap();
+    let resp = responses_of(output);
+    assert_eq!(resp.len(), bad.len() + 1);
+    for ((field, _), r) in bad.iter().zip(&resp) {
+        assert_eq!(
+            r.get("status").and_then(Json::as_str),
+            Some("error"),
+            "`{field}`: {r:?}"
+        );
+        let msg = r.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(msg.contains(field), "error names `{field}`: {msg}");
+    }
+    assert_eq!(
+        resp[bad.len()].get("status").and_then(Json::as_str),
+        Some("ok")
+    );
+}

@@ -80,7 +80,7 @@ fn inline_requests_stay_warm_on_replay_across_the_corpus() {
     for w in ipra_workloads::all() {
         let want = local_asm(w.source, &Config::inline_c());
         let mut req = CompileRequest::new(1, RequestSource::Workload(w.name.into()));
-        req.inline = Some(true);
+        req.inline = true;
         let (cold, cold_warm) = remote_asm(&service, &req);
         assert_eq!(cold, want, "[{}] daemon vs local inline asm (cold)", w.name);
         assert!(
@@ -228,4 +228,157 @@ fn warm_flag_follows_the_cache_when_one_is_configured() {
     expect(&fresh, &cached, true, "every function replayed from disk");
     expect(&fresh, &cached, true, "every function replayed from memory");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The argv spelling of a spec's options, as `mini-cc` takes them.
+fn argv_of(s: &CompileRequest) -> Vec<String> {
+    let mut argv = vec![format!("-{}", s.opt), "--jobs".into(), s.jobs.to_string()];
+    match s.shrink_wrap {
+        Some(true) => argv.push("--shrink-wrap".into()),
+        Some(false) => argv.push("--no-shrink-wrap".into()),
+        None => {}
+    }
+    if let Some((nc, ne)) = s.limit {
+        argv.extend(["--limit".into(), format!("{nc},{ne}")]);
+    }
+    if let Some(t) = &s.target {
+        argv.extend(["--target".into(), t.clone()]);
+    }
+    if let Some(d) = &s.cache_dir {
+        argv.extend(["--cache-dir".into(), d.clone()]);
+    }
+    if s.inline {
+        argv.push("--inline".into());
+    }
+    if let Some(b) = s.inline_budget {
+        argv.extend(["--inline-budget".into(), b.to_string()]);
+    }
+    if s.run {
+        argv.push("--run".into());
+    }
+    argv
+}
+
+/// Every combination of option values the spec can carry: level ×
+/// shrink-wrap × (limit | target | neither) × inliner × budget × jobs ×
+/// cache directory, with `run` and the source kind alternating.
+fn spec_grid(cache_dir: &str) -> Vec<CompileRequest> {
+    let mut grid = Vec::new();
+    for opt in ["O0", "O2", "O3"] {
+        for shrink_wrap in [None, Some(false), Some(true)] {
+            for placement in 0..3 {
+                for inline in [false, true] {
+                    for inline_budget in [None, Some(8)] {
+                        for jobs in [0, 1, 4] {
+                            for cache in [None, Some(cache_dir.to_string())] {
+                                let i = grid.len();
+                                let source = match i % 3 {
+                                    0 => RequestSource::Workload("nim".into()),
+                                    1 => RequestSource::Path("prog.mini".into()),
+                                    _ => RequestSource::Source("fn main() { print(1); }".into()),
+                                };
+                                let mut s = CompileRequest::new(i as i64, source);
+                                s.opt = opt.into();
+                                s.shrink_wrap = shrink_wrap;
+                                s.limit = (placement == 1).then_some((7, 0));
+                                s.target = (placement == 2).then(|| "embedded8".to_string());
+                                s.inline = inline;
+                                s.inline_budget = inline_budget;
+                                s.jobs = jobs;
+                                s.cache_dir = cache;
+                                s.run = i % 2 == 1;
+                                grid.push(s);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    grid
+}
+
+#[test]
+fn compile_spec_round_trips_through_json_and_argv() {
+    let grid = spec_grid("/tmp/ipra-spec-cache");
+    assert_eq!(grid.len(), 3 * 3 * 3 * 2 * 2 * 3 * 2);
+    for s in &grid {
+        let wire = s.to_json();
+        assert_eq!(
+            CompileRequest::from_json(&wire).as_ref(),
+            Ok(s),
+            "JSON round trip of {}",
+            wire.render()
+        );
+        let argv = argv_of(s);
+        let mut parsed = CompileRequest::new(s.id, s.source.clone());
+        let mut words = argv.iter().cloned();
+        while let Some(w) = words.next() {
+            assert_eq!(
+                parsed.parse_flag(&w, &mut words),
+                Ok(true),
+                "{w} in {argv:?}"
+            );
+        }
+        assert_eq!(&parsed, s, "argv round trip of {argv:?}");
+        assert!(s.config().is_ok(), "every grid point is valid: {argv:?}");
+    }
+}
+
+#[test]
+fn daemon_compiles_match_local_spec_configs_across_the_grid() {
+    let dir = std::env::temp_dir().join(format!("ipra-spec-grid-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let w = ipra_workloads::by_name("stanford").unwrap();
+    let service = Service::with_defaults();
+    // Seven points that between them take every value of every axis.
+    let grid = spec_grid(&dir.to_string_lossy());
+    for s in grid.iter().step_by(101) {
+        let mut s = s.clone();
+        s.source = RequestSource::Workload(w.name.into());
+        s.run = false;
+        let want = local_asm(w.source, &s.config().unwrap());
+        assert_eq!(
+            remote_asm(&service, &s).0,
+            want,
+            "daemon vs local asm for {}",
+            s.to_json().render()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The compiler reads no environment: the `IPRA_INLINE` and `IPRA_CACHE`
+/// variables that once switched the inliner and the cache on from inside
+/// the library change nothing.
+#[test]
+fn the_core_ignores_the_environment() {
+    let dir = std::env::temp_dir().join(format!("ipra-env-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |with_env: bool| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_mini-cc"));
+        cmd.args(["--workload", "nim", "--emit", "asm"]);
+        for v in ["IPRA_INLINE", "IPRA_CACHE", "IPRA_JOBS"] {
+            cmd.env_remove(v);
+        }
+        if with_env {
+            cmd.env("IPRA_INLINE", "1").env("IPRA_CACHE", &dir);
+        }
+        let out = cmd.output().unwrap();
+        assert!(out.status.success(), "{out:?}");
+        out
+    };
+    let plain = run(false);
+    let with_env = run(true);
+    assert!(!plain.stdout.is_empty());
+    assert!(
+        with_env.stdout == plain.stdout,
+        "IPRA_INLINE/IPRA_CACHE changed the asm"
+    );
+    let stderr = String::from_utf8_lossy(&with_env.stderr);
+    assert!(!stderr.contains("[cache]"), "a cache was used: {stderr}");
+    let entries = std::fs::read_dir(&dir).unwrap().count();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(entries, 0, "IPRA_CACHE's directory was written");
 }

@@ -208,11 +208,8 @@ fn normalize_times(j: &Json) -> Json {
 /// `jobs = 4` has to produce the same machine code, summaries, clobber
 /// masks, reports and (timing aside) the same trace JSON as `jobs = 1`,
 /// across a corpus that covers deep call DAGs, mutual recursion and
-/// generator-produced programs.
-///
-/// (Under a forced `IPRA_JOBS` environment both sides resolve to the same
-/// worker count, so the comparison still holds — it just stops being a
-/// serial-vs-parallel check for that run.)
+/// generator-produced programs. The library reads no environment, so
+/// the two sides always run with different worker counts.
 #[test]
 fn wave_scheduler_output_is_identical_to_serial() {
     use ipra_workloads::synth;
