@@ -4,7 +4,6 @@
 //! mini-cc [OPTIONS] <file.mini>
 //!   -O0 | -O2 | -O3        optimization level (default -O3)
 //!   --no-shrink-wrap       disable save/restore shrink-wrapping
-//!   --shrink-wrap          enable it (the -O2/-O3 default)
 //!   --limit <nc>,<ne>      restrict allocatable registers per class
 //!   --target <name>        compile for a named target from the registry
 //!                          (mips-like, table2-d, table2-e, embedded8,
@@ -68,7 +67,7 @@ struct Args {
 }
 
 fn usage() -> &'static str {
-    "usage: mini-cc [-O0|-O2|-O3] [--no-shrink-wrap|--shrink-wrap] [--limit NC,NE] \
+    "usage: mini-cc [-O0|-O2|-O3] [--no-shrink-wrap] [--limit NC,NE] \
      [--target NAME|conv:P,C,A] \
      [--emit ir|asm|summary] [--run] [--trace] [--trace-json PATH] \
      [--trace-chrome PATH] [--jobs N] [--cache-dir DIR] [--profile-out PATH] [--profile-in PATH] \

@@ -50,7 +50,9 @@
 //! Decoding is strict: a field of the wrong type (`"opt": 2`,
 //! `"run": "yes"`), an unknown top-level field or an unknown `options`
 //! key (`"limt"`) is answered with a structured `error` naming the field;
-//! only `null` counts as absent. Responses carry `id` back,
+//! only `null` counts as absent. `"shrink_wrap": false` turns
+//! shrink-wrapping off; `true` keeps the level's setting. Responses carry
+//! `id` back as sent (any JSON value),
 //! `status` (`ok` | `error` | `busy`), and on success the rendered
 //! `asm`, a `warm` flag (the whole compile was answered from the cache
 //! when a `cache_dir` is set, else from the analysis memo),
@@ -529,9 +531,9 @@ pub struct CompileRequest {
     pub source: RequestSource,
     /// Optimization level, `"O0"` | `"O2"` | `"O3"` (`-O3`; the default).
     pub opt: String,
-    /// Override shrink-wrapping (`--shrink-wrap` / `--no-shrink-wrap`;
-    /// default: the level's default).
-    pub shrink_wrap: Option<bool>,
+    /// `false` turns shrink-wrapping off (`--no-shrink-wrap`); `true`, the
+    /// default, keeps the level's setting.
+    pub shrink_wrap: bool,
     /// Wave-scheduler jobs (`--jobs N`; 0 = auto, clamped by the daemon).
     pub jobs: usize,
     /// Register class limits (`--limit NC,NE`).
@@ -596,7 +598,7 @@ impl CompileRequest {
             id,
             source,
             opt: "O3".into(),
-            shrink_wrap: None,
+            shrink_wrap: true,
             jobs: 0,
             limit: None,
             target: None,
@@ -625,8 +627,7 @@ impl CompileRequest {
         let count = |v: &str, bad: &str| v.trim().parse::<usize>().map_err(|_| bad.to_string());
         match flag {
             level if level.starts_with("-O") => self.opt = level[1..].to_string(),
-            "--shrink-wrap" => self.shrink_wrap = Some(true),
-            "--no-shrink-wrap" => self.shrink_wrap = Some(false),
+            "--no-shrink-wrap" => self.shrink_wrap = false,
             "--limit" => {
                 let v = value("NC,NE")?;
                 let (nc, ne) = v.split_once(',').ok_or("--limit needs NC,NE")?;
@@ -664,7 +665,8 @@ impl CompileRequest {
             match key {
                 "cmd" if v.as_str() == Some("compile") => {}
                 "cmd" => return Err("`cmd` must be \"compile\"".into()),
-                "id" => id = v.as_i64().ok_or("`id` must be an integer")?,
+                // Any `id` is echoed back as sent; the spec keeps an integer one.
+                "id" => id = v.as_i64().unwrap_or(0),
                 "source" => sources.push(RequestSource::Source(string_field(key, v)?)),
                 "path" => sources.push(RequestSource::Path(string_field(key, v)?)),
                 "workload" => sources.push(RequestSource::Workload(string_field(key, v)?)),
@@ -686,7 +688,7 @@ impl CompileRequest {
             let field = format!("options.{key}");
             match key {
                 "opt" => r.opt = string_field(&field, v)?,
-                "shrink_wrap" => r.shrink_wrap = Some(bool_field(&field, v)?),
+                "shrink_wrap" => r.shrink_wrap = bool_field(&field, v)?,
                 "jobs" => r.jobs = count_field(&field, v)?,
                 "limit" => match v.as_arr() {
                     Some([nc, ne]) => {
@@ -715,8 +717,8 @@ impl CompileRequest {
             ("opt", Json::Str(self.opt.clone())),
             ("jobs", count_json(self.jobs)),
         ];
-        if let Some(b) = self.shrink_wrap {
-            options.push(("shrink_wrap", Json::Bool(b)));
+        if !self.shrink_wrap {
+            options.push(("shrink_wrap", Json::Bool(false)));
         }
         if let Some((nc, ne)) = self.limit {
             options.push(("limit", Json::Arr(vec![count_json(nc), count_json(ne)])));
@@ -758,8 +760,8 @@ impl CompileRequest {
             "O3" => AllocOptions::o3(),
             other => return Err(format!("unknown opt level `{other}`")),
         };
-        if let Some(b) = self.shrink_wrap {
-            opts.shrink_wrap = b;
+        if !self.shrink_wrap {
+            opts.shrink_wrap = false;
         }
         opts.jobs = self.jobs;
         opts.cache_dir = self.cache_dir.as_ref().map(std::path::PathBuf::from);

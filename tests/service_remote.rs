@@ -121,7 +121,7 @@ fn remote_option_surface_matches_local_configs() {
     );
 
     let mut b = CompileRequest::new(3, RequestSource::Workload(w.name.into()));
-    b.shrink_wrap = Some(false);
+    b.shrink_wrap = false;
     assert_eq!(
         remote_asm(&service, &b).0,
         local_asm(w.source, &Config::b())
@@ -233,10 +233,8 @@ fn warm_flag_follows_the_cache_when_one_is_configured() {
 /// The argv spelling of a spec's options, as `mini-cc` takes them.
 fn argv_of(s: &CompileRequest) -> Vec<String> {
     let mut argv = vec![format!("-{}", s.opt), "--jobs".into(), s.jobs.to_string()];
-    match s.shrink_wrap {
-        Some(true) => argv.push("--shrink-wrap".into()),
-        Some(false) => argv.push("--no-shrink-wrap".into()),
-        None => {}
+    if !s.shrink_wrap {
+        argv.push("--no-shrink-wrap".into());
     }
     if let Some((nc, ne)) = s.limit {
         argv.extend(["--limit".into(), format!("{nc},{ne}")]);
@@ -265,7 +263,7 @@ fn argv_of(s: &CompileRequest) -> Vec<String> {
 fn spec_grid(cache_dir: &str) -> Vec<CompileRequest> {
     let mut grid = Vec::new();
     for opt in ["O0", "O2", "O3"] {
-        for shrink_wrap in [None, Some(false), Some(true)] {
+        for shrink_wrap in [true, false] {
             for placement in 0..3 {
                 for inline in [false, true] {
                     for inline_budget in [None, Some(8)] {
@@ -301,7 +299,7 @@ fn spec_grid(cache_dir: &str) -> Vec<CompileRequest> {
 #[test]
 fn compile_spec_round_trips_through_json_and_argv() {
     let grid = spec_grid("/tmp/ipra-spec-cache");
-    assert_eq!(grid.len(), 3 * 3 * 3 * 2 * 2 * 3 * 2);
+    assert_eq!(grid.len(), 3 * 2 * 3 * 2 * 2 * 3 * 2);
     for s in &grid {
         let wire = s.to_json();
         assert_eq!(
@@ -331,9 +329,9 @@ fn daemon_compiles_match_local_spec_configs_across_the_grid() {
     let _ = std::fs::remove_dir_all(&dir);
     let w = ipra_workloads::by_name("stanford").unwrap();
     let service = Service::with_defaults();
-    // Seven points that between them take every value of every axis.
+    // Five points that between them take every value of every axis.
     let grid = spec_grid(&dir.to_string_lossy());
-    for s in grid.iter().step_by(101) {
+    for s in grid.iter().step_by(89) {
         let mut s = s.clone();
         s.source = RequestSource::Workload(w.name.into());
         s.run = false;
