@@ -35,7 +35,7 @@
 //! ```json
 //! {"cmd": "compile", "id": 1,
 //!  "source": "fn main() { print(1); }",
-//!  "options": {"opt": "O3", "shrink_wrap": true, "jobs": 0,
+//!  "options": {"opt": "O3", "shrink_wrap": false, "jobs": 0,
 //!              "limit": [7, 0], "cache_dir": "/tmp/c",
 //!              "inline": true, "inline_budget": 48},
 //!  "run": true, "trace": false}
