@@ -1,4 +1,4 @@
-//! Bench crate: table/figure harnesses live in benches/ and src/bin/.
+//! Bench crate: the table printers and performance harnesses in src/bin/.
 //!
 //! The table binaries share a tiny CLI:
 //!

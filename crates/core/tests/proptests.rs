@@ -1,11 +1,8 @@
-//! Property-based tests of the allocator's internal invariants: shrink-wrap
+//! Property tests of the allocator's internal invariants: shrink-wrap
 //! placement correctness on arbitrary CFGs, interference-respecting
-//! coloring, and parallel-move semantics.
-//! Gated behind the non-default `proptest` feature: the external
-//! `proptest` crate is not vendored, so offline builds compile this
-//! file to nothing. Enable with `--features proptest` after adding
-//! the dev-dependency back (requires network access).
-#![cfg(feature = "proptest")]
+//! coloring, and parallel-move semantics. Each property runs over `CASES`
+//! seeds of the workspace PRNG; a failure names its seed, and
+//! `XorShift64Star::new(seed)` replays that case.
 
 use ipra_cfg::{Cfg, Dominators, Liveness, LoopInfo};
 use ipra_core::color::{color, VregLoc};
@@ -17,131 +14,131 @@ use ipra_core::shrinkwrap::{shrink_wrap, verify_plan};
 use ipra_ir::builder::FunctionBuilder;
 use ipra_ir::{BinOp, Function, Module, Operand};
 use ipra_machine::{MInst, MOperand, PReg, RegMask, Target};
-use proptest::prelude::*;
+use ipra_workloads::synth::XorShift64Star;
 
-/// Builds an arbitrary-shaped function: `n` blocks with random terminators
-/// (always well-formed; blocks may be unreachable, CFGs may be irreducible).
-fn random_cfg_function(n: usize, edges: &[(usize, usize, Option<usize>)]) -> Function {
-    let mut b = FunctionBuilder::new("f");
-    let blocks: Vec<_> = (0..n.saturating_sub(1)).map(|_| b.new_block()).collect();
-    let all: Vec<ipra_ir::BlockId> = std::iter::once(b.current_block())
-        .chain(blocks.iter().copied())
-        .collect();
-    // Terminate every block per the edge table (fallback: ret).
-    for (i, &(_, t1, t2)) in edges.iter().enumerate().take(n) {
-        b.switch_to(all[i]);
-        match t2 {
-            Some(t2) if t1 % (n.max(1)) != t2 % n => {
-                let c = b.copy(1);
-                b.cond_br(c, all[t1 % n], all[t2 % n]);
-            }
-            _ => {
-                b.br(all[t1 % n]);
-                if b.current_block() != all[i] {
-                    // br moved the cursor; go back is impossible (block is
-                    // closed), nothing to do.
-                }
-            }
-        }
-        // Re-point the cursor safely for the next iteration.
-        if i + 1 < n {
-            // no-op; switch happens at loop head
-        }
-    }
-    // Any block the edge table did not terminate gets a ret. The builder
-    // panics on double-termination, so track via edges len.
-    for i in edges.len()..n {
-        b.switch_to(all[i]);
-        b.ret(None);
-    }
-    b.build()
+const CASES: u64 = 200;
+
+/// `lo..hi` (half-open) draws of `gen`.
+fn vec_of<T>(
+    rng: &mut XorShift64Star,
+    lo: i64,
+    hi: i64,
+    mut gen: impl FnMut(&mut XorShift64Star) -> T,
+) -> Vec<T> {
+    let len = rng.range_i64(lo, hi);
+    (0..len).map(|_| gen(rng)).collect()
 }
 
-/// Runs the driver's entry normalization on a single function.
-fn normalized(f: Function) -> Function {
+/// An `n`-block function whose first `edges.len()` blocks end in the given
+/// branch and the rest return, after the driver's entry normalization.
+/// Blocks may be unreachable and the graph irreducible.
+fn cfg_function(n: usize, edges: &[(usize, Option<usize>)]) -> Function {
+    let mut b = FunctionBuilder::new("f");
+    let rest: Vec<_> = (0..n - 1).map(|_| b.new_block()).collect();
+    let all: Vec<_> = std::iter::once(b.current_block()).chain(rest).collect();
+    for (i, &block) in all.iter().enumerate() {
+        b.switch_to(block);
+        match edges.get(i) {
+            Some(&(t1, Some(t2))) if t1 != t2 => {
+                let c = b.copy(1);
+                b.cond_br(c, all[t1], all[t2]);
+            }
+            Some(&(t1, _)) => b.br(all[t1]),
+            None => b.ret(None),
+        }
+    }
     let mut m = Module::new();
-    let id = m.add_func(f);
+    let id = m.add_func(b.build());
     normalize_entries(&mut m);
     m.funcs[id].clone()
 }
 
-fn arb_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize, Option<usize>)>)> {
-    (2usize..10).prop_flat_map(|n| {
-        let edge = (0usize..n, 0usize..n, proptest::option::of(0usize..n));
-        // Terminate between half and all blocks with branches; the rest ret.
-        (Just(n), proptest::collection::vec(edge, 0..n))
-    })
+/// A shrink-wrap input: the function plus an APP mask per block, the
+/// `i`-th of `app_bits` landing on block `i % num_blocks`.
+fn shrink_wrap_case(
+    n: usize,
+    edges: &[(usize, Option<usize>)],
+    app_bits: &[u32],
+) -> (Function, Vec<RegMask>) {
+    let f = cfg_function(n, edges);
+    let mut app = vec![RegMask::EMPTY; f.num_blocks()];
+    for (i, &bits) in app_bits.iter().enumerate() {
+        app[i % f.num_blocks()] = RegMask(bits);
+    }
+    (f, app)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+/// The shrink-wrap properties' inputs: the case the external `proptest`
+/// crate once shrank a failure to, then one random case per seed.
+fn shrink_wrap_cases() -> impl Iterator<Item = (String, Function, Vec<RegMask>)> {
+    let (f, app) = shrink_wrap_case(2, &[(1, Some(0))], &[0, 1]);
+    let recorded = ("recorded case".to_string(), f, app);
+    let seeded = (0..CASES).map(|seed| {
+        let rng = &mut XorShift64Star::new(seed);
+        let n = rng.range_i64(2, 10) as usize;
+        let edges = vec_of(rng, 0, n as i64, |r| {
+            let t1 = r.below(n as u64) as usize;
+            (t1, r.coin().then(|| r.below(n as u64) as usize))
+        });
+        let app_bits = vec_of(rng, 2, 10, |r| r.below(16) as u32);
+        let (f, app) = shrink_wrap_case(n, &edges, &app_bits);
+        (format!("seed {seed}"), f, app)
+    });
+    std::iter::once(recorded).chain(seeded)
+}
 
-    /// Shrink-wrap placement is correct on arbitrary (even irreducible)
-    /// CFGs with arbitrary APP masks: every path saves before first use,
-    /// restores by exit, never double-saves.
-    #[test]
-    fn shrink_wrap_placement_always_verifies(
-        (n, edges) in arb_graph(),
-        app_bits in proptest::collection::vec(0u32..16, 2..10),
-    ) {
-        let f = normalized(random_cfg_function(n, &edges));
+/// Shrink-wrap placement is correct on arbitrary (even irreducible)
+/// CFGs with arbitrary APP masks: every path saves before first use,
+/// restores by exit, never double-saves.
+#[test]
+fn shrink_wrap_placement_always_verifies() {
+    for (case, f, app) in shrink_wrap_cases() {
         let cfg = Cfg::new(&f);
         let dom = Dominators::compute(&cfg);
         let loops = LoopInfo::compute(&cfg, &dom);
-        let mut app = vec![RegMask::EMPTY; f.num_blocks()];
-        for (i, bits) in app_bits.iter().enumerate() {
-            app[i % f.num_blocks()] = RegMask(*bits);
-        }
         let plan = shrink_wrap(&cfg, &loops, &app);
-        prop_assert_eq!(verify_plan(&cfg, &app, &plan), Ok(()));
+        assert_eq!(verify_plan(&cfg, &app, &plan), Ok(()), "{case}");
     }
+}
 
-    /// Loop constraint: no save or restore may sit strictly inside a loop
-    /// unless the loop contains the function entry.
-    #[test]
-    fn shrink_wrap_never_places_inside_loops(
-        (n, edges) in arb_graph(),
-        app_bits in proptest::collection::vec(0u32..16, 2..10),
-    ) {
-        let f = normalized(random_cfg_function(n, &edges));
+/// Loop constraint: no save or restore may sit inside a loop unless the
+/// loop contains the function entry.
+#[test]
+fn shrink_wrap_never_places_inside_loops() {
+    for (case, f, app) in shrink_wrap_cases() {
         let cfg = Cfg::new(&f);
         let dom = Dominators::compute(&cfg);
         let loops = LoopInfo::compute(&cfg, &dom);
-        let mut app = vec![RegMask::EMPTY; f.num_blocks()];
-        for (i, bits) in app_bits.iter().enumerate() {
-            app[i % f.num_blocks()] = RegMask(*bits);
-        }
         let plan = shrink_wrap(&cfg, &loops, &app);
         for l in &loops.loops {
             if l.blocks.contains(cfg.entry.index()) {
                 continue;
             }
             for bi in l.blocks.iter() {
-                // Saves at a loop header are fine only if the header is the
-                // region boundary — the loop constraint actually forbids
-                // placement anywhere inside, so assert exactly that.
-                prop_assert!(
+                assert!(
                     plan.save_at[bi].is_empty() && plan.restore_at[bi].is_empty(),
-                    "save/restore inside loop at block {bi}"
+                    "{case}: save/restore inside loop at block {bi}"
                 );
             }
         }
     }
+}
 
-    /// Parallel moves: whatever permutation/duplication of sources is
-    /// requested, applying the emitted sequence equals the parallel
-    /// semantics.
-    #[test]
-    fn parallel_moves_have_parallel_semantics(
-        moves in proptest::collection::vec((0u8..12, 0u8..12), 0..12),
-        imms in proptest::collection::vec(any::<i16>(), 0..4),
-    ) {
-        // Destinations must be unique; dedupe by destination. Scratch is 15.
-        let scratch = PReg(15);
+/// Parallel moves: whatever permutation/duplication of sources is
+/// requested, applying the emitted sequence equals the parallel
+/// semantics.
+#[test]
+fn parallel_moves_have_parallel_semantics() {
+    // Destinations must be unique; dedupe by destination. Scratch is 15.
+    let scratch = PReg(15);
+    for seed in 0..CASES {
+        let rng = &mut XorShift64Star::new(seed);
+        let moves = vec_of(rng, 0, 12, |r| (r.below(12) as u8, r.below(12) as u8));
+        let imms = vec_of(rng, 0, 4, |r| r.next_u64() as i16);
         let mut seen = std::collections::HashSet::new();
         let mut ms: Vec<(PReg, MoveSrc)> = Vec::new();
         for (d, s) in moves {
-            if seen.insert(d) && d != 15 && s != 15 {
+            if seen.insert(d) {
                 ms.push((PReg(d), MoveSrc::Reg(PReg(s))));
             }
         }
@@ -171,21 +168,23 @@ proptest! {
                         MOperand::Imm(i) => i,
                     };
                 }
-                other => prop_assert!(false, "unexpected inst {other:?}"),
+                other => panic!("seed {seed}: unexpected inst {other:?}"),
             }
         }
         for i in 0..16 {
             if i != scratch.index() {
-                prop_assert_eq!(regs[i], expected[i], "register {}", i);
+                assert_eq!(regs[i], expected[i], "seed {seed}: register {i}");
             }
         }
     }
+}
 
-    /// Coloring respects interference: no two interfering candidate ranges
-    /// share a register; split regions never collide block-wise.
-    #[test]
-    fn coloring_respects_interference(seed in 0u64..2000) {
-        let module = random_straightline_module(seed);
+/// Coloring respects interference: no two interfering candidate ranges
+/// share a register; split regions never collide block-wise.
+#[test]
+fn coloring_respects_interference() {
+    for seed in 0..CASES {
+        let module = random_straightline_module(&mut XorShift64Star::new(seed));
         let f = &module.funcs[module.main.unwrap()];
         let cfg = Cfg::new(f);
         let dom = Dominators::compute(&cfg);
@@ -209,31 +208,34 @@ proptest! {
         let a = color(&ctx, &cfg, &live, true);
         for v in 0..f.num_vregs() {
             for w in rd.adj[v].iter() {
-                if v >= w { continue; }
+                if v >= w {
+                    continue;
+                }
                 // Whole-range vs whole-range interference.
                 if let (VregLoc::Reg(rv), VregLoc::Reg(rw)) = (a.whole[v], a.whole[w]) {
-                    if !a.is_split(ipra_ir::Vreg(v as u32))
-                        && !a.is_split(ipra_ir::Vreg(w as u32))
+                    if !a.is_split(ipra_ir::Vreg(v as u32)) && !a.is_split(ipra_ir::Vreg(w as u32))
                     {
-                        prop_assert_ne!(rv, rw, "v{} and v{} interfere", v, w);
+                        assert_ne!(rv, rw, "seed {seed}: v{v} and v{w} interfere");
                     }
                 }
             }
         }
         // Block-granular: no two ranges (split or not) may hold the same
         // register in the same block while both are live there.
-        let nb = f.num_blocks();
-        for b in 0..nb {
+        for b in 0..f.num_blocks() {
             let mut taken: std::collections::HashMap<PReg, usize> = Default::default();
             for v in 0..f.num_vregs() {
-                if !rd.ranges[v].blocks.contains(b) { continue; }
-                if let VregLoc::Reg(r) = a.loc(ipra_ir::Vreg(v as u32), ipra_ir::BlockId(b as u32)) {
+                if !rd.ranges[v].blocks.contains(b) {
+                    continue;
+                }
+                if let VregLoc::Reg(r) = a.loc(ipra_ir::Vreg(v as u32), ipra_ir::BlockId(b as u32))
+                {
                     if let Some(&other) = taken.get(&r) {
                         // Permitted only if the two never interfere at all
                         // (they can time-share within the block).
-                        prop_assert!(
+                        assert!(
                             !rd.adj[v].contains(other),
-                            "block {}: {} and {} both in {:?} and interfering", b, v, other, r
+                            "seed {seed}: block {b}: {v} and {other} both in {r:?} and interfering"
                         );
                     } else {
                         taken.insert(r, v);
@@ -244,16 +246,9 @@ proptest! {
     }
 }
 
-/// A deterministic pseudo-random straight-line + diamond module used by the
-/// coloring property (no rand dependency: xorshift).
-fn random_straightline_module(seed: u64) -> Module {
-    let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
-    let mut next = move |m: u64| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state % m
-    };
+/// A pseudo-random straight-line module: constants, sums and calls to a
+/// one-line callee in `main`, with a random subset live to the end.
+fn random_straightline_module(rng: &mut XorShift64Star) -> Module {
     let mut module = Module::new();
     let callee = module.declare_func("callee");
     {
@@ -265,16 +260,16 @@ fn random_straightline_module(seed: u64) -> Module {
     }
     let mut b = FunctionBuilder::new("main");
     let mut vals: Vec<ipra_ir::Vreg> = Vec::new();
-    for i in 0..(4 + next(12)) {
+    for i in 0..(4 + rng.below(12)) {
         let v = b.copy(i as i64);
         vals.push(v);
     }
-    for _ in 0..next(6) {
-        let x = vals[next(vals.len() as u64) as usize];
-        let y = vals[next(vals.len() as u64) as usize];
+    for _ in 0..rng.below(6) {
+        let x = vals[rng.below(vals.len() as u64) as usize];
+        let y = vals[rng.below(vals.len() as u64) as usize];
         let s = b.bin(BinOp::Add, x, y);
         vals.push(s);
-        if next(3) == 0 {
+        if rng.below(3) == 0 {
             let r = b.call(callee, vec![Operand::Reg(s)]);
             vals.push(r);
         }
@@ -282,7 +277,7 @@ fn random_straightline_module(seed: u64) -> Module {
     // Keep a random subset live to the end.
     let mut acc = b.copy(0);
     for v in &vals {
-        if next(2) == 0 {
+        if rng.coin() {
             acc = b.bin(BinOp::Add, acc, *v);
         }
     }

@@ -47,7 +47,7 @@ fn arb_shape(rng: &mut Rng) -> SourceConfig {
 fn shrink_steps(shape: &SourceConfig) -> Vec<SourceConfig> {
     let mut steps = Vec::new();
     let mut push = |f: fn(&mut SourceConfig) -> &mut usize, min: usize, shape: &SourceConfig| {
-        let mut s = shape.clone();
+        let mut s = *shape;
         let v = f(&mut s);
         if *v > min {
             *v -= 1;

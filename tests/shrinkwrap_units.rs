@@ -172,11 +172,7 @@ fn fig2_double_save_shape_extends_range_instead() {
     // extension widens APP until the save merges above the branch.
     let plan = shrink_wrap(&cfg, &loops, &app);
     assert_eq!(verify_plan(&cfg, &app, &plan), Ok(()));
-    assert!(
-        plan.iterations >= 2,
-        "Fig. 2 needs extension, took {}",
-        plan.iterations
-    );
+    assert_eq!(plan.iterations, 2, "paper: one to two iterations");
     assert_placement(
         &plan,
         &[
