@@ -63,7 +63,7 @@
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use ipra_core::config::AllocOptions;
@@ -107,7 +107,7 @@ impl Default for ServiceConfig {
 }
 
 /// Counting gate in front of the compile path: `active` slots, a bounded
-/// queue behind them, and an immediate `false` (→ `busy` response) once
+/// queue behind them, and an immediate `None` (→ `busy` response) once
 /// the queue is full. Fairness comes from the condvar's wake order being
 /// good enough here — a woken waiter re-checks and either takes the slot
 /// or waits again.
@@ -130,16 +130,17 @@ impl Admission {
         }
     }
 
-    /// Blocks until a slot is free, or returns `false` when the queue is
-    /// already full (the caller answers `busy`).
-    fn acquire(&self) -> bool {
+    /// Blocks until a slot is free, or returns `None` when the queue is
+    /// already full (the caller answers `busy`). The slot is released
+    /// when the returned guard drops, also while unwinding from a panic.
+    fn acquire(&self) -> Option<Slot<'_>> {
         let mut st = self.state.lock().unwrap();
         if st.0 < self.max_active {
             st.0 += 1;
-            return true;
+            return Some(Slot(self));
         }
         if st.1 >= self.max_queue {
-            return false;
+            return None;
         }
         st.1 += 1;
         while st.0 >= self.max_active {
@@ -147,18 +148,25 @@ impl Admission {
         }
         st.1 -= 1;
         st.0 += 1;
-        true
-    }
-
-    fn release(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.0 -= 1;
-        self.cv.notify_one();
+        Some(Slot(self))
     }
 
     /// `(active, queued)` right now.
     fn depth(&self) -> (usize, usize) {
         *self.state.lock().unwrap()
+    }
+}
+
+/// One admitted compile's slot; dropping it frees the slot.
+struct Slot<'a>(&'a Admission);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        // Each update of the counts is a single step, so a poisoned lock
+        // still guards valid counts; a panic here would abort an unwind.
+        let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.0 -= 1;
+        self.0.cv.notify_one();
     }
 }
 
@@ -374,7 +382,7 @@ impl Service {
             Err(e) => return error_response(id, &e),
         };
 
-        if !self.admission.acquire() {
+        let Some(slot) = self.admission.acquire() else {
             self.metric_counter("service.busy_rejections", &[], 1);
             return Json::obj(vec![
                 ("id", id.clone()),
@@ -387,10 +395,10 @@ impl Service {
                     )),
                 ),
             ]);
-        }
+        };
         self.refresh_gauges();
         let resp = self.compile_admitted(&source, &config, run, trace, id);
-        self.admission.release();
+        drop(slot);
         self.refresh_gauges();
         resp
     }
@@ -987,14 +995,32 @@ mod tests {
         };
         let service = Service::new(cfg);
         // Take the only slot by hand, then ask for a compile.
-        assert!(service.admission.acquire());
+        let slot = service.admission.acquire().expect("a free slot");
         let req = CompileRequest::new(5, RequestSource::Source(DEMO.into()));
         let (resp, _) = service.dispatch(&req.to_json());
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("busy"));
-        service.admission.release();
+        drop(slot);
         let (resp, _) = service.dispatch(&req.to_json());
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
         let m = service.metrics_snapshot();
         assert_eq!(m.counter_sum("service.busy_rejections"), 1);
+    }
+
+    #[test]
+    fn a_panic_while_admitted_frees_the_slot() {
+        let service = Service::new(ServiceConfig {
+            max_active: 1,
+            max_queue: 0,
+            ..ServiceConfig::default()
+        });
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = service.admission.acquire().expect("a free slot");
+            panic!("compile failed while admitted");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(service.admission.depth(), (0, 0));
+        let req = CompileRequest::new(6, RequestSource::Source(DEMO.into()));
+        let (resp, _) = service.dispatch(&req.to_json());
+        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
     }
 }

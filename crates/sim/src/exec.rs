@@ -4,16 +4,30 @@
 //! for this reproduction, because the entire subject of the paper is what
 //! happens to shared registers at procedure boundaries. A register that a
 //! callee clobbers without saving is really clobbered for the caller here.
+//!
+//! [`run`] first decodes the module into one flat array of ops, then
+//! executes it. Decoding resolves everything that is the same on every
+//! visit: operands become indices into one value file (the registers,
+//! then the immediates), addresses carry their object's arena offset and
+//! length, branches name op indices and a function address becomes an
+//! immediate. Statistics are charged per *segment*, a block's ops up to
+//! and including the next call or the terminator: entering a segment
+//! charges its cycles against the fuel, counts it once, and charges its
+//! save/restore and spill traffic to the activation's call edge.
+//! Everything else in [`Stats`] is derived from the segment counts when
+//! the run ends.
 
+use std::collections::HashMap;
 use std::fmt;
 
-use ipra_ir::{BlockId, FuncId};
+use ipra_ir::{BinOp, BlockId, FuncId, GlobalId, UnOp};
 use ipra_machine::{
-    CostModel, MAddress, MBlock, MCallee, MFunction, MInst, MModule, MOperand, MTerminator,
-    MemClass, PReg, RegFile, RegMask,
+    CostModel, FrameSlotId, MAddress, MCallee, MInst, MModule, MOperand, MTerminator, MemClass,
+    PReg, RegFile, RegMask,
 };
+use ipra_obs::metrics::Log2Histogram;
 
-use crate::stats::{EdgePenalty, FuncStats, Stats, ROOT_CALLER};
+use crate::stats::{class_index, EdgePenalty, FuncStats, Stats, ROOT_CALLER};
 
 /// Why simulation stopped abnormally.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -143,62 +157,249 @@ pub struct SimResult {
     pub block_profile: Option<Vec<Vec<u64>>>,
 }
 
-/// Where one function keeps its state. Every activation of a function has
-/// the same shape, so this is computed once per run.
-struct Layout {
-    /// `(offset, cells)` of each frame slot, relative to the frame base.
-    slots: Vec<(usize, usize)>,
-    /// Offset of the outgoing-argument area, which follows the slots.
-    outgoing: usize,
-    /// Cells in the outgoing-argument area (`max_outgoing`).
-    outgoing_len: usize,
-    /// Frame size in cells: slots plus outgoing area.
-    size: usize,
-    /// Registers the function must preserve, in register order (empty
-    /// without convention checking).
-    preserve: Vec<PReg>,
+/// Index into the value file: the registers, then the run's immediates.
+type Val = u32;
+
+/// Register slots at the start of the value file: as many as a
+/// [`RegMask`] can name, whatever the target uses.
+const NUM_REGS: usize = 32;
+
+/// The register part of the value file.
+type Regs = [i64; NUM_REGS];
+
+/// The object an address selects an element of, and how a trap names it.
+#[derive(Clone, Copy)]
+enum Region {
+    /// A global, at a fixed arena offset.
+    Global(GlobalId),
+    /// A frame slot, relative to the frame base.
+    Slot(FrameSlotId),
+    /// The outgoing-argument area, relative to the frame base.
+    Outgoing,
 }
 
-impl Layout {
-    fn new(f: &MFunction, clobbers: Option<RegMask>, exempt: RegMask, num_regs: usize) -> Self {
-        let mut size = 0;
-        let slots = f
-            .frame
-            .values()
-            .map(|s| {
-                let at = size;
-                size += s.size as usize;
-                (at, s.size as usize)
-            })
-            .collect();
-        let outgoing_len = f.max_outgoing as usize;
-        let preserve = match clobbers {
-            Some(c) => (0..num_regs as u8)
-                .map(PReg)
-                .filter(|r| !c.contains(*r) && !exempt.contains(*r))
-                .collect(),
-            None => Vec::new(),
-        };
-        Layout {
-            slots,
-            outgoing: size,
-            outgoing_len,
-            size: size + outgoing_len,
-            preserve,
+/// A decoded address: element `vals[index]` of the `len`-cell object at
+/// offset `at` from the region's base.
+#[derive(Clone, Copy)]
+struct Addr {
+    region: Region,
+    at: u32,
+    len: u32,
+    index: Val,
+}
+
+/// The operands of a binary op: `vals[dst] = vals[lhs] op vals[rhs]`.
+#[derive(Clone, Copy)]
+struct Bin {
+    dst: Val,
+    lhs: Val,
+    rhs: Val,
+}
+
+/// A decoded instruction or terminator. Every operator has a variant of
+/// its own, so the run loop's one `match` also picks the operator.
+#[derive(Clone, Copy)]
+enum Op {
+    /// `vals[dst] = vals[src]`; also a `FuncAddr`, whose function index
+    /// is an immediate.
+    Copy {
+        dst: Val,
+        src: Val,
+    },
+    Add(Bin),
+    Sub(Bin),
+    Mul(Bin),
+    Div(Bin),
+    Rem(Bin),
+    And(Bin),
+    Or(Bin),
+    Xor(Bin),
+    Shl(Bin),
+    Shr(Bin),
+    Eq(Bin),
+    Ne(Bin),
+    Lt(Bin),
+    Le(Bin),
+    Gt(Bin),
+    Ge(Bin),
+    Neg {
+        dst: Val,
+        src: Val,
+    },
+    Not {
+        dst: Val,
+        src: Val,
+    },
+    Load {
+        dst: Val,
+        addr: Addr,
+    },
+    Store {
+        src: Val,
+        addr: Addr,
+    },
+    /// `vals[dst] =` incoming stack argument `index`.
+    LoadArg {
+        dst: Val,
+        index: u32,
+    },
+    /// A store to incoming stack argument `index`, which always traps.
+    StoreArg {
+        index: u32,
+    },
+    Print {
+        arg: Val,
+    },
+    /// A direct call, over the ledger edge decoding assigned it.
+    Call {
+        func: u32,
+        edge: u32,
+        nargs: u32,
+    },
+    CallIndirect {
+        target: Val,
+        nargs: u32,
+    },
+    Br {
+        to: u32,
+    },
+    CondBr {
+        cond: Val,
+        then_to: u32,
+        else_to: u32,
+    },
+    Ret,
+}
+
+impl Op {
+    /// The op computing `op` over `b`.
+    fn bin(op: BinOp, b: Bin) -> Op {
+        match op {
+            BinOp::Add => Op::Add(b),
+            BinOp::Sub => Op::Sub(b),
+            BinOp::Mul => Op::Mul(b),
+            BinOp::Div => Op::Div(b),
+            BinOp::Rem => Op::Rem(b),
+            BinOp::And => Op::And(b),
+            BinOp::Or => Op::Or(b),
+            BinOp::Xor => Op::Xor(b),
+            BinOp::Shl => Op::Shl(b),
+            BinOp::Shr => Op::Shr(b),
+            BinOp::Eq => Op::Eq(b),
+            BinOp::Ne => Op::Ne(b),
+            BinOp::Lt => Op::Lt(b),
+            BinOp::Le => Op::Le(b),
+            BinOp::Gt => Op::Gt(b),
+            BinOp::Ge => Op::Ge(b),
+        }
+    }
+
+    /// The operator and operands of a binary op.
+    fn as_bin(self) -> Option<(BinOp, Bin)> {
+        Some(match self {
+            Op::Add(b) => (BinOp::Add, b),
+            Op::Sub(b) => (BinOp::Sub, b),
+            Op::Mul(b) => (BinOp::Mul, b),
+            Op::Div(b) => (BinOp::Div, b),
+            Op::Rem(b) => (BinOp::Rem, b),
+            Op::And(b) => (BinOp::And, b),
+            Op::Or(b) => (BinOp::Or, b),
+            Op::Xor(b) => (BinOp::Xor, b),
+            Op::Shl(b) => (BinOp::Shl, b),
+            Op::Shr(b) => (BinOp::Shr, b),
+            Op::Eq(b) => (BinOp::Eq, b),
+            Op::Ne(b) => (BinOp::Ne, b),
+            Op::Lt(b) => (BinOp::Lt, b),
+            Op::Le(b) => (BinOp::Le, b),
+            Op::Gt(b) => (BinOp::Gt, b),
+            Op::Ge(b) => (BinOp::Ge, b),
+            _ => return None,
+        })
+    }
+
+    /// Cycles the op costs under `cost`.
+    fn cost(self, cost: &CostModel) -> u64 {
+        match self {
+            Op::Copy { .. } | Op::Neg { .. } | Op::Not { .. } => cost.alu,
+            Op::Load { .. } | Op::LoadArg { .. } => cost.load,
+            Op::Store { .. } | Op::StoreArg { .. } => cost.store,
+            Op::Print { .. } => cost.print,
+            Op::Call { .. } | Op::CallIndirect { .. } => cost.call,
+            Op::Br { .. } | Op::CondBr { .. } => cost.branch,
+            Op::Ret => cost.ret,
+            _ => cost.bin_op(self.as_bin().expect("the remaining ops are binary").0),
         }
     }
 }
 
-/// Ledger index of an activation whose edge has no entry yet: only `main`'s
-/// root activation, whose entry edge is created when it is first charged.
-const NO_EDGE: usize = usize::MAX;
+/// Save/restore and spill accesses, as the edge ledger counts them.
+#[derive(Clone, Copy, Default)]
+struct Traffic {
+    sr_loads: u32,
+    sr_stores: u32,
+    spill_loads: u32,
+    spill_stores: u32,
+}
 
-/// One activation. Its frame occupies `mem[base..base + layout.size]`.
+impl Traffic {
+    /// Counts `inst` if it is a save/restore or spill access.
+    fn count(&mut self, inst: &MInst) {
+        match *inst {
+            MInst::Load {
+                class: MemClass::SaveRestore,
+                ..
+            } => self.sr_loads += 1,
+            MInst::Store {
+                class: MemClass::SaveRestore,
+                ..
+            } => self.sr_stores += 1,
+            MInst::Load {
+                class: MemClass::Spill,
+                ..
+            } => self.spill_loads += 1,
+            MInst::Store {
+                class: MemClass::Spill,
+                ..
+            } => self.spill_stores += 1,
+            _ => {}
+        }
+    }
+
+    fn is_empty(self) -> bool {
+        self.sr_loads | self.sr_stores | self.spill_loads | self.spill_stores == 0
+    }
+}
+
+/// What entering a segment charges.
+#[derive(Clone, Copy, Default)]
+struct Seg {
+    cycles: u64,
+    /// Charged to the current activation's call edge.
+    traffic: Traffic,
+}
+
+/// Where one function's code and state live. Every activation of a
+/// function has the same shape, so this is computed once per run.
+struct Func {
+    /// Op index of the entry block.
+    entry: usize,
+    /// Frame size in cells: slots plus outgoing area.
+    size: usize,
+    /// Offset of the outgoing-argument area, which follows the slots.
+    outgoing: usize,
+    /// Cells in the outgoing-argument area (`max_outgoing`).
+    outgoing_len: usize,
+    /// The registers the function must preserve (empty without
+    /// convention checking).
+    preserve: RegMask,
+}
+
+/// One activation. Its frame occupies `mem[base..base + size]`.
 #[derive(Clone, Copy)]
-struct Activation {
-    func: FuncId,
-    block: BlockId,
-    ip: usize,
+struct Frame {
+    func: usize,
+    /// Op at which this activation resumes once its callee returns.
+    ret: usize,
     /// First cell of the frame in the memory arena.
     base: usize,
     /// First cell of the incoming stack arguments: the start of the
@@ -207,8 +408,8 @@ struct Activation {
     args: usize,
     /// Incoming stack arguments: `num_stack_args` of the creating call.
     nargs: usize,
-    /// Where this activation's entry values of its preserved registers
-    /// start on the snapshot stack (convention checking only).
+    /// Where this activation's entry register values sit on the snapshot
+    /// stack (only when its function must preserve any).
     snap: usize,
     /// Ledger index of the call edge `(caller, callee)` that created this
     /// activation; save/restore and spill traffic executed by the
@@ -216,372 +417,724 @@ struct Activation {
     edge: usize,
 }
 
+/// Ledger index of the program-entry edge `<entry> -> main`.
+const ROOT_EDGE: usize = 0;
+
+/// A decoded module and the state of one run over it.
+struct Machine<'a> {
+    module: &'a MModule,
+    opts: &'a SimOptions,
+    ops: Vec<Op>,
+    /// Indexed by op: the charge of the segment starting there.
+    segs: Vec<Seg>,
+    funcs: Vec<Func>,
+    /// The value file: registers, then immediates.
+    vals: Vec<i64>,
+    /// The memory arena: the globals, then the frame stack, which each
+    /// call extends with a zero-filled frame and each return truncates.
+    mem: Vec<i64>,
+    /// The suspended activations; the current one is kept apart.
+    stack: Vec<Frame>,
+    /// The registers at entry of every live activation that must preserve
+    /// any, `NUM_REGS` cells each.
+    snaps: Vec<i64>,
+    /// One entry per call edge: call counts and the traffic charged to
+    /// activations the edge created. Entry 0 is the program-entry edge.
+    ledger: Vec<EdgePenalty>,
+    /// `callees[f]` maps each callee `f` calls to its ledger index; a
+    /// function calls few distinct callees, so a scan finds it.
+    callees: Vec<Vec<(usize, usize)>>,
+    /// Indexed by op: times the segment starting there was entered.
+    counts: Vec<u64>,
+    /// Cycles left before the fuel runs out.
+    left: u64,
+    output: Vec<i64>,
+    depth_hist: Log2Histogram,
+}
+
 /// Runs `main` of a lowered module.
 ///
-/// All memory is one arena of cells: the globals at fixed offsets, then
-/// the frame stack, which each call extends with a zero-filled frame and
-/// each return truncates. Nothing is allocated or hashed per call or per
-/// instruction once the arena, the stack and the ledger have grown.
+/// Nothing is allocated or hashed per call or per instruction once the
+/// module is decoded and the arena, the stacks and the ledger have grown.
 ///
 /// # Errors
 ///
 /// Returns the [`SimTrap`] that stopped execution.
 pub fn run(module: &MModule, regs: &RegFile, opts: &SimOptions) -> Result<SimResult, SimTrap> {
     let main = module.main.ok_or(SimTrap::NoMain)?;
+    let mut m = Machine::decode(module, main, regs, opts);
+    m.execute(main)?;
+    Ok(m.finish(regs))
+}
 
-    let layouts: Vec<Layout> = module
-        .funcs
-        .iter()
-        .map(|(fid, f)| {
-            let clobbers = opts.preserve_masks.as_ref().map(|m| m[fid.index()]);
-            Layout::new(f, clobbers, opts.exempt, regs.num_regs())
-        })
-        .collect();
-    // The memory arena, and the offset and length of each global in it.
-    let mut mem: Vec<i64> = Vec::new();
-    let globals: Vec<(usize, usize)> = module
-        .globals
-        .values()
-        .map(|g| {
-            let (at, len) = (mem.len(), g.size as usize);
-            mem.resize(at + len, 0);
-            for (cell, init) in mem[at..].iter_mut().zip(&g.init) {
-                *cell = *init;
-            }
-            (at, len)
-        })
-        .collect();
+/// Hands out value-file indices for immediates, one per distinct value.
+struct Imms<'v> {
+    vals: &'v mut Vec<i64>,
+    seen: HashMap<i64, Val>,
+}
 
-    let mut reg_file = vec![0i64; regs.num_regs()];
-    let mut output = Vec::new();
-    let mut stats = Stats {
-        per_func: vec![FuncStats::default(); module.funcs.len()],
-        ..Stats::default()
-    };
-    // One ledger entry per dynamic call edge: call counts and the
-    // save/restore + spill traffic charged to activations the edge created.
-    // `callees[f]` maps each callee `f` has called to its ledger index; a
-    // function calls few distinct callees, so a scan finds it.
-    let mut ledger: Vec<EdgePenalty> = Vec::new();
-    let mut callees: Vec<Vec<(FuncId, usize)>> = vec![Vec::new(); module.funcs.len()];
-    // Entry values of the preserved registers of every live activation.
-    let mut snaps: Vec<i64> = Vec::new();
-    let mut profile: Option<Vec<Vec<u64>>> = if opts.collect_block_profile {
-        Some(
-            module
-                .funcs
+impl Imms<'_> {
+    fn imm(&mut self, v: i64) -> Val {
+        *self.seen.entry(v).or_insert_with(|| {
+            self.vals.push(v);
+            index32(self.vals.len() - 1)
+        })
+    }
+
+    fn operand(&mut self, o: MOperand) -> Val {
+        match o {
+            MOperand::Reg(r) => reg(r),
+            MOperand::Imm(v) => self.imm(v),
+        }
+    }
+}
+
+/// The value-file index of register `r`.
+fn reg(r: PReg) -> Val {
+    r.index() as Val
+}
+
+/// `n` as a decoded op index, value-file index, arena offset or size.
+fn index32(n: usize) -> u32 {
+    u32::try_from(n).expect("a module's ops, values and memory fit 32-bit indices")
+}
+
+impl<'a> Machine<'a> {
+    /// Decodes `module` and lays out its globals, ready to run. Op `i` is
+    /// the `i`-th instruction in function, block and instruction order,
+    /// with each block's terminator after its instructions.
+    fn decode(module: &'a MModule, main: FuncId, regs: &RegFile, opts: &'a SimOptions) -> Self {
+        let mut mem = Vec::new();
+        let globals: Vec<(u32, u32)> = module
+            .globals
+            .values()
+            .map(|g| {
+                let (at, len) = (mem.len(), g.size as usize);
+                mem.resize(at + len, 0);
+                for (cell, init) in mem[at..].iter_mut().zip(&g.init) {
+                    *cell = *init;
+                }
+                (index32(at), g.size)
+            })
+            .collect();
+
+        let mut len = 0;
+        let starts: Vec<Vec<u32>> = module
+            .funcs
+            .values()
+            .map(|f| {
+                f.blocks
+                    .values()
+                    .map(|b| {
+                        let at = index32(len);
+                        len += b.insts.len() + 1;
+                        at
+                    })
+                    .collect()
+            })
+            .collect();
+
+        assert!(regs.num_regs() <= NUM_REGS, "a RegMask names 32 registers");
+        let all = RegMask((u64::MAX >> (64 - regs.num_regs())) as u32);
+        let mut vals = vec![0; NUM_REGS];
+        let mut imms = Imms {
+            vals: &mut vals,
+            seen: HashMap::new(),
+        };
+        let mut ops = Vec::with_capacity(len);
+        let mut segs = vec![Seg::default(); len];
+        let mut funcs = Vec::with_capacity(module.funcs.len());
+        let mut ledger = vec![EdgePenalty {
+            caller: ROOT_CALLER,
+            callee: main.0,
+            ..EdgePenalty::default()
+        }];
+        let mut callees = vec![Vec::new(); module.funcs.len()];
+        for (fid, f) in module.funcs.iter() {
+            let mut size = 0;
+            let slots: Vec<(u32, u32)> = f
+                .frame
                 .values()
-                .map(|f| vec![0u64; f.blocks.len()])
-                .collect(),
-        )
-    } else {
-        None
-    };
+                .map(|s| {
+                    let at = index32(size);
+                    size += s.size as usize;
+                    (at, s.size)
+                })
+                .collect();
+            let (outgoing, outgoing_len) = (index32(size), f.max_outgoing);
+            funcs.push(Func {
+                entry: starts[fid.index()][f.entry.index()] as usize,
+                size: size + outgoing_len as usize,
+                outgoing: size,
+                outgoing_len: outgoing_len as usize,
+                preserve: match &opts.preserve_masks {
+                    Some(masks) => RegMask(all.0 & !masks[fid.index()].0 & !opts.exempt.0),
+                    None => RegMask::EMPTY,
+                },
+            });
 
-    let mut stack: Vec<Activation> = Vec::new();
-    // The current activation, its function, layout and block.
-    let mut cur: Activation;
-    let mut func: &MFunction;
-    let mut lay: &Layout;
-    let mut block: &MBlock;
-
-    // Pushes a zeroed frame for `target` and makes it current.
-    macro_rules! enter {
-        ($target:expr, $args:expr, $nargs:expr, $edge:expr) => {{
-            let target: FuncId = $target;
-            func = &module.funcs[target];
-            lay = &layouts[target.index()];
-            let base = mem.len();
-            mem.resize(base + lay.size, 0);
-            let snap = snaps.len();
-            snaps.extend(lay.preserve.iter().map(|r| reg_file[r.index()]));
-            cur = Activation {
-                func: target,
-                block: func.entry,
-                ip: 0,
-                base,
-                args: $args,
-                nargs: $nargs,
-                snap,
-                edge: $edge,
+            let addr = |a: MAddress, imms: &mut Imms| {
+                let (region, (at, len), index) = match a {
+                    MAddress::Global { global, index } => {
+                        (Region::Global(global), globals[global.index()], index)
+                    }
+                    MAddress::Frame { slot, index } => {
+                        (Region::Slot(slot), slots[slot.index()], index)
+                    }
+                    MAddress::Outgoing(i) => (
+                        Region::Outgoing,
+                        (outgoing, outgoing_len),
+                        MOperand::Imm(i.into()),
+                    ),
+                    MAddress::Incoming(_) => unreachable!("decoded as LoadArg or StoreArg"),
+                };
+                let index = imms.operand(index);
+                Addr {
+                    region,
+                    at,
+                    len,
+                    index,
+                }
             };
-            block = &func.blocks[cur.block];
-            stats.record_depth(stack.len() + 1);
-            if let Some(p) = profile.as_mut() {
-                p[target.index()][cur.block.index()] += 1;
-            }
-        }};
-    }
-
-    // Cycles are attributed to the currently-executing activation, so the
-    // call cost lands on the caller and the return cost on the callee.
-    macro_rules! charge {
-        ($n:expr) => {{
-            let n = $n;
-            stats.cycles += n;
-            stats.per_func[cur.func.index()].cycles += n;
-            if stats.cycles > opts.fuel {
-                return Err(SimTrap::OutOfFuel);
-            }
-        }};
-    }
-
-    // The ledger entry of the current activation's edge.
-    macro_rules! edge {
-        () => {{
-            if cur.edge == NO_EDGE {
-                cur.edge = ledger.len();
-                ledger.push(EdgePenalty {
-                    caller: ROOT_CALLER,
-                    callee: cur.func.0,
-                    ..EdgePenalty::default()
-                });
-            }
-            &mut ledger[cur.edge]
-        }};
-    }
-
-    enter!(main, 0, 0, NO_EDGE);
-    loop {
-        if let Some(inst) = block.insts.get(cur.ip) {
-            cur.ip += 1;
-            stats.insts += 1;
-            stats.per_func[cur.func.index()].insts += 1;
-
-            match inst {
-                MInst::Copy { dst, src } => {
-                    charge!(opts.cost.alu);
-                    reg_file[dst.index()] = value(&reg_file, *src);
-                }
-                MInst::Bin { op, dst, lhs, rhs } => {
-                    charge!(opts.cost.bin_op(*op));
-                    let a = value(&reg_file, *lhs);
-                    let b = value(&reg_file, *rhs);
-                    reg_file[dst.index()] = op.eval(a, b).ok_or(SimTrap::DivideByZero)?;
-                }
-                MInst::Un { op, dst, src } => {
-                    charge!(opts.cost.alu);
-                    reg_file[dst.index()] = op.eval(value(&reg_file, *src));
-                }
-                MInst::Load { dst, addr, class } => {
-                    charge!(opts.cost.load);
-                    stats.count_load(*class);
-                    stats.per_func[cur.func.index()].count_load(*class);
-                    match class {
-                        MemClass::SaveRestore => {
-                            let e = edge!();
-                            e.sr_loads += 1;
-                            e.penalty_cycles += opts.cost.load;
-                        }
-                        MemClass::Spill => edge!().spill_loads += 1,
-                        _ => {}
-                    }
-                    let at = resolve(module, &globals, lay, &cur, &reg_file, *addr, false)?;
-                    reg_file[dst.index()] = mem[at];
-                }
-                MInst::Store { src, addr, class } => {
-                    charge!(opts.cost.store);
-                    stats.count_store(*class);
-                    stats.per_func[cur.func.index()].count_store(*class);
-                    match class {
-                        MemClass::SaveRestore => {
-                            let e = edge!();
-                            e.sr_stores += 1;
-                            e.penalty_cycles += opts.cost.store;
-                        }
-                        MemClass::Spill => edge!().spill_stores += 1,
-                        _ => {}
-                    }
-                    let v = value(&reg_file, *src);
-                    let at = resolve(module, &globals, lay, &cur, &reg_file, *addr, true)?;
-                    mem[at] = v;
-                }
-                MInst::Call {
-                    callee,
-                    num_stack_args,
-                } => {
-                    charge!(opts.cost.call);
-                    stats.calls += 1;
-                    stats.per_func[cur.func.index()].calls += 1;
-                    let target = match callee {
-                        MCallee::Direct(id) => *id,
-                        MCallee::Indirect(t) => {
-                            let raw = value(&reg_file, *t);
-                            if raw < 0 || raw as usize >= module.funcs.len() {
-                                return Err(SimTrap::BadIndirectTarget(raw));
+            let block = |b: BlockId| starts[fid.index()][b.index()];
+            for b in f.blocks.values() {
+                let mut seg = ops.len();
+                for inst in &b.insts {
+                    let op = match *inst {
+                        MInst::Copy { dst, src } => Op::Copy {
+                            dst: reg(dst),
+                            src: imms.operand(src),
+                        },
+                        MInst::Bin { op, dst, lhs, rhs } => Op::bin(
+                            op,
+                            Bin {
+                                dst: reg(dst),
+                                lhs: imms.operand(lhs),
+                                rhs: imms.operand(rhs),
+                            },
+                        ),
+                        MInst::Un { op, dst, src } => {
+                            let (dst, src) = (reg(dst), imms.operand(src));
+                            match op {
+                                UnOp::Neg => Op::Neg { dst, src },
+                                UnOp::Not => Op::Not { dst, src },
                             }
-                            FuncId(raw as u32)
                         }
+                        MInst::Load {
+                            dst,
+                            addr: MAddress::Incoming(index),
+                            ..
+                        } => Op::LoadArg {
+                            dst: reg(dst),
+                            index,
+                        },
+                        MInst::Load { dst, addr: a, .. } => Op::Load {
+                            dst: reg(dst),
+                            addr: addr(a, &mut imms),
+                        },
+                        MInst::Store {
+                            addr: MAddress::Incoming(index),
+                            ..
+                        } => Op::StoreArg { index },
+                        MInst::Store { src, addr: a, .. } => Op::Store {
+                            src: imms.operand(src),
+                            addr: addr(a, &mut imms),
+                        },
+                        MInst::Call {
+                            callee: MCallee::Direct(g),
+                            num_stack_args: nargs,
+                        } => Op::Call {
+                            func: g.0,
+                            edge: index32(edge_index(
+                                &mut callees,
+                                &mut ledger,
+                                fid.index(),
+                                g.index(),
+                            )),
+                            nargs,
+                        },
+                        MInst::Call {
+                            callee: MCallee::Indirect(t),
+                            num_stack_args: nargs,
+                        } => Op::CallIndirect {
+                            target: imms.operand(t),
+                            nargs,
+                        },
+                        MInst::FuncAddr { dst, func } => Op::Copy {
+                            dst: reg(dst),
+                            src: imms.imm(func.index() as i64),
+                        },
+                        MInst::Print { arg } => Op::Print {
+                            arg: imms.operand(arg),
+                        },
                     };
-                    // The first cells of the caller's outgoing area are the
-                    // callee's incoming stack arguments.
-                    let nargs = *num_stack_args as usize;
-                    if nargs > lay.outgoing_len {
-                        return Err(SimTrap::OutOfBounds {
-                            what: "outgoing-argument area".into(),
-                            index: nargs as i64 - 1,
-                        });
+                    segs[seg].cycles += op.cost(&opts.cost);
+                    segs[seg].traffic.count(inst);
+                    ops.push(op);
+                    if let MInst::Call { .. } = inst {
+                        seg = ops.len();
                     }
-                    if stack.len() + 1 >= opts.max_depth {
-                        return Err(SimTrap::StackOverflow);
-                    }
-                    let edge = edge_index(&mut callees, &mut ledger, cur.func, target);
-                    ledger[edge].calls += 1;
-                    let args = cur.base + lay.outgoing;
-                    stack.push(cur);
-                    enter!(target, args, nargs, edge);
                 }
-                MInst::FuncAddr { dst, func: f } => {
-                    charge!(opts.cost.alu);
-                    reg_file[dst.index()] = f.index() as i64;
-                }
-                MInst::Print { arg } => {
-                    charge!(opts.cost.print);
-                    output.push(value(&reg_file, *arg));
-                }
+                let op = match b.term {
+                    MTerminator::Ret => Op::Ret,
+                    MTerminator::Br(t) => Op::Br { to: block(t) },
+                    MTerminator::CondBr {
+                        cond,
+                        then_to,
+                        else_to,
+                    } => Op::CondBr {
+                        cond: imms.operand(cond),
+                        then_to: block(then_to),
+                        else_to: block(else_to),
+                    },
+                };
+                segs[seg].cycles += op.cost(&opts.cost);
+                ops.push(op);
             }
-        } else {
-            stats.insts += 1;
-            stats.per_func[cur.func.index()].insts += 1;
-            let target = match block.term {
-                MTerminator::Br(t) => t,
-                MTerminator::CondBr {
+        }
+
+        Machine {
+            module,
+            opts,
+            counts: vec![0; ops.len()],
+            ops,
+            segs,
+            funcs,
+            vals,
+            mem,
+            stack: Vec::new(),
+            snaps: Vec::new(),
+            ledger,
+            callees,
+            left: opts.fuel,
+            output: Vec::new(),
+            depth_hist: Log2Histogram::default(),
+        }
+    }
+
+    /// Runs `main` to its return. The arms only execute: statistics are
+    /// charged where control enters a segment.
+    fn execute(&mut self, main: FuncId) -> Result<(), SimTrap> {
+        let mut cur = self.enter(main.index(), 0, 0, ROOT_EDGE);
+        let mut pc = self.funcs[cur.func].entry;
+        self.charge(pc, &cur)?;
+        loop {
+            match self.ops[pc] {
+                Op::Copy { dst, src } => self.copy(dst, src),
+                Op::Add(b) => self.bin(BinOp::Add, b)?,
+                Op::Sub(b) => self.bin(BinOp::Sub, b)?,
+                Op::Mul(b) => self.bin(BinOp::Mul, b)?,
+                Op::Div(b) => self.bin(BinOp::Div, b)?,
+                Op::Rem(b) => self.bin(BinOp::Rem, b)?,
+                Op::And(b) => self.bin(BinOp::And, b)?,
+                Op::Or(b) => self.bin(BinOp::Or, b)?,
+                Op::Xor(b) => self.bin(BinOp::Xor, b)?,
+                Op::Shl(b) => self.bin(BinOp::Shl, b)?,
+                Op::Shr(b) => self.bin(BinOp::Shr, b)?,
+                Op::Eq(b) => self.bin(BinOp::Eq, b)?,
+                Op::Ne(b) => self.bin(BinOp::Ne, b)?,
+                Op::Lt(b) => self.bin(BinOp::Lt, b)?,
+                Op::Le(b) => self.bin(BinOp::Le, b)?,
+                Op::Gt(b) => self.bin(BinOp::Gt, b)?,
+                Op::Ge(b) => self.bin(BinOp::Ge, b)?,
+                Op::Neg { dst, src } => self.un(UnOp::Neg, dst, src),
+                Op::Not { dst, src } => self.un(UnOp::Not, dst, src),
+                Op::Load { dst, addr } => self.load(dst, addr, &cur)?,
+                Op::Store { src, addr } => self.store(src, addr, &cur)?,
+                Op::LoadArg { dst, index } => self.load_arg(dst, index, &cur)?,
+                Op::StoreArg { index } => return Err(store_arg(index)),
+                Op::Print { arg } => self.print(arg),
+                Op::Call { func, edge, nargs } => {
+                    pc = self.call(&mut cur, pc + 1, func as usize, edge as usize, nargs)?;
+                    self.charge(pc, &cur)?;
+                    continue;
+                }
+                Op::CallIndirect { target, nargs } => {
+                    let raw = self.vals[target as usize];
+                    if raw < 0 || raw as usize >= self.funcs.len() {
+                        return Err(SimTrap::BadIndirectTarget(raw));
+                    }
+                    let func = raw as usize;
+                    let edge = edge_index(&mut self.callees, &mut self.ledger, cur.func, func);
+                    pc = self.call(&mut cur, pc + 1, func, edge, nargs)?;
+                    self.charge(pc, &cur)?;
+                    continue;
+                }
+                Op::Br { to } => {
+                    pc = to as usize;
+                    self.charge(pc, &cur)?;
+                    continue;
+                }
+                Op::CondBr {
                     cond,
                     then_to,
                     else_to,
                 } => {
-                    if value(&reg_file, cond) != 0 {
+                    pc = if self.vals[cond as usize] != 0 {
                         then_to
                     } else {
                         else_to
-                    }
-                }
-                MTerminator::Ret => {
-                    charge!(opts.cost.ret);
-                    for (&reg, &before) in lay.preserve.iter().zip(&snaps[cur.snap..]) {
-                        let after = reg_file[reg.index()];
-                        if after != before {
-                            return Err(SimTrap::ConventionViolation {
-                                func: func.name.clone(),
-                                reg,
-                                before,
-                                after,
-                            });
-                        }
-                    }
-                    snaps.truncate(cur.snap);
-                    mem.truncate(cur.base);
-                    let Some(parent) = stack.pop() else {
-                        break;
-                    };
-                    cur = parent;
-                    func = &module.funcs[cur.func];
-                    lay = &layouts[cur.func.index()];
-                    block = &func.blocks[cur.block];
+                    } as usize;
+                    self.charge(pc, &cur)?;
                     continue;
                 }
-            };
-            charge!(opts.cost.branch);
-            cur.block = target;
-            cur.ip = 0;
-            block = &func.blocks[target];
-            if let Some(p) = profile.as_mut() {
-                p[cur.func.index()][target.index()] += 1;
+                Op::Ret => {
+                    self.check_preserved(&cur)?;
+                    self.snaps.truncate(cur.snap);
+                    self.mem.truncate(cur.base);
+                    let Some(parent) = self.stack.pop() else {
+                        return Ok(());
+                    };
+                    cur = parent;
+                    pc = cur.ret;
+                    self.charge(pc, &cur)?;
+                    continue;
+                }
             }
+            pc += 1;
         }
     }
 
-    // ROOT_CALLER is u32::MAX, so plain (caller, callee) order puts the
-    // entry edge last.
-    ledger.sort_unstable_by_key(|e| (e.caller, e.callee));
-    stats.call_edges = ledger
-        .iter()
-        .filter(|e| e.calls > 0)
-        .map(|e| (e.caller, e.callee, e.calls))
-        .collect();
-    stats.edge_penalty = ledger;
-    Ok(SimResult {
-        output,
-        return_value: reg_file[regs.ret_reg().index()],
-        stats,
-        block_profile: profile,
-    })
+    /// Enters the segment starting at op `pc`: charges its cycles, counts
+    /// it and charges its traffic to the activation's edge. When the
+    /// cycles would exceed the fuel, the segment is replayed op by op
+    /// instead, to find which trap comes first.
+    #[inline(always)]
+    fn charge(&mut self, pc: usize, cur: &Frame) -> Result<(), SimTrap> {
+        let Seg { cycles, traffic } = self.segs[pc];
+        if cycles > self.left {
+            return self.replay(pc, cur);
+        }
+        self.left -= cycles;
+        self.counts[pc] += 1;
+        if !traffic.is_empty() {
+            let e = &mut self.ledger[cur.edge];
+            e.sr_loads += u64::from(traffic.sr_loads);
+            e.sr_stores += u64::from(traffic.sr_stores);
+            e.spill_loads += u64::from(traffic.spill_loads);
+            e.spill_stores += u64::from(traffic.spill_stores);
+        }
+        Ok(())
+    }
+
+    /// Executes the segment at `pc` one op at a time, charging each op
+    /// before it runs, up to the first trap: one an op raises, or
+    /// `OutOfFuel` at the op whose charge crosses the fuel. The segment's
+    /// total crosses, so that op is at the latest its call or terminator,
+    /// and no control op ever executes here. Never returns `Ok`.
+    #[cold]
+    #[inline(never)]
+    fn replay(&mut self, mut pc: usize, cur: &Frame) -> Result<(), SimTrap> {
+        loop {
+            let op = self.ops[pc];
+            let cost = op.cost(&self.opts.cost);
+            if cost > self.left {
+                return Err(SimTrap::OutOfFuel);
+            }
+            self.left -= cost;
+            match op {
+                Op::Copy { dst, src } => self.copy(dst, src),
+                Op::Neg { dst, src } => self.un(UnOp::Neg, dst, src),
+                Op::Not { dst, src } => self.un(UnOp::Not, dst, src),
+                Op::Load { dst, addr } => self.load(dst, addr, cur)?,
+                Op::Store { src, addr } => self.store(src, addr, cur)?,
+                Op::LoadArg { dst, index } => self.load_arg(dst, index, cur)?,
+                Op::StoreArg { index } => return Err(store_arg(index)),
+                Op::Print { arg } => self.print(arg),
+                Op::Call { .. }
+                | Op::CallIndirect { .. }
+                | Op::Br { .. }
+                | Op::CondBr { .. }
+                | Op::Ret => unreachable!("the segment's total did not cross the fuel"),
+                _ => {
+                    let (op, b) = op.as_bin().expect("the remaining ops are binary");
+                    self.bin(op, b)?
+                }
+            }
+            pc += 1;
+        }
+    }
+
+    #[inline(always)]
+    fn copy(&mut self, dst: Val, src: Val) {
+        self.vals[dst as usize] = self.vals[src as usize];
+    }
+
+    #[inline(always)]
+    fn bin(&mut self, op: BinOp, Bin { dst, lhs, rhs }: Bin) -> Result<(), SimTrap> {
+        let (a, b) = (self.vals[lhs as usize], self.vals[rhs as usize]);
+        self.vals[dst as usize] = op.eval(a, b).ok_or(SimTrap::DivideByZero)?;
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn un(&mut self, op: UnOp, dst: Val, src: Val) {
+        self.vals[dst as usize] = op.eval(self.vals[src as usize]);
+    }
+
+    #[inline(always)]
+    fn load(&mut self, dst: Val, addr: Addr, cur: &Frame) -> Result<(), SimTrap> {
+        let at = self.resolve(addr, cur)?;
+        self.vals[dst as usize] = self.mem[at];
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn store(&mut self, src: Val, addr: Addr, cur: &Frame) -> Result<(), SimTrap> {
+        let at = self.resolve(addr, cur)?;
+        self.mem[at] = self.vals[src as usize];
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn load_arg(&mut self, dst: Val, index: u32, cur: &Frame) -> Result<(), SimTrap> {
+        let i = index as usize;
+        if i >= cur.nargs {
+            return Err(SimTrap::OutOfBounds {
+                what: "incoming arguments".into(),
+                index: index.into(),
+            });
+        }
+        self.vals[dst as usize] = self.mem[cur.args + i];
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn print(&mut self, arg: Val) {
+        self.output.push(self.vals[arg as usize]);
+    }
+
+    /// The arena cell `a` names for the activation `cur`, or the trap an
+    /// access outside its object raises.
+    #[inline(always)]
+    fn resolve(&self, a: Addr, cur: &Frame) -> Result<usize, SimTrap> {
+        let base = match a.region {
+            Region::Global(_) => 0,
+            Region::Slot(_) | Region::Outgoing => cur.base,
+        };
+        let i = self.vals[a.index as usize];
+        if i as u64 >= u64::from(a.len) {
+            return Err(self.out_of_bounds(a.region, i));
+        }
+        Ok(base + a.at as usize + i as usize)
+    }
+
+    #[cold]
+    fn out_of_bounds(&self, region: Region, index: i64) -> SimTrap {
+        let what = match region {
+            Region::Global(g) => format!("global `{}`", self.module.globals[g].name),
+            Region::Slot(s) => format!("frame slot {s}"),
+            Region::Outgoing => "outgoing arguments".into(),
+        };
+        SimTrap::OutOfBounds { what, index }
+    }
+
+    /// Calls `func` from `cur` over ledger edge `edge`: `cur` is
+    /// suspended to resume at op `ret`, and becomes the callee's fresh
+    /// activation. Returns the callee's entry op.
+    #[inline(always)]
+    fn call(
+        &mut self,
+        cur: &mut Frame,
+        ret: usize,
+        func: usize,
+        edge: usize,
+        nargs: u32,
+    ) -> Result<usize, SimTrap> {
+        // The first cells of the caller's outgoing area are the callee's
+        // incoming stack arguments.
+        let caller = &self.funcs[cur.func];
+        let nargs = nargs as usize;
+        if nargs > caller.outgoing_len {
+            return Err(SimTrap::OutOfBounds {
+                what: "outgoing-argument area".into(),
+                index: nargs as i64 - 1,
+            });
+        }
+        if self.stack.len() + 1 >= self.opts.max_depth {
+            return Err(SimTrap::StackOverflow);
+        }
+        let args = cur.base + caller.outgoing;
+        self.ledger[edge].calls += 1;
+        cur.ret = ret;
+        self.stack.push(*cur);
+        *cur = self.enter(func, args, nargs, edge);
+        Ok(self.funcs[func].entry)
+    }
+
+    /// The register part of the value file.
+    #[inline(always)]
+    fn regs(&self) -> &Regs {
+        self.vals[..NUM_REGS]
+            .try_into()
+            .expect("the value file starts with the registers")
+    }
+
+    /// A fresh activation of `func`: a zeroed frame, and a snapshot of the
+    /// registers when it must preserve any.
+    #[inline(always)]
+    fn enter(&mut self, func: usize, args: usize, nargs: usize, edge: usize) -> Frame {
+        let f = &self.funcs[func];
+        let base = self.mem.len();
+        self.mem.resize(base + f.size, 0);
+        let snap = self.snaps.len();
+        if !f.preserve.is_empty() {
+            self.snaps.extend_from_slice(&self.vals[..NUM_REGS]);
+        }
+        self.depth_hist.observe(self.stack.len() as u64 + 1);
+        Frame {
+            func,
+            ret: 0,
+            base,
+            args,
+            nargs,
+            snap,
+            edge,
+        }
+    }
+
+    /// The convention check at `cur`'s return: every register the
+    /// function must preserve still holds its entry value. The whole
+    /// register file is compared at once; the lowest changed register
+    /// the function must preserve is reported.
+    #[inline(always)]
+    fn check_preserved(&self, cur: &Frame) -> Result<(), SimTrap> {
+        let preserve = self.funcs[cur.func].preserve;
+        if preserve.is_empty() {
+            return Ok(());
+        }
+        let entry: &Regs = self.snaps[cur.snap..cur.snap + NUM_REGS]
+            .try_into()
+            .expect("a snapshot holds every register");
+        let mut changed = 0u32;
+        for (r, (before, after)) in entry.iter().zip(self.regs()).enumerate() {
+            changed |= u32::from(before != after) << r;
+        }
+        match changed & preserve.0 {
+            0 => Ok(()),
+            bad => Err(self.violation(cur, PReg(bad.trailing_zeros() as u8))),
+        }
+    }
+
+    #[cold]
+    fn violation(&self, cur: &Frame, reg: PReg) -> SimTrap {
+        SimTrap::ConventionViolation {
+            func: self.module.funcs[FuncId(cur.func as u32)].name.clone(),
+            reg,
+            before: self.snaps[cur.snap + reg.index()],
+            after: self.vals[reg.index()],
+        }
+    }
+
+    /// Derives the statistics and the block profile from the segment
+    /// counts, walking the module in decoding order.
+    fn finish(self, regs: &RegFile) -> SimResult {
+        let cost = &self.opts.cost;
+        let mut per_func = vec![FuncStats::default(); self.module.funcs.len()];
+        let mut profile: Option<Vec<Vec<u64>>> = self.opts.collect_block_profile.then(|| {
+            self.module
+                .funcs
+                .values()
+                .map(|f| vec![0; f.blocks.len()])
+                .collect()
+        });
+        let mut pc = 0;
+        for (fid, f) in self.module.funcs.iter() {
+            let fs = &mut per_func[fid.index()];
+            for (bid, b) in f.blocks.iter() {
+                // Times the segment holding op `pc` ran.
+                let mut n = self.counts[pc];
+                if let Some(p) = profile.as_mut() {
+                    p[fid.index()][bid.index()] = n;
+                }
+                for inst in &b.insts {
+                    fs.insts += n;
+                    fs.cycles += n * self.ops[pc].cost(cost);
+                    pc += 1;
+                    match *inst {
+                        MInst::Load { class, .. } => fs.loads_by_class[class_index(class)] += n,
+                        MInst::Store { class, .. } => fs.stores_by_class[class_index(class)] += n,
+                        MInst::Call { .. } => {
+                            fs.calls += n;
+                            n = self.counts[pc];
+                        }
+                        _ => {}
+                    }
+                }
+                fs.insts += n;
+                fs.cycles += n * self.ops[pc].cost(cost);
+                pc += 1;
+            }
+        }
+
+        let mut stats = Stats {
+            depth_hist: self.depth_hist,
+            ..Stats::default()
+        };
+        for f in &per_func {
+            stats.cycles += f.cycles;
+            stats.insts += f.insts;
+            stats.calls += f.calls;
+            for c in 0..4 {
+                stats.loads_by_class[c] += f.loads_by_class[c];
+                stats.stores_by_class[c] += f.stores_by_class[c];
+            }
+        }
+        debug_assert_eq!(stats.cycles, self.opts.fuel - self.left);
+        stats.per_func = per_func;
+
+        // Edges decoding assigned but the run never took carry nothing;
+        // the entry edge stays only if `main` itself moved traffic.
+        let mut ledger = self.ledger;
+        ledger.retain(|e| e.calls > 0 || e.save_restore_mem() + e.spill_mem() > 0);
+        for e in &mut ledger {
+            e.penalty_cycles = e.sr_loads * cost.load + e.sr_stores * cost.store;
+        }
+        // ROOT_CALLER is u32::MAX, so plain (caller, callee) order puts the
+        // entry edge last.
+        ledger.sort_unstable_by_key(|e| (e.caller, e.callee));
+        stats.call_edges = ledger
+            .iter()
+            .filter(|e| e.calls > 0)
+            .map(|e| (e.caller, e.callee, e.calls))
+            .collect();
+        stats.edge_penalty = ledger;
+        SimResult {
+            output: self.output,
+            return_value: self.vals[regs.ret_reg().index()],
+            stats,
+            block_profile: profile,
+        }
+    }
 }
 
-fn value(regs: &[i64], o: MOperand) -> i64 {
-    match o {
-        MOperand::Reg(r) => regs[r.index()],
-        MOperand::Imm(i) => i,
+/// The trap a store to incoming stack argument `index` raises.
+#[cold]
+fn store_arg(index: u32) -> SimTrap {
+    SimTrap::OutOfBounds {
+        what: "incoming arguments (write)".into(),
+        index: index.into(),
     }
 }
 
 /// Ledger index of the call edge `caller -> callee`, appending a fresh
-/// entry the first time the edge is taken.
+/// entry the first time the edge is seen.
 fn edge_index(
-    callees: &mut [Vec<(FuncId, usize)>],
+    callees: &mut [Vec<(usize, usize)>],
     ledger: &mut Vec<EdgePenalty>,
-    caller: FuncId,
-    callee: FuncId,
+    caller: usize,
+    callee: usize,
 ) -> usize {
-    let known = &mut callees[caller.index()];
+    let known = &mut callees[caller];
     if let Some(&(_, i)) = known.iter().find(|(f, _)| *f == callee) {
         return i;
     }
     let i = ledger.len();
     ledger.push(EdgePenalty {
-        caller: caller.0,
-        callee: callee.0,
+        caller: caller as u32,
+        callee: callee as u32,
         ..EdgePenalty::default()
     });
     known.push((callee, i));
     i
-}
-
-/// The arena cell `addr` names for the current activation, or the trap an
-/// access outside its object raises.
-fn resolve(
-    module: &MModule,
-    globals: &[(usize, usize)],
-    lay: &Layout,
-    cur: &Activation,
-    regs: &[i64],
-    addr: MAddress,
-    write: bool,
-) -> Result<usize, SimTrap> {
-    match addr {
-        MAddress::Global { global, index } => {
-            let (at, len) = globals[global.index()];
-            cell(at, len, value(regs, index), || {
-                format!("global `{}`", module.globals[global].name)
-            })
-        }
-        MAddress::Frame { slot, index } => {
-            let (at, len) = lay.slots[slot.index()];
-            cell(cur.base + at, len, value(regs, index), || {
-                format!("frame slot {slot}")
-            })
-        }
-        MAddress::Incoming(i) if write => Err(SimTrap::OutOfBounds {
-            what: "incoming arguments (write)".into(),
-            index: i.into(),
-        }),
-        MAddress::Incoming(i) => cell(cur.args, cur.nargs, i.into(), || {
-            "incoming arguments".into()
-        }),
-        MAddress::Outgoing(i) => cell(cur.base + lay.outgoing, lay.outgoing_len, i.into(), || {
-            "outgoing arguments".into()
-        }),
-    }
-}
-
-/// Cell `i` of the `len`-cell object at `at`, or an out-of-bounds trap
-/// naming the object.
-fn cell(at: usize, len: usize, i: i64, what: impl FnOnce() -> String) -> Result<usize, SimTrap> {
-    if i < 0 || i as usize >= len {
-        return Err(SimTrap::OutOfBounds {
-            what: what(),
-            index: i,
-        });
-    }
-    Ok(at + i as usize)
 }

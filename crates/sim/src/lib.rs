@@ -6,6 +6,29 @@
 //! traffic (variable homes, spills, register saves/restores). Optionally
 //! verifies on every return that the procedure preserved all registers its
 //! register-usage summary promises to preserve.
+//!
+//! # How a run works
+//!
+//! [`run`] decodes the module once, then executes it. Decoding flattens
+//! every function into one array of ops. Operands become indices into one
+//! value file, which holds the registers and then the run's immediates.
+//! Addresses carry their object's arena offset and length, branches name
+//! op indices, a function address becomes an immediate, and each binary
+//! operator gets an op of its own.
+//!
+//! Statistics are charged per *segment*, not per instruction. A segment is
+//! a block's ops up to and including the next call, or up to and including
+//! the terminator. Entering a segment charges its cycles against the fuel,
+//! counts it once, and charges its save/restore and spill accesses to the
+//! call edge of the current activation. Everything else in [`Stats`], the
+//! per-function attribution and the block profile are derived from the
+//! segment counts when the run ends.
+//!
+//! Every instruction is charged before it executes, so a trap is reported
+//! only if the trapping instruction's own charge fits the fuel. When a
+//! segment's cycles would cross the fuel, its ops are replayed one at a
+//! time through the same per-kind helpers up to the crossing one. A trap
+//! before it wins; otherwise the run stops with [`SimTrap::OutOfFuel`].
 
 #![warn(missing_docs)]
 
@@ -758,5 +781,225 @@ mod tests {
         };
         assert_eq!(r.stats.edge_penalty, vec![child_edge, entry]);
         assert_eq!(r.stats.call_edges, vec![(1, 0, 2)]);
+    }
+
+    // Fuel and trap order. Every instruction is charged before it
+    // executes, so a trap wins exactly when the trapping instruction's
+    // own charge still fits the fuel. Default costs: alu, branch and
+    // store 1, load, call and ret 2, div 30.
+
+    /// Runs `m` with `fuel` cycles on the default target.
+    fn run_fuel(m: &MModule, fuel: u64) -> Result<SimResult, SimTrap> {
+        let regs = RegFile::mips_like();
+        let mut opts = SimOptions::for_target(&regs);
+        opts.fuel = fuel;
+        run(m, &regs, &opts)
+    }
+
+    /// Asserts that `m` reports `trap` for every fuel of at least
+    /// `through` (the cycle count up to and including the trapping
+    /// instruction) and `OutOfFuel` for every smaller fuel.
+    fn assert_trap_at(m: &MModule, trap: &SimTrap, through: u64) {
+        for fuel in 0..through + 4 {
+            let want = if fuel >= through {
+                trap
+            } else {
+                &SimTrap::OutOfFuel
+            };
+            assert_eq!(&run_fuel(m, fuel).unwrap_err(), want, "fuel {fuel}");
+        }
+    }
+
+    #[test]
+    fn a_trap_before_the_fuel_crossing_wins_and_one_at_or_after_it_loses() {
+        let regs = RegFile::mips_like();
+        let (rv, t0) = (regs.ret_reg(), regs.allocatable()[4]);
+        let copy = |dst, v| MInst::Copy {
+            dst,
+            src: MOperand::Imm(v),
+        };
+        let print = MInst::Print {
+            arg: MOperand::Reg(rv),
+        };
+        // A division by zero in the entry block, at cycle 1 + 1 + 30.
+        let div = straight(
+            "main",
+            vec![
+                copy(t0, 0),
+                copy(rv, 1),
+                MInst::Bin {
+                    op: BinOp::Div,
+                    dst: rv,
+                    lhs: MOperand::Imm(7),
+                    rhs: MOperand::Reg(t0),
+                },
+                print.clone(),
+            ],
+        );
+        assert_trap_at(&module(vec![div]), &SimTrap::DivideByZero, 32);
+
+        // An out-of-bounds load behind a branch and a call: main's entry
+        // block (copy 1, br 1), then call 2, child (copy 1, ret 2), then
+        // store 1 and the load, which ends at cycle 10.
+        let child = straight("child", vec![copy(t0, 5)]);
+        let mut main = func(
+            "main",
+            vec![
+                MBlock {
+                    insts: vec![copy(t0, 0)],
+                    term: MTerminator::Br(BlockId(1)),
+                },
+                MBlock {
+                    insts: vec![
+                        call(0, 0),
+                        store(4, elem(0, 0), MemClass::Data),
+                        load(rv, elem(0, 3), MemClass::Data),
+                        print,
+                    ],
+                    term: MTerminator::Ret,
+                },
+            ],
+            false,
+        );
+        main.frame = frame(&[2]);
+        assert_trap_at(
+            &module(vec![child, main]),
+            &out_of_bounds("frame slot fs0", 3),
+            10,
+        );
+    }
+
+    #[test]
+    fn a_call_whose_own_charge_crosses_runs_out_of_fuel_before_entering() {
+        // Each call ends at cycle 1 + 2; what the callee would do never
+        // matters below that.
+        let regs = RegFile::mips_like();
+        let t0 = regs.allocatable()[4];
+        let copy = MInst::Copy {
+            dst: t0,
+            src: MOperand::Imm(1),
+        };
+        let leaf = || straight("leaf", vec![]);
+        let bad_target = straight(
+            "main",
+            vec![
+                copy.clone(),
+                MInst::Call {
+                    callee: MCallee::Indirect(MOperand::Imm(99)),
+                    num_stack_args: 0,
+                },
+            ],
+        );
+        assert_trap_at(
+            &module(vec![bad_target]),
+            &SimTrap::BadIndirectTarget(99),
+            3,
+        );
+        let too_many_args = straight("main", vec![copy.clone(), call(0, 2)]);
+        assert_trap_at(
+            &module(vec![leaf(), too_many_args]),
+            &out_of_bounds("outgoing-argument area", 1),
+            3,
+        );
+        let m = module(vec![leaf(), straight("main", vec![copy, call(0, 0)])]);
+        let mut opts = SimOptions::for_target(&regs);
+        opts.max_depth = 1;
+        for fuel in 0..6 {
+            opts.fuel = fuel;
+            let want = if fuel >= 3 {
+                SimTrap::StackOverflow
+            } else {
+                SimTrap::OutOfFuel
+            };
+            assert_eq!(run(&m, &regs, &opts).unwrap_err(), want, "fuel {fuel}");
+        }
+    }
+
+    #[test]
+    fn a_callee_trap_wins_when_only_the_callers_later_instructions_cross() {
+        // call 2, then child's load 2 traps at cycle 4; main's copies and
+        // return after the call would need 4 more.
+        let regs = RegFile::mips_like();
+        let (rv, t0) = (regs.ret_reg(), regs.allocatable()[4]);
+        let child = straight(
+            "child",
+            vec![load(rv, MAddress::Incoming(0), MemClass::ScalarHome)],
+        );
+        let copy = |v| MInst::Copy {
+            dst: t0,
+            src: MOperand::Imm(v),
+        };
+        let main = straight("main", vec![call(0, 0), copy(1), copy(2)]);
+        assert_trap_at(
+            &module(vec![child, main]),
+            &out_of_bounds("incoming arguments", 0),
+            4,
+        );
+    }
+
+    #[test]
+    fn a_return_whose_charge_crosses_runs_out_of_fuel_despite_a_violation() {
+        // main: s0 = 1 (1), call (2); child: s0 = 99 (1), ret (2) at
+        // cycle 6, where the convention check would fail.
+        let regs = RegFile::mips_like();
+        let s0 = regs
+            .allocatable_of(ipra_machine::RegClass::CalleeSaved)
+            .next()
+            .unwrap();
+        let copy = |v| MInst::Copy {
+            dst: s0,
+            src: MOperand::Imm(v),
+        };
+        let m = module(vec![
+            straight("child", vec![copy(99)]),
+            straight("main", vec![copy(1), call(0, 0)]),
+        ]);
+        let violation = SimTrap::ConventionViolation {
+            func: "child".into(),
+            reg: s0,
+            before: 1,
+            after: 99,
+        };
+        let mut opts = SimOptions::for_target(&regs).check_preservation(vec![RegMask::EMPTY; 2]);
+        for fuel in 0..10 {
+            opts.fuel = fuel;
+            let want = if fuel >= 6 {
+                &violation
+            } else {
+                &SimTrap::OutOfFuel
+            };
+            assert_eq!(&run(&m, &regs, &opts).unwrap_err(), want, "fuel {fuel}");
+        }
+    }
+
+    #[test]
+    fn a_violation_names_the_lowest_changed_register() {
+        // child overwrites the higher register first; the report still
+        // names the lower one, with its own entry and return values.
+        let regs = RegFile::mips_like();
+        let mut saved: Vec<_> = regs
+            .allocatable_of(ipra_machine::RegClass::CalleeSaved)
+            .take(2)
+            .collect();
+        saved.sort_by_key(|r| r.index());
+        let (lo, hi) = (saved[0], saved[1]);
+        let copy = |dst, v| MInst::Copy {
+            dst,
+            src: MOperand::Imm(v),
+        };
+        let m = module(vec![
+            straight("child", vec![copy(hi, 20), copy(lo, 10)]),
+            straight("main", vec![copy(lo, 1), copy(hi, 2), call(0, 0)]),
+        ]);
+        let opts = SimOptions::for_target(&regs).check_preservation(vec![RegMask::EMPTY; 2]);
+        assert_eq!(
+            run(&m, &regs, &opts).unwrap_err(),
+            SimTrap::ConventionViolation {
+                func: "child".into(),
+                reg: lo,
+                before: 1,
+                after: 10,
+            }
+        );
     }
 }

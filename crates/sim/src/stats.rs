@@ -123,7 +123,8 @@ pub struct Stats {
     pub edge_penalty: Vec<EdgePenalty>,
 }
 
-fn class_index(c: MemClass) -> usize {
+/// Index of `c` in the `*_by_class` arrays.
+pub(crate) fn class_index(c: MemClass) -> usize {
     match c {
         MemClass::Data => 0,
         MemClass::ScalarHome => 1,

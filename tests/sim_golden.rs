@@ -260,3 +260,35 @@ fn e_matches_pins() {
 fn inline_c_matches_pins() {
     check(Config::inline_c());
 }
+
+/// The fuel bound is exact on real programs: a budget of exactly the
+/// pinned cycle count finishes with the pinned result, and one cycle
+/// less runs out of fuel.
+#[test]
+fn fuel_of_exactly_the_pinned_cycles_suffices_and_one_less_does_not() {
+    let mut config = Config::c();
+    config.opts.jobs = 1;
+    let regs = &config.target.regs;
+    for name in ["pf", "upas", "calcc"] {
+        let &(_, _, cycles, pinned, _) = PINS
+            .iter()
+            .find(|pin| pin.0 == name && pin.1 == "C")
+            .expect("pinned under C");
+        let w = ipra_workloads::by_name(name).expect("corpus workload");
+        let module = ipra_workloads::compile_workload(w).unwrap();
+        let compiled = compile_only(&module, &config);
+        let mut opts = SimOptions::for_target(regs).check_preservation(compiled.clobber_masks);
+        opts.fuel = cycles;
+        let r = ipra_sim::run(&compiled.mmodule, regs, &opts)
+            .unwrap_or_else(|t| panic!("[{name}] trapped with fuel {cycles}: {t}"));
+        assert_eq!(r.stats.cycles, cycles, "[{name}] cycles");
+        assert_eq!(digest(&render(&r)), pinned, "[{name}] result");
+        opts.fuel = cycles - 1;
+        assert_eq!(
+            ipra_sim::run(&compiled.mmodule, regs, &opts).unwrap_err(),
+            ipra_sim::SimTrap::OutOfFuel,
+            "[{name}] fuel {}",
+            cycles - 1
+        );
+    }
+}
