@@ -136,9 +136,9 @@ fn main() -> ExitCode {
         // so traced runs of this harness carry them like any other metric.
         for (pipeline, d) in [("fresh", &baseline), ("reused", &reuse)] {
             let labels = &[("pipeline", pipeline), ("program", name.as_str())];
-            ipra_obs::metric_gauge("recompile.heap_allocs", labels, d.allocs as i64);
-            ipra_obs::metric_gauge("recompile.heap_bytes", labels, d.bytes as i64);
-            ipra_obs::metric_gauge("recompile.heap_peak_bytes", labels, d.peak_bytes as i64);
+            ipra_obs::gauge("recompile.heap_allocs", labels, d.allocs as i64);
+            ipra_obs::gauge("recompile.heap_bytes", labels, d.bytes as i64);
+            ipra_obs::gauge("recompile.heap_peak_bytes", labels, d.peak_bytes as i64);
         }
 
         let row = Row {

@@ -68,9 +68,10 @@ impl Openness {
 
     /// Reports the open/closed split to the observability sink.
     pub fn record_stats(&self) {
-        ipra_obs::counter("callgraph.open_funcs", self.num_open() as u64);
+        ipra_obs::counter("callgraph.open_funcs", &[], self.num_open() as u64);
         ipra_obs::counter(
             "callgraph.closed_funcs",
+            &[],
             self.reasons.iter().filter(|r| r.is_empty()).count() as u64,
         );
     }

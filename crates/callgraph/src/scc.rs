@@ -111,14 +111,16 @@ impl SccInfo {
     /// Called once per compilation (helper passes may compute extra SCC
     /// decompositions; those are not reported).
     pub fn record_stats(&self) {
-        ipra_obs::counter("callgraph.functions", self.component_of.len() as u64);
-        ipra_obs::counter("callgraph.sccs", self.components.len() as u64);
+        ipra_obs::counter("callgraph.functions", &[], self.component_of.len() as u64);
+        ipra_obs::counter("callgraph.sccs", &[], self.components.len() as u64);
         ipra_obs::counter(
             "callgraph.recursive_funcs",
+            &[],
             self.on_cycle.iter().filter(|&&c| c).count() as u64,
         );
         ipra_obs::counter(
             "callgraph.largest_scc",
+            &[],
             self.components.iter().map(|c| c.len()).max().unwrap_or(0) as u64,
         );
     }

@@ -59,7 +59,11 @@ impl Liveness {
             &BitSet::new(nv),
             &transfer,
         );
-        ipra_obs::counter("dataflow.liveness.iterations", r.iterations as u64);
+        ipra_obs::counter(
+            "dataflow.liveness.iterations",
+            &[("func", &func.name)],
+            r.iterations as u64,
+        );
 
         Liveness {
             live_in: r.entry,

@@ -155,16 +155,6 @@ pub fn allocate_function_with(
     let func = &module.funcs[fid];
     let ranges_span = ipra_obs::span("ranges");
     let (analyses, memo_hit) = analyses.get_or_compute(body_hash, func);
-    let result = if memo_hit { "hit" } else { "miss" };
-    ipra_obs::counter(
-        if memo_hit {
-            "analysis.hit"
-        } else {
-            "analysis.miss"
-        },
-        1,
-    );
-    ipra_obs::metric_counter("analysis.lookup", &[("result", result)], 1);
     let cfg = &analyses.cfg;
     let loops = &analyses.loops;
     let liveness = &analyses.liveness;
@@ -356,7 +346,7 @@ pub fn allocate_function_with(
     };
 
     let shrink_span = ipra_obs::span("shrink_wrap");
-    let (locally_saved, save_plan, shrink_iterations);
+    let (locally_saved, save_plan);
     // Registers whose local save landed at the entry and was therefore
     // propagated up the call graph instead (§6) — fed to the penalty
     // ledger below.
@@ -364,7 +354,6 @@ pub fn allocate_function_with(
     if opts.mode == AllocMode::NoAlloc {
         locally_saved = RegMask::EMPTY;
         save_plan = SavePlan::at_entry_exits(cfg, RegMask::EMPTY);
-        shrink_iterations = 0;
     } else if !inter || is_open {
         // Intra-procedural or open: every callee-saved register used here —
         // or clobbered below a call — must be protected locally (§3: "when
@@ -376,11 +365,9 @@ pub fn allocate_function_with(
             let app = app_for(candidates, &mut scratch.masks);
             let plan = shrink_wrap_with(cfg, loops, &app, &mut scratch.masks);
             scratch.masks.give(app);
-            shrink_iterations = plan.iterations;
             save_plan = plan;
         } else {
             save_plan = SavePlan::at_entry_exits(cfg, candidates);
-            shrink_iterations = 0;
         }
         locally_saved = candidates;
     } else if !opts.shrink_wrap {
@@ -388,7 +375,6 @@ pub fn allocate_function_with(
         // save propagates to the ancestors (§3).
         locally_saved = RegMask::EMPTY;
         save_plan = SavePlan::at_entry_exits(cfg, RegMask::EMPTY);
-        shrink_iterations = 0;
     } else {
         // Closed + shrink-wrap: the §6 rule. Consider locally protecting
         // each callee-saved register used here; keep the protection only if
@@ -397,7 +383,6 @@ pub fn allocate_function_with(
         let app = app_for(consider, &mut scratch.masks);
         let plan = shrink_wrap_with(cfg, loops, &app, &mut scratch.masks);
         scratch.masks.give(app);
-        shrink_iterations = plan.iterations;
         propagated = RegMask(consider.0 & plan.entry_spanning.0);
         let keep = RegMask(consider.0 & !plan.entry_spanning.0);
         // The analysis is bitwise-independent per register, so dropping the
@@ -409,12 +394,24 @@ pub fn allocate_function_with(
             restore_at: strip(&plan.restore_at),
             entry_spanning: RegMask::EMPTY,
             iterations: plan.iterations,
+            antav_sweeps: plan.antav_sweeps,
         };
         locally_saved = keep;
     }
     drop(shrink_span);
     scratch.masks.give(occupancy);
-    ipra_obs::counter("shrink_wrap.iterations", shrink_iterations as u64);
+    let shrink_iterations = save_plan.iterations;
+    let func_label = [("func", func.name.as_str())];
+    ipra_obs::counter(
+        "shrink_wrap.iterations",
+        &func_label,
+        u64::from(shrink_iterations),
+    );
+    ipra_obs::counter(
+        "shrink_wrap.antav.sweeps",
+        &func_label,
+        u64::from(save_plan.antav_sweeps),
+    );
 
     // Summary.
     let summary = if inter && !is_open && opts.mode != AllocMode::NoAlloc {
@@ -499,7 +496,7 @@ pub fn allocate_function_with(
                 let callee = site
                     .callee
                     .map_or("<indirect>", |c| module.funcs[c].name.as_str());
-                ipra_obs::metric_counter(
+                ipra_obs::counter(
                     "penalty.callsite.saved_regs",
                     &[("caller", &func.name), ("callee", callee)],
                     saved,
@@ -507,24 +504,24 @@ pub fn allocate_function_with(
             }
         }
         if locally_saved.count() > 0 {
-            ipra_obs::metric_counter(
+            ipra_obs::counter(
                 "penalty.prologue.saved_regs",
-                &[("func", &func.name)],
+                &func_label,
                 locally_saved.count() as u64,
             );
             let off_entry = RegMask(locally_saved.0 & !save_plan.save_at[cfg.entry.index()].0);
             if off_entry.count() > 0 {
-                ipra_obs::metric_counter(
+                ipra_obs::counter(
                     "shrink_wrap.off_entry_regs",
-                    &[("func", &func.name)],
+                    &func_label,
                     off_entry.count() as u64,
                 );
             }
         }
         if propagated.count() > 0 {
-            ipra_obs::metric_counter(
+            ipra_obs::counter(
                 "shrink_wrap.propagated_regs",
-                &[("func", &func.name)],
+                &func_label,
                 propagated.count() as u64,
             );
         }

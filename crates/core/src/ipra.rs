@@ -197,15 +197,16 @@ pub(crate) fn compile_module_impl(
     // Observability is re-emitted per compile even when the preparation
     // replayed from the memo, so traces stay identical across pipeline
     // temperature.
-    ipra_obs::counter("promote.promoted", promotion.promoted as u64);
+    ipra_obs::counter("promote.promoted", &[], promotion.promoted as u64);
     ipra_obs::counter(
         "promote.accesses_rewritten",
+        &[],
         promotion.accesses_rewritten as u64,
     );
     if prep.inline_on {
-        ipra_obs::counter("inline.sites_considered", prep.inline.sites_considered);
-        ipra_obs::counter("inline.inlined", prep.inline.inlined);
-        ipra_obs::counter("inline.budget_stops", prep.inline.budget_stops);
+        ipra_obs::counter("inline.sites_considered", &[], prep.inline.sites_considered);
+        ipra_obs::counter("inline.inlined", &[], prep.inline.inlined);
+        ipra_obs::counter("inline.budget_stops", &[], prep.inline.budget_stops);
     }
     scc.record_stats();
     openness.record_stats();
@@ -215,10 +216,10 @@ pub(crate) fn compile_module_impl(
     // produces identical metrics.
     if ipra_obs::is_enabled() {
         for comp in &scc.components {
-            ipra_obs::metric_observe("callgraph.scc_size", &[], comp.len() as u64);
+            ipra_obs::observe("callgraph.scc_size", &[], comp.len() as u64);
         }
         for wave in scc.levels(cg) {
-            ipra_obs::metric_observe("wave.width", &[], wave.len() as u64);
+            ipra_obs::observe("wave.width", &[], wave.len() as u64);
         }
     }
 
@@ -367,9 +368,6 @@ pub(crate) fn compile_module_impl(
                 if cache.is_some() {
                     cache_stats.misses += 1;
                     cache_stats.recompiled.push(module.funcs[fid].name.clone());
-                    let _obs = ipra_obs::scope(&module.funcs[fid].name);
-                    ipra_obs::counter("cache.miss", 1);
-                    ipra_obs::metric_counter("cache.lookup", &[("result", "miss")], 1);
                 }
                 results[fid.index()] = Some(FuncResult::Fresh(Box::new(art)));
             } else {
@@ -383,17 +381,14 @@ pub(crate) fn compile_module_impl(
                 // A hit whose direct callee was recompiled is an early
                 // cutoff: the callee changed but its summary bytes did
                 // not, so invalidation stopped here.
-                let cutoff = cg.callees(fid).iter().any(|c| recompiled[c.index()]);
+                if cg.callees(fid).iter().any(|c| recompiled[c.index()]) {
+                    cache_stats.cutoffs += 1;
+                }
                 {
+                    // The replay shows as a `cache.hit` phase of the
+                    // function's trace.
                     let _obs = ipra_obs::scope(&module.funcs[fid].name);
                     let _t = ipra_obs::span("cache.hit");
-                    ipra_obs::counter("cache.hit", 1);
-                    ipra_obs::metric_counter("cache.lookup", &[("result", "hit")], 1);
-                    if cutoff {
-                        cache_stats.cutoffs += 1;
-                        ipra_obs::counter("cache.cutoff", 1);
-                        ipra_obs::metric_counter("cache.lookup", &[("result", "cutoff")], 1);
-                    }
                 }
                 results[fid.index()] = Some(FuncResult::Cached(entry, idx));
             }

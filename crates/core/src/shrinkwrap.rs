@@ -35,6 +35,9 @@ pub struct SavePlan {
     pub entry_spanning: RegMask,
     /// Range-extension iterations used (paper: "from one to two").
     pub iterations: u32,
+    /// ANT/AV fixpoint sweeps, summed over every placement solve of the
+    /// plan (0 for a plan not computed by shrink-wrapping).
+    pub antav_sweeps: u32,
 }
 
 impl SavePlan {
@@ -65,6 +68,7 @@ impl SavePlan {
             restore_at,
             entry_spanning: regs,
             iterations: 0,
+            antav_sweeps: 0,
         }
     }
 }
@@ -100,17 +104,17 @@ pub fn shrink_wrap_with(
     // across wave shards, so the module-level picture is scheduling-
     // independent.
     if ipra_obs::is_enabled() {
-        ipra_obs::metric_observe(
+        ipra_obs::observe(
             "shrink_wrap.save_points",
             &[],
             u64::from(plan.save_points()),
         );
-        ipra_obs::metric_observe(
+        ipra_obs::observe(
             "shrink_wrap.restore_points",
             &[],
             u64::from(plan.restore_points()),
         );
-        ipra_obs::metric_observe("shrink_wrap.rounds", &[], u64::from(plan.iterations));
+        ipra_obs::observe("shrink_wrap.rounds", &[], u64::from(plan.iterations));
     }
     plan
 }
@@ -136,12 +140,14 @@ fn shrink_wrap_inner(
     apply_loop_constraint(loops, &mut app);
 
     let mut iterations = 0u32;
+    let mut antav_sweeps = 0u32;
     let plan = loop {
         // One span per range-extension round, nested under the phase span,
         // so rounds can be costed individually in the trace.
         let _round = ipra_obs::span("shrink_wrap.round");
         iterations += 1;
         let sol = solve_placement(cfg, &app, masks);
+        antav_sweeps += sol.plan.antav_sweeps;
         let problems = find_problems(cfg, &app_orig, &sol);
         if problems.is_empty() {
             debug_assert_eq!(verify_plan(cfg, &app_orig, &sol.plan), Ok(()));
@@ -162,6 +168,7 @@ fn shrink_wrap_inner(
             // classic convention. In practice extension converges in one or
             // two iterations (§5); this bound only protects termination.
             let sol = solve_placement(cfg, &app, masks);
+            antav_sweeps += sol.plan.antav_sweeps;
             let mut bad = RegMask::EMPTY;
             for (_, mask) in find_problems(cfg, &app_orig, &sol) {
                 bad |= mask;
@@ -179,6 +186,7 @@ fn shrink_wrap_inner(
                 };
             }
             let sol = solve_placement(cfg, &reachable_app, masks);
+            antav_sweeps += sol.plan.antav_sweeps;
             masks.give(reachable_app);
             debug_assert_eq!(verify_plan(cfg, &app_orig, &sol.plan), Ok(()));
             break retire(sol, masks);
@@ -187,7 +195,11 @@ fn shrink_wrap_inner(
     };
     masks.give(app);
     masks.give(app_orig);
-    SavePlan { iterations, ..plan }
+    SavePlan {
+        iterations,
+        antav_sweeps,
+        ..plan
+    }
 }
 
 /// Hands a solution's pooled saved-state vectors back and surfaces the
@@ -270,7 +282,7 @@ fn solve_placement(cfg: &Cfg, app: &[RegMask], masks: &mut MaskPool) -> Solution
     // Timed separately so the sweeps counter can be costed under its own
     // sub-span of the shrink_wrap phase.
     let antav_span = ipra_obs::span("shrink_wrap.antav");
-    let mut sweeps = 0u64;
+    let mut sweeps = 0u32;
     let mut changed = true;
     while changed {
         changed = false;
@@ -311,7 +323,6 @@ fn solve_placement(cfg: &Cfg, app: &[RegMask], masks: &mut MaskPool) -> Solution
         }
     }
 
-    ipra_obs::counter("shrink_wrap.antav.sweeps", sweeps);
     drop(antav_span);
 
     // SAVE_i = ANTIN_i · ¬AVIN_i · ∏_{j∈pred} ¬ANTIN_j            (3.5)
@@ -350,6 +361,7 @@ fn solve_placement(cfg: &Cfg, app: &[RegMask], masks: &mut MaskPool) -> Solution
             restore_at,
             entry_spanning,
             iterations: 0,
+            antav_sweeps: sweeps,
         },
         must_in,
         may_in,

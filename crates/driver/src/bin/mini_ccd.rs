@@ -18,6 +18,7 @@
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use ipra_driver::service::{Service, ServiceConfig};
 
@@ -68,6 +69,18 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<DaemonArgs, Str
     })
 }
 
+/// Joins the session threads that have finished, so the daemon holds a
+/// thread, and its stack, only for each live session.
+fn reap(workers: &mut Vec<JoinHandle<()>>) {
+    let (done, live) = std::mem::take(workers)
+        .into_iter()
+        .partition(|w: &JoinHandle<()>| w.is_finished());
+    *workers = live;
+    for w in done {
+        let _ = w.join();
+    }
+}
+
 fn real_main() -> Result<(), String> {
     let args = parse_args_from(std::env::args().skip(1))?;
     let service = Arc::new(Service::new(args.config));
@@ -100,6 +113,7 @@ fn real_main() -> Result<(), String> {
         if service.shutdown_requested() {
             break;
         }
+        reap(&mut workers);
         let svc = Arc::clone(&service);
         let sock = path.clone();
         workers.push(std::thread::spawn(move || {

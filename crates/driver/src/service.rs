@@ -237,7 +237,7 @@ impl Service {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    fn metric_counter(&self, name: &'static str, labels: &[(&str, &str)], v: u64) {
+    fn count(&self, name: &'static str, labels: &[(&str, &str)], v: u64) {
         self.metrics.lock().unwrap().add_counter(name, labels, v);
     }
 
@@ -274,19 +274,19 @@ impl Service {
     /// other sessions are unaffected. This function never panics on
     /// malformed input.
     pub fn serve_session(&self, mut r: impl Read, mut w: impl Write) -> Result<u64, FrameError> {
-        self.metric_counter("service.sessions", &[], 1);
+        self.count("service.sessions", &[], 1);
         let mut served = 0u64;
         loop {
             let req = match read_frame_with_limit(&mut r, self.config.max_frame_len) {
                 Ok(v) => v,
                 Err(FrameError::Closed) => return Ok(served),
                 Err(e @ FrameError::TooLarge { .. }) => {
-                    self.metric_counter("service.protocol_errors", &[("kind", "too_large")], 1);
+                    self.count("service.protocol_errors", &[("kind", "too_large")], 1);
                     let _ = write_frame(&mut w, &error_response(&Json::Null, &e.to_string()));
                     return Ok(served);
                 }
                 Err(FrameError::Parse(msg)) => {
-                    self.metric_counter("service.protocol_errors", &[("kind", "parse")], 1);
+                    self.count("service.protocol_errors", &[("kind", "parse")], 1);
                     write_frame(
                         &mut w,
                         &error_response(&Json::Null, &format!("bad request: {msg}")),
@@ -299,7 +299,7 @@ impl Service {
                         FrameError::Truncated => "truncated",
                         _ => "transport",
                     };
-                    self.metric_counter("service.protocol_errors", &[("kind", kind)], 1);
+                    self.count("service.protocol_errors", &[("kind", kind)], 1);
                     return Err(e);
                 }
             };
@@ -383,7 +383,7 @@ impl Service {
         };
 
         let Some(slot) = self.admission.acquire() else {
-            self.metric_counter("service.busy_rejections", &[], 1);
+            self.count("service.busy_rejections", &[], 1);
             return Json::obj(vec![
                 ("id", id.clone()),
                 ("status", Json::Str("busy".into())),
@@ -442,7 +442,7 @@ impl Service {
             compiled.analysis.misses == 0 && compiled.analysis.hits > 0
         };
         if warm {
-            self.metric_counter("service.warm_hits", &[], 1);
+            self.count("service.warm_hits", &[], 1);
         }
 
         let mut fields = vec![

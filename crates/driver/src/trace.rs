@@ -1,10 +1,10 @@
 //! Aggregation of raw observability records into a per-compilation report.
 //!
-//! [`CompileTrace`] groups the spans, counters and decision events emitted
-//! by the pipeline (see `ipra-obs`) by function, pairs them with the
-//! simulator's per-function attribution, and renders either a
-//! human-readable report or a JSON document (hand-rolled — the workspace
-//! carries no serde).
+//! [`CompileTrace`] groups the spans and decision events emitted by the
+//! pipeline (see `ipra-obs`) by function, pairs them with the simulator's
+//! per-function attribution, carries the registry's counts as they are,
+//! and renders either a human-readable report or a JSON document
+//! (hand-rolled — the workspace carries no serde).
 
 use ipra_core::cache::CacheStats;
 use ipra_core::ipra::CompiledModule;
@@ -71,9 +71,6 @@ pub struct FuncTrace {
     pub name: String,
     /// Pipeline phase timings, in completion order.
     pub phases: Vec<PhaseTime>,
-    /// Counters summed per name, sorted by name (e.g.
-    /// `dataflow.liveness.iterations`, `shrink_wrap.iterations`).
-    pub counters: Vec<(String, u64)>,
     /// Per-vreg allocation decisions, in decision order.
     pub decisions: Vec<AllocDecision>,
     /// Simulator attribution (present when the program ran).
@@ -161,9 +158,6 @@ pub struct SimTrace {
 pub struct CompileTrace {
     /// Configuration label the module was compiled under.
     pub config: String,
-    /// Module-level counters (call-graph shape, promotion), summed per
-    /// name and sorted by name.
-    pub module_counters: Vec<(String, u64)>,
     /// Per-function traces, in function-id order.
     pub funcs: Vec<FuncTrace>,
     /// Simulator summary, when the program was run.
@@ -177,8 +171,9 @@ pub struct CompileTrace {
     /// order, the `<entry>` edge last), then statically-planned edges the
     /// run never took, in name order.
     pub penalty_by_edge: Vec<PenaltyEdge>,
-    /// Labeled metrics recorded during the compile (registry snapshot;
-    /// serialized sorted by `(name, labels)`).
+    /// Every count recorded during the compile (registry snapshot;
+    /// serialized sorted by `(name, labels)`): module-level counters are
+    /// unlabeled, per-function ones carry a `func` label.
     pub metrics: Metrics,
 }
 
@@ -220,18 +215,6 @@ fn phase_tree(raw: &Trace, func: &str) -> Vec<PhaseTime> {
     top.into_iter().map(|s| build(s, &by_parent)).collect()
 }
 
-fn sum_counters(items: impl Iterator<Item = (String, u64)>) -> Vec<(String, u64)> {
-    let mut out: Vec<(String, u64)> = Vec::new();
-    for (name, v) in items {
-        match out.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, total)) => *total += v,
-            None => out.push((name, v)),
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
 impl CompileTrace {
     /// Builds the aggregated trace from the raw records of one compilation,
     /// the compiled module (for the function list) and, optionally, the
@@ -242,13 +225,6 @@ impl CompileTrace {
         compiled: &CompiledModule,
         stats: Option<&Stats>,
     ) -> CompileTrace {
-        let module_counters = sum_counters(
-            raw.counters
-                .iter()
-                .filter(|c| c.scope.is_empty())
-                .map(|c| (c.name.to_string(), c.value)),
-        );
-
         let funcs = compiled
             .reports
             .iter()
@@ -256,12 +232,6 @@ impl CompileTrace {
             .map(|(fi, report)| {
                 let name = report.name.clone();
                 let phases = phase_tree(raw, &name);
-                let counters = sum_counters(
-                    raw.counters
-                        .iter()
-                        .filter(|c| c.scope == name)
-                        .map(|c| (c.name.to_string(), c.value)),
-                );
                 let decisions = raw
                     .events
                     .iter()
@@ -300,7 +270,6 @@ impl CompileTrace {
                 FuncTrace {
                     name,
                     phases,
-                    counters,
                     decisions,
                     sim,
                 }
@@ -400,7 +369,6 @@ impl CompileTrace {
 
         CompileTrace {
             config: config.to_string(),
-            module_counters,
             funcs,
             sim,
             cache: compiled.cache.enabled.then(|| compiled.cache.clone()),
@@ -415,8 +383,8 @@ impl CompileTrace {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "== compile trace [{}] ==", self.config);
-        for (name, v) in &self.module_counters {
-            let _ = writeln!(out, "  {name}: {v}");
+        for c in self.metrics.counters_labeled(&[]) {
+            let _ = writeln!(out, "  {}: {}", c.name, c.value);
         }
         if let Some(c) = &self.cache {
             let _ = writeln!(
@@ -443,8 +411,8 @@ impl CompileTrace {
             for p in &f.phases {
                 write_phase(&mut out, p, 0);
             }
-            for (name, v) in &f.counters {
-                let _ = writeln!(out, "  {name}: {v}");
+            for c in self.metrics.counters_labeled(&[("func", &f.name)]) {
+                let _ = writeln!(out, "  {}: {}", c.name, c.value);
             }
             let regs = f.decisions.iter().filter(|d| d.reg.is_some()).count();
             let split = f.decisions.iter().filter(|d| d.kind == "split").count();
@@ -503,13 +471,6 @@ impl CompileTrace {
     /// Serializes to the JSON schema documented in `DESIGN.md`
     /// ("Observability").
     pub fn to_json(&self) -> Json {
-        let counters_obj = |cs: &[(String, u64)]| {
-            Json::Obj(
-                cs.iter()
-                    .map(|(n, v)| (n.clone(), Json::Int(*v as i64)))
-                    .collect(),
-            )
-        };
         let funcs = self
             .funcs
             .iter()
@@ -541,7 +502,6 @@ impl CompileTrace {
                 let mut fields = vec![
                     ("name", Json::Str(f.name.clone())),
                     ("phases", Json::Arr(phases)),
-                    ("counters", counters_obj(&f.counters)),
                     ("decisions", Json::Arr(decisions)),
                 ];
                 if let Some(s) = &f.sim {
@@ -563,10 +523,6 @@ impl CompileTrace {
 
         let mut root = vec![
             ("config", Json::Str(self.config.clone())),
-            (
-                "module",
-                Json::obj(vec![("counters", counters_obj(&self.module_counters))]),
-            ),
             ("functions", Json::Arr(funcs)),
         ];
         if let Some(c) = &self.cache {
@@ -648,23 +604,5 @@ impl CompileTrace {
         ));
         root.push(("metrics", self.metrics.to_json()));
         Json::Obj(root.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_are_summed_and_sorted() {
-        let items = vec![
-            ("b".to_string(), 2u64),
-            ("a".to_string(), 1),
-            ("b".to_string(), 3),
-        ];
-        assert_eq!(
-            sum_counters(items.into_iter()),
-            vec![("a".to_string(), 1), ("b".to_string(), 5)]
-        );
     }
 }

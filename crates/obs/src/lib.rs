@@ -1,15 +1,19 @@
 //! Zero-dependency observability for the ipra compilation pipeline.
 //!
-//! The crate provides three primitives:
+//! The crate provides three kinds of record:
 //!
 //! - [`span`] — a monotonic wall-clock timer recorded when the returned
 //!   [`Span`] guard drops;
-//! - [`counter`] — a named additive counter;
 //! - [`event`] — a structured event whose fields are built lazily by a
-//!   closure, so the disabled path allocates nothing.
+//!   closure, so the disabled path allocates nothing;
+//! - the registry instruments [`counter`], [`gauge`] and [`observe`] —
+//!   labeled counts aggregated per `(name, labels)` in the trace's
+//!   [`metrics::Metrics`], the only place a count is kept.
 //!
-//! Records carry the current *scope* (typically a function name), pushed
-//! with [`scope`] and popped when the returned [`ScopeGuard`] drops.
+//! Spans and events carry the current *scope* (typically a function
+//! name), pushed with [`scope`] and popped when the returned
+//! [`ScopeGuard`] drops. The registry does not read the scope: a count
+//! that belongs to one function says so with a `func` label.
 //!
 //! # Cost model
 //!
@@ -28,11 +32,11 @@
 //! {
 //!     let _fn = ipra_obs::scope("main");
 //!     let _t = ipra_obs::span("color");
-//!     ipra_obs::counter("colored_vregs", 7);
+//!     ipra_obs::counter("colored_vregs", &[("func", "main")], 7);
 //! }
 //! let trace = ipra_obs::disable();
-//! assert_eq!(trace.spans.len(), 1);
-//! assert_eq!(trace.counters[0].name, "colored_vregs");
+//! assert_eq!(trace.spans[0].scope, "main");
+//! assert_eq!(trace.metrics.counter_value("colored_vregs", &[("func", "main")]), 7);
 //! ```
 
 #![warn(missing_docs)]
@@ -123,17 +127,6 @@ pub struct SpanRec {
     pub lane: u32,
 }
 
-/// A counter increment.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CounterRec {
-    /// Scope stack at the time of the increment (empty for module level).
-    pub scope: String,
-    /// Counter name, e.g. `"shrink_wrap.iterations"`.
-    pub name: &'static str,
-    /// Amount added.
-    pub value: u64,
-}
-
 /// A structured event.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EventRec {
@@ -150,31 +143,17 @@ pub struct EventRec {
 pub struct Trace {
     /// Completed spans in completion order.
     pub spans: Vec<SpanRec>,
-    /// Counter increments in emission order (not pre-aggregated).
-    pub counters: Vec<CounterRec>,
     /// Structured events in emission order.
     pub events: Vec<EventRec>,
-    /// Labeled metrics recorded via [`metric_counter`], [`metric_gauge`]
-    /// and [`metric_observe`], pre-aggregated per `(name, labels)`.
+    /// Counts recorded via [`counter`], [`gauge`] and [`observe`],
+    /// aggregated per `(name, labels)`.
     pub metrics: Metrics,
 }
 
 impl Trace {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.events.is_empty()
-            && self.metrics.is_empty()
-    }
-
-    /// Sums all increments of `name` within `scope`.
-    pub fn counter_total(&self, scope: &str, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|c| c.scope == scope && c.name == name)
-            .map(|c| c.value)
-            .sum()
+        self.spans.is_empty() && self.events.is_empty() && self.metrics.is_empty()
     }
 }
 
@@ -348,8 +327,8 @@ impl Drop for Span {
 /// keeping per-shard span order meaningful under a single virtual clock.
 /// Each shard's spans land on fresh lanes (numbered in absorption order,
 /// preserving the shard's own lane structure), so the Chrome exporter can
-/// render logical parallel work side by side. Labeled metrics merge
-/// per-instance: counters add, gauges take the shard's value, histograms
+/// render logical parallel work side by side. Registry instances merge
+/// one by one: counters add, gauges take the shard's value, histograms
 /// merge bucket-wise.
 pub fn absorb(shard: Trace) {
     if shard.is_empty() || !is_enabled() {
@@ -386,22 +365,8 @@ pub fn absorb(shard: Trace) {
         if let Some(m) = max_lane {
             c.next_lane = lane_base + m + 1;
         }
-        c.trace.counters.extend(shard.counters);
         c.trace.events.extend(shard.events);
         c.trace.metrics.merge(&shard.metrics);
-    });
-}
-
-/// Adds `value` to the named counter. No-op when tracing is disabled.
-pub fn counter(name: &'static str, value: u64) {
-    if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    SINK.with(|s| {
-        if let Some(c) = s.borrow_mut().as_mut() {
-            let scope = c.current_scope();
-            c.trace.counters.push(CounterRec { scope, name, value });
-        }
     });
 }
 
@@ -423,11 +388,11 @@ pub fn event(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Tra
     });
 }
 
-/// Adds `v` to the labeled metric counter `(name, labels)`. Unlike
-/// [`counter`], metric counters are scope-free, pre-aggregated per label
-/// set, and merge additively across shards. No-op when tracing is
-/// disabled; labels are only copied on first use of an instance.
-pub fn metric_counter(name: &'static str, labels: &[(&str, &str)], v: u64) {
+/// Adds `v` to the counter instance `(name, labels)`; an empty label set
+/// is a module-level count. Counters merge additively across shards.
+/// No-op when tracing is disabled; labels are only copied on first use
+/// of an instance.
+pub fn counter(name: &'static str, labels: &[(&str, &str)], v: u64) {
     if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
         return;
     }
@@ -438,9 +403,9 @@ pub fn metric_counter(name: &'static str, labels: &[(&str, &str)], v: u64) {
     });
 }
 
-/// Sets the labeled gauge `(name, labels)` to `v` (last write wins, also
+/// Sets the gauge instance `(name, labels)` to `v` (last write wins, also
 /// across [`absorb`]). No-op when tracing is disabled.
-pub fn metric_gauge(name: &'static str, labels: &[(&str, &str)], v: i64) {
+pub fn gauge(name: &'static str, labels: &[(&str, &str)], v: i64) {
     if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
         return;
     }
@@ -451,9 +416,9 @@ pub fn metric_gauge(name: &'static str, labels: &[(&str, &str)], v: i64) {
     });
 }
 
-/// Records one sample into the labeled log₂-bucket histogram
+/// Records one sample into the log₂-bucket histogram instance
 /// `(name, labels)`. No-op when tracing is disabled.
-pub fn metric_observe(name: &'static str, labels: &[(&str, &str)], v: u64) {
+pub fn observe(name: &'static str, labels: &[(&str, &str)], v: u64) {
     if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
         return;
     }
@@ -473,7 +438,9 @@ mod tests {
         // No enable() on this thread: everything must be a no-op.
         let _g = scope("f");
         let _t = span("phase");
-        counter("n", 3);
+        counter("n", &[], 3);
+        gauge("g", &[], 1);
+        observe("h", &[], 2);
         event("ev", || panic!("field closure must not run when disabled"));
         assert!(!is_enabled());
         assert!(disable().is_empty());
@@ -482,13 +449,13 @@ mod tests {
     #[test]
     fn records_spans_counters_events_with_scopes() {
         enable();
-        counter("module_level", 1);
+        counter("module_level", &[], 1);
         {
             let _f = scope("main");
             {
                 let _t = span("color");
-                counter("colored", 2);
-                counter("colored", 3);
+                counter("colored", &[("func", "main")], 2);
+                counter("colored", &[("func", "main")], 3);
             }
             event("decision", || {
                 vec![
@@ -498,38 +465,42 @@ mod tests {
             });
             {
                 let _inner = scope("loop0");
-                counter("nested", 1);
+                event("nested", Vec::new);
             }
         }
         let trace = disable();
 
-        assert_eq!(trace.counters[0].scope, "");
-        assert_eq!(trace.counter_total("main", "colored"), 5);
-        assert_eq!(trace.counters.last().unwrap().scope, "main/loop0");
+        // The registry ignores the scope: instances are keyed by labels.
+        let m = &trace.metrics;
+        assert_eq!(m.counter_value("module_level", &[]), 1);
+        assert_eq!(m.counter_value("colored", &[("func", "main")]), 5);
+        assert_eq!(m.counter_value("colored", &[]), 0);
 
         assert_eq!(trace.spans.len(), 1);
         let sp = &trace.spans[0];
         assert_eq!((sp.scope.as_str(), sp.name), ("main", "color"));
         assert!(sp.start_ns <= sp.start_ns + sp.dur_ns);
 
-        assert_eq!(trace.events.len(), 1);
+        assert_eq!(trace.events.len(), 2);
+        assert_eq!(trace.events[0].scope, "main");
         assert_eq!(trace.events[0].fields[1].1.as_str(), Some("split"));
+        assert_eq!(trace.events[1].scope, "main/loop0");
 
         // Sink is gone now.
         assert!(!is_enabled());
-        counter("late", 9);
+        counter("late", &[], 9);
         assert!(disable().is_empty());
     }
 
     #[test]
     fn enable_resets_previous_trace() {
         enable();
-        counter("a", 1);
+        counter("a", &[], 1);
         enable();
-        counter("b", 2);
+        counter("b", &[], 2);
         let trace = disable();
-        assert_eq!(trace.counters.len(), 1);
-        assert_eq!(trace.counters[0].name, "b");
+        assert_eq!(trace.metrics.counters.len(), 1);
+        assert_eq!(trace.metrics.counters[0].name, "b");
     }
 
     #[test]
@@ -579,7 +550,7 @@ mod tests {
             {
                 let _p = span("phase");
                 let _c = span("child");
-                counter("n", 2);
+                counter("n", &[("func", "worker_fn")], 2);
             }
             event("ev", || vec![("x", TraceValue::Int(1))]);
             disable()
@@ -612,8 +583,11 @@ mod tests {
         assert_eq!(w_child.parent_id, Some(w_phase.id));
         // Shard times land after everything already recorded.
         assert!(w_phase.start_ns >= main_phase.start_ns + main_phase.dur_ns);
-        // Counters and events come along.
-        assert_eq!(trace.counter_total("worker_fn", "n"), 2);
+        // Counts and events come along.
+        assert_eq!(
+            trace.metrics.counter_value("n", &[("func", "worker_fn")]),
+            2
+        );
         assert_eq!(trace.events.len(), 1);
 
         // Absorbing into a disabled sink is a no-op.
@@ -695,29 +669,29 @@ mod tests {
     #[test]
     fn metrics_record_through_the_sink_and_absorb() {
         // Disabled path records nothing.
-        metric_counter("c", &[("k", "v")], 1);
+        counter("c", &[("k", "v")], 1);
         assert!(disable().metrics.is_empty());
 
         let shard = std::thread::spawn(|| {
             enable();
-            metric_counter("cache.lookup", &[("result", "hit")], 2);
-            metric_observe("wave.width", &[], 4);
+            counter("penalty", &[("edge", "a")], 2);
+            observe("wave.width", &[], 4);
             disable()
         })
         .join()
         .unwrap();
 
         enable();
-        metric_counter("cache.lookup", &[("result", "hit")], 1);
-        metric_counter("cache.lookup", &[("result", "miss")], 1);
-        metric_gauge("jobs", &[], 4);
-        metric_observe("wave.width", &[], 2);
+        counter("penalty", &[("edge", "a")], 1);
+        counter("penalty", &[("edge", "b")], 1);
+        gauge("jobs", &[], 4);
+        observe("wave.width", &[], 2);
         absorb(shard);
         let trace = disable();
 
         let m = &trace.metrics;
-        assert_eq!(m.counter_value("cache.lookup", &[("result", "hit")]), 3);
-        assert_eq!(m.counter_value("cache.lookup", &[("result", "miss")]), 1);
+        assert_eq!(m.counter_value("penalty", &[("edge", "a")]), 3);
+        assert_eq!(m.counter_value("penalty", &[("edge", "b")]), 1);
         assert_eq!(m.histogram("wave.width", &[]).unwrap().count, 2);
         assert_eq!(m.gauges[0].value, 4);
     }
@@ -725,19 +699,19 @@ mod tests {
     #[test]
     fn sinks_are_per_thread() {
         enable();
-        counter("mine", 1);
+        counter("mine", &[], 1);
         std::thread::spawn(|| {
             // Tracing is active on the main thread, but this thread has
             // no sink, so nothing may be recorded or observed here.
             assert!(!is_enabled());
-            counter("other", 7);
+            counter("other", &[], 7);
             event("ev", || vec![("x", TraceValue::Int(1))]);
         })
         .join()
         .unwrap();
         let trace = disable();
-        assert_eq!(trace.counters.len(), 1);
-        assert_eq!(trace.counters[0].name, "mine");
+        assert_eq!(trace.metrics.counters.len(), 1);
+        assert_eq!(trace.metrics.counters[0].name, "mine");
         assert!(trace.events.is_empty());
     }
 }

@@ -1,19 +1,20 @@
-//! Labeled metrics: counters, gauges and log₂-bucket histograms.
+//! The metrics registry: labeled counters, gauges and log₂-bucket
+//! histograms — the one place a count is aggregated.
 //!
-//! The span/counter/event primitives in the crate root answer "what did
-//! this one compilation do"; the metrics registry answers "how much, of
-//! what kind" in a form that merges across threads and across runs. Every
-//! metric carries a name plus a label set (`&[(&str, &str)]`), so one
-//! metric name can be sliced per cache result, per call-graph edge, or per
-//! configuration without inventing new names.
+//! Spans time and events record; the registry counts, in a form that
+//! merges across threads and across runs. Every instance is keyed by a
+//! name plus a label set (`&[(&str, &str)]`), so one metric name can be
+//! sliced per function, per call-graph edge or per configuration without
+//! inventing new names. An empty label set is a module-level count; a
+//! per-function count carries a `func` label.
 //!
 //! Metrics follow the same per-thread shard model as the rest of the
-//! crate: recording goes through [`crate::metric_counter`],
-//! [`crate::metric_gauge`] and [`crate::metric_observe`] into the current
-//! thread's sink, worker shards come back inside [`crate::Trace`], and
-//! [`crate::absorb`] merges them with [`Metrics::merge`] (counters add,
-//! gauges last-write-wins, histograms add bucket-wise). Everything is
-//! plain-old-data: zero dependencies, `Eq`, deterministic JSON.
+//! crate: recording goes through [`crate::counter`], [`crate::gauge`] and
+//! [`crate::observe`] into the current thread's sink, worker shards come
+//! back inside [`crate::Trace`], and [`crate::absorb`] merges them with
+//! [`Metrics::merge`] (counters add, gauges last-write-wins, histograms
+//! add bucket-wise). Everything is plain-old-data: zero dependencies,
+//! `Eq`, deterministic JSON.
 
 use crate::json::Json;
 
@@ -188,9 +189,9 @@ impl std::fmt::Display for Log2Histogram {
 /// One labeled metric instance.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Metric<T> {
-    /// Metric name, e.g. `"cache.lookup"`.
+    /// Metric name, e.g. `"penalty.callsite.saved_regs"`.
     pub name: &'static str,
-    /// Label set in emission order, e.g. `[("result", "hit")]`.
+    /// Label set in emission order, e.g. `[("func", "main")]`.
     pub labels: Vec<(String, String)>,
     /// Current value.
     pub value: T,
@@ -297,6 +298,19 @@ impl Metrics {
             .filter(|m| m.name == name)
             .map(|m| m.value)
             .sum()
+    }
+
+    /// Counter instances whose label set is exactly `labels`, sorted by
+    /// name: the module-level counts for `&[]`, one function's for
+    /// `&[("func", name)]`.
+    pub fn counters_labeled(&self, labels: &[(&str, &str)]) -> Vec<&Metric<u64>> {
+        let mut v: Vec<&Metric<u64>> = self
+            .counters
+            .iter()
+            .filter(|m| labels_match(&m.labels, labels))
+            .collect();
+        v.sort_by_key(|m| m.name);
+        v
     }
 
     /// All counter instances with this name, in recording order.
@@ -485,6 +499,13 @@ mod tests {
             0,
             "unlabeled is its own instance"
         );
+        m.add_counter("b", &[], 1);
+        m.add_counter("a", &[], 2);
+        let names = |labels: &[(&str, &str)]| -> Vec<&str> {
+            m.counters_labeled(labels).iter().map(|c| c.name).collect()
+        };
+        assert_eq!(names(&[]), ["a", "b"], "exact label set, sorted by name");
+        assert_eq!(names(&[("result", "miss")]), ["cache.lookup"]);
     }
 
     #[test]

@@ -1,32 +1,15 @@
 //! Property and edge-case tests for `ipra_obs::json`: randomized
 //! render→parse round trips, escape handling, deep nesting, integer
 //! boundaries and malformed-input rejection. No external property-testing
-//! crate — the generator is a small in-file xorshift PRNG, so failures
-//! reproduce from the printed seed.
+//! crate — each case seeds the workspace PRNG, so a failure names its
+//! seed and `XorShift64Star::new(seed)` replays it.
 
 use ipra_obs::json::{parse, parse_bytes, Json};
-
-/// Deterministic xorshift64* generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use ipra_workloads::synth::XorShift64Star;
 
 /// A random string biased toward characters the escaper must handle:
 /// quotes, backslashes, control characters, multi-byte UTF-8.
-fn random_string(rng: &mut Rng) -> String {
+fn random_string(rng: &mut XorShift64Star) -> String {
     let pool: &[char] = &[
         'a', 'b', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '/', 'é', '→', '𝄞', ' ', '{',
         '}', '[', ']', ':', ',',
@@ -40,13 +23,13 @@ fn random_string(rng: &mut Rng) -> String {
 /// A random value of bounded depth. Floats are drawn from small integral
 /// ratios so they are finite (non-finite values render as `null` and
 /// cannot round-trip by design).
-fn random_value(rng: &mut Rng, depth: u32) -> Json {
+fn random_value(rng: &mut XorShift64Star, depth: u32) -> Json {
     let choices = if depth == 0 { 5 } else { 7 };
     match rng.below(choices) {
         0 => Json::Null,
         1 => Json::Bool(rng.below(2) == 0),
-        2 => Json::Int(rng.next() as i64),
-        3 => Json::Float((rng.next() as i64 % 1_000_000) as f64 / 64.0),
+        2 => Json::Int(rng.next_u64() as i64),
+        3 => Json::Float((rng.next_u64() as i64 % 1_000_000) as f64 / 64.0),
         4 => Json::Str(random_string(rng)),
         5 => Json::Arr(
             (0..rng.below(4))
@@ -63,16 +46,14 @@ fn random_value(rng: &mut Rng, depth: u32) -> Json {
 
 #[test]
 fn random_values_round_trip_compact_and_pretty() {
-    let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
-    for case in 0..500 {
-        let seed = rng.0;
-        let v = random_value(&mut rng, 4);
-        let compact = parse(&v.render())
-            .unwrap_or_else(|e| panic!("case {case} (seed {seed:#x}): compact re-parse: {e}"));
-        assert_eq!(compact, v, "case {case} (seed {seed:#x}), compact");
+    for seed in 0..500 {
+        let v = random_value(&mut XorShift64Star::new(seed), 4);
+        let compact =
+            parse(&v.render()).unwrap_or_else(|e| panic!("seed {seed}: compact re-parse: {e}"));
+        assert_eq!(compact, v, "seed {seed}: compact");
         let pretty = parse(&v.render_pretty())
-            .unwrap_or_else(|e| panic!("case {case} (seed {seed:#x}): pretty re-parse: {e}"));
-        assert_eq!(pretty, v, "case {case} (seed {seed:#x}), pretty");
+            .unwrap_or_else(|e| panic!("seed {seed}: pretty re-parse: {e}"));
+        assert_eq!(pretty, v, "seed {seed}: pretty");
     }
 }
 

@@ -962,15 +962,19 @@ impl ShapeStats {
     /// Reports the statistics to the `ipra-obs` sink, making corpus
     /// calibration assertable from a trace.
     pub fn record(&self) {
-        ipra_obs::counter("shape.funcs", self.funcs as u64);
-        ipra_obs::counter("shape.open_funcs", self.open_funcs as u64);
-        ipra_obs::counter("shape.closed_funcs", self.closed_funcs as u64);
-        ipra_obs::counter("shape.recursive_funcs", self.recursive_funcs as u64);
-        ipra_obs::counter("shape.address_taken_funcs", self.address_taken_funcs as u64);
-        ipra_obs::counter("shape.indirect_sites", self.indirect_sites as u64);
-        ipra_obs::counter("shape.direct_sites", self.direct_sites as u64);
-        ipra_obs::counter("shape.max_call_depth", self.max_call_depth as u64);
-        ipra_obs::counter("shape.max_arity", self.max_arity as u64);
+        ipra_obs::counter("shape.funcs", &[], self.funcs as u64);
+        ipra_obs::counter("shape.open_funcs", &[], self.open_funcs as u64);
+        ipra_obs::counter("shape.closed_funcs", &[], self.closed_funcs as u64);
+        ipra_obs::counter("shape.recursive_funcs", &[], self.recursive_funcs as u64);
+        ipra_obs::counter(
+            "shape.address_taken_funcs",
+            &[],
+            self.address_taken_funcs as u64,
+        );
+        ipra_obs::counter("shape.indirect_sites", &[], self.indirect_sites as u64);
+        ipra_obs::counter("shape.direct_sites", &[], self.direct_sites as u64);
+        ipra_obs::counter("shape.max_call_depth", &[], self.max_call_depth as u64);
+        ipra_obs::counter("shape.max_arity", &[], self.max_arity as u64);
     }
 
     /// Accumulates another module's statistics into a corpus aggregate
@@ -1089,7 +1093,8 @@ mod shape_tests {
         );
     }
 
-    /// Shape stats flow through the `ipra-obs` counter sink.
+    /// Shape stats flow into the `ipra-obs` registry as module-level
+    /// counters.
     #[test]
     fn shape_stats_are_recorded_as_counters() {
         let cfg = ShapeConfig::new(ShapeClass::FnPtrHeavy);
@@ -1099,9 +1104,10 @@ mod shape_tests {
         ipra_obs::enable();
         stats.record();
         let trace = ipra_obs::disable();
-        assert_eq!(trace.counter_total("", "shape.funcs"), stats.funcs as u64);
+        let m = &trace.metrics;
+        assert_eq!(m.counter_value("shape.funcs", &[]), stats.funcs as u64);
         assert_eq!(
-            trace.counter_total("", "shape.open_funcs"),
+            m.counter_value("shape.open_funcs", &[]),
             stats.open_funcs as u64
         );
     }

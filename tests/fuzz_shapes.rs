@@ -95,9 +95,9 @@ fn shape_counters_prove_both_classes_are_exercised() {
             ShapeStats::collect(&module_for(class, seed)).record();
         }
     }
-    let trace = ipra_obs::disable();
-    assert!(trace.counter_total("", "shape.open_funcs") > 0);
-    assert!(trace.counter_total("", "shape.closed_funcs") > 0);
-    assert!(trace.counter_total("", "shape.indirect_sites") > 0);
-    assert!(trace.counter_total("", "shape.funcs") > 0);
+    let m = ipra_obs::disable().metrics;
+    assert!(m.counter_value("shape.open_funcs", &[]) > 0);
+    assert!(m.counter_value("shape.closed_funcs", &[]) > 0);
+    assert!(m.counter_value("shape.indirect_sites", &[]) > 0);
+    assert!(m.counter_value("shape.funcs", &[]) > 0);
 }

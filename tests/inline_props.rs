@@ -1,5 +1,6 @@
-//! Property tests for the inliner's vreg renamer, on a hand-rolled
-//! splitmix64 PRNG (no external crates):
+//! Property tests for the inliner's vreg renamer, on the workspace PRNG
+//! (no external crates; a failure names its seed, and
+//! `XorShift64Star::new(seed)` replays it):
 //!
 //! 1. **Fresh-name injectivity** — [`ipra_core::inline::rename_vregs`]
 //!    maps every callee vreg to a distinct caller vreg that did not
@@ -13,44 +14,33 @@
 use std::collections::HashSet;
 
 use ipra_core::inline::{inline_hot_calls, rename_vregs};
-use ipra_workloads::synth::{random_source, SourceConfig};
+use ipra_workloads::synth::{random_source, SourceConfig, XorShift64Star};
 
-/// splitmix64 — deterministic across platforms, so failures reproduce.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-fn shape(rng: &mut Rng) -> SourceConfig {
+fn shape(rng: &mut XorShift64Star) -> SourceConfig {
+    let mut below = |n: u64| rng.below(n) as usize;
     SourceConfig {
-        num_funcs: 2 + (rng.next() % 6) as usize,
-        num_globals: (rng.next() % 4) as usize,
-        num_arrays: (rng.next() % 3) as usize,
-        stmts_per_func: 1 + (rng.next() % 8) as usize,
-        max_depth: (rng.next() % 4) as usize,
+        num_funcs: 2 + below(6),
+        num_globals: below(4),
+        num_arrays: below(3),
+        stmts_per_func: 1 + below(8),
+        max_depth: below(4),
     }
 }
 
 #[test]
 fn renamer_is_injective_and_fresh_on_random_pairs() {
-    let mut rng = Rng(0xfeed_5eed);
-    for case in 0..64 {
-        let seed = rng.next() % 10_000;
-        let cfg = shape(&mut rng);
-        let module = ipra_frontend::compile(&random_source(seed, &cfg)).expect("valid Mini");
+    for seed in 0..64 {
+        let rng = &mut XorShift64Star::new(seed);
+        let src_seed = rng.below(10_000);
+        let cfg = shape(rng);
+        let module = ipra_frontend::compile(&random_source(src_seed, &cfg))
+            .unwrap_or_else(|e| panic!("seed {seed}: generated Mini rejected: {e}"));
         if module.funcs.len() < 2 {
             continue;
         }
-        let n = module.funcs.len();
-        let caller_id = (rng.next() as usize) % n;
-        let callee_id = (rng.next() as usize) % n;
+        let n = module.funcs.len() as u64;
+        let caller_id = rng.below(n) as usize;
+        let callee_id = rng.below(n) as usize;
         let callee = module.funcs[ipra_ir::FuncId(callee_id as u32)].clone();
         let mut caller = module.funcs[ipra_ir::FuncId(caller_id as u32)].clone();
 
@@ -59,23 +49,23 @@ fn renamer_is_injective_and_fresh_on_random_pairs() {
         assert_eq!(
             map.len(),
             callee.num_vregs(),
-            "case {case}: every callee vreg gets a mapping"
+            "seed {seed}: every callee vreg gets a mapping"
         );
         let distinct: HashSet<_> = map.iter().collect();
         assert_eq!(
             distinct.len(),
             map.len(),
-            "case {case}: renaming must be injective"
+            "seed {seed}: renaming must be injective"
         );
         for v in &map {
             assert!(
                 v.index() >= before,
-                "case {case}: mapped vreg {v:?} existed in the caller before renaming \
+                "seed {seed}: mapped vreg {v:?} existed in the caller before renaming \
                  (capture bug: callee values would alias caller locals)"
             );
             assert!(
                 v.index() < caller.num_vregs(),
-                "case {case}: mapped vreg {v:?} was never registered with the caller"
+                "seed {seed}: mapped vreg {v:?} was never registered with the caller"
             );
         }
     }
@@ -83,13 +73,15 @@ fn renamer_is_injective_and_fresh_on_random_pairs() {
 
 #[test]
 fn inlined_modules_verify_and_preserve_interpreted_output() {
-    let mut rng = Rng(0x0dd_ba11);
     let mut inlined_somewhere = 0u64;
-    for case in 0..48 {
-        let seed = rng.next() % 10_000;
-        let cfg = shape(&mut rng);
-        let module = ipra_frontend::compile(&random_source(seed, &cfg)).expect("valid Mini");
-        let expected = ipra_ir::interp::run_module(&module).expect("generated programs terminate");
+    for seed in 0..48 {
+        let rng = &mut XorShift64Star::new(seed);
+        let src_seed = rng.below(10_000);
+        let cfg = shape(rng);
+        let module = ipra_frontend::compile(&random_source(src_seed, &cfg))
+            .unwrap_or_else(|e| panic!("seed {seed}: generated Mini rejected: {e}"));
+        let expected = ipra_ir::interp::run_module(&module)
+            .unwrap_or_else(|t| panic!("seed {seed}: generated program trapped: {t}"));
 
         // Run the pass the way prepare_module does: on the already
         // interp-checked module, with openness computed fresh inside.
@@ -104,15 +96,15 @@ fn inlined_modules_verify_and_preserve_interpreted_output() {
 
         if let Err(errors) = ipra_ir::verify::verify_module(&transformed) {
             panic!(
-                "case {case} (seed {seed}): inlined module fails IR verification \
+                "seed {seed}: inlined module fails IR verification \
                  (free-variable escape or malformed splice): {errors:?}"
             );
         }
         let got = ipra_ir::interp::run_module(&transformed)
-            .unwrap_or_else(|t| panic!("case {case} (seed {seed}): inlined module trapped: {t}"));
+            .unwrap_or_else(|t| panic!("seed {seed}: inlined module trapped: {t}"));
         assert_eq!(
             got.output, expected.output,
-            "case {case} (seed {seed}): inlining changed the program's output"
+            "seed {seed}: inlining changed the program's output"
         );
     }
     assert!(

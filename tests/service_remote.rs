@@ -172,30 +172,141 @@ fn remote_run_reproduces_local_output_and_stats() {
 
 #[test]
 fn remote_trace_document_is_served() {
+    let source = "fn f(x: int) -> int { return x + 1; } fn main() { print(f(1)); }";
     let service = Service::with_defaults();
-    let mut req = CompileRequest::new(
-        1,
-        RequestSource::Source(
-            "fn f(x: int) -> int { return x + 1; } fn main() { print(f(1)); }".into(),
-        ),
-    );
+    let mut req = CompileRequest::new(1, RequestSource::Source(source.into()));
     req.run = true;
     req.trace = true;
     let (mut client, server) = UnixStream::pair().unwrap();
-    std::thread::scope(|s| {
+    let resp = std::thread::scope(|s| {
         let srv = s.spawn(|| service.serve_session(&server, &server).unwrap());
         let resp = roundtrip(&mut client, &req.to_json()).unwrap();
         drop(client);
         srv.join().unwrap();
-        let trace = resp.get("trace").expect("trace requested");
-        // The document has the CompileTrace shape trace-tool consumes.
-        assert!(trace.get("config").is_some(), "trace carries its config");
-        assert!(
-            trace.get("funcs").and_then(Json::as_arr).is_some()
-                || trace.get("functions").and_then(Json::as_arr).is_some(),
-            "trace carries per-function entries: {trace:?}"
-        );
+        resp
     });
+    let trace = resp.get("trace").expect("trace requested");
+
+    // It is the document `mini-cc --trace-json` writes: trace-tool loads
+    // it, and it lists the functions a local compile lists.
+    let served = ipra_driver::tracetool::load(trace).expect("trace-tool loads the served trace");
+    let module = ipra_frontend::compile(source).unwrap();
+    let local = ipra_driver::compile_and_run_traced(&module, &req.config().unwrap())
+        .unwrap()
+        .trace
+        .unwrap();
+    let names = |doc: &ipra_driver::tracetool::TraceDoc| -> Vec<String> {
+        doc.funcs.iter().map(|f| f.name.clone()).collect()
+    };
+    let local = ipra_driver::tracetool::load(&local.to_json()).unwrap();
+    assert_eq!(names(&served), names(&local), "served vs local functions");
+    assert_eq!(names(&served), ["f", "main"]);
+
+    // Every count lives in `metrics`, the schema the daemon's own
+    // `metrics` document uses.
+    fn counters_paths(j: &Json, path: &str, out: &mut Vec<String>) {
+        match j {
+            Json::Obj(members) => {
+                for (k, v) in members {
+                    let p = format!("{path}/{k}");
+                    if k == "counters" {
+                        out.push(p.clone());
+                    }
+                    counters_paths(v, &p, out);
+                }
+            }
+            Json::Arr(items) => items.iter().for_each(|v| counters_paths(v, path, out)),
+            _ => {}
+        }
+    }
+    let mut paths = Vec::new();
+    counters_paths(trace, "", &mut paths);
+    assert_eq!(paths, ["/metrics/counters"], "`counters` outside `metrics`");
+}
+
+/// The daemon holds a thread only for each live session. Finished
+/// session threads used to be joined only at shutdown, so each one kept
+/// its stack mapped: about 2 MB of address space per session, over 600 MB
+/// for the 300 sessions below. `shutdown` still exits cleanly and removes
+/// the socket.
+#[cfg(target_os = "linux")]
+#[test]
+fn daemon_reaps_finished_sessions() {
+    use std::process::{Child, Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    /// Kills the daemon if the test fails before its clean shutdown.
+    struct Daemon(Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let sock = std::env::temp_dir().join(format!("ipra-reap-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    // One malloc arena: glibc gives a thread that starts while another is
+    // still running a fresh 64 MB arena, which would show in VmSize next
+    // to the thread stacks this test measures.
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_mini-ccd"))
+            .arg("--socket")
+            .arg(&sock)
+            .env("MALLOC_ARENA_MAX", "1")
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let pid = daemon.0.id();
+    let vm_size_kb = || -> u64 {
+        let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmSize:"))
+            .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+            .expect("VmSize line in /proc/<pid>/status")
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let session = |cmd: &str| -> Json {
+        let mut stream = loop {
+            match UnixStream::connect(&sock) {
+                Ok(s) => break s,
+                Err(e) if Instant::now() > deadline => panic!("daemon is not listening: {e}"),
+                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            }
+        };
+        let req = Json::obj(vec![("id", Json::Int(1)), ("cmd", Json::Str(cmd.into()))]);
+        roundtrip(&mut stream, &req).unwrap()
+    };
+
+    for _ in 0..20 {
+        assert_eq!(session("ping").get("pong"), Some(&Json::Bool(true)));
+    }
+    let before = vm_size_kb();
+    for _ in 0..300 {
+        assert_eq!(session("ping").get("pong"), Some(&Json::Bool(true)));
+    }
+    let grown = vm_size_kb().saturating_sub(before);
+    assert!(
+        grown < 64 * 1024,
+        "300 finished sessions grew the daemon's VmSize by {grown} kB"
+    );
+
+    let bye = session("shutdown");
+    assert_eq!(bye.get("shutting_down"), Some(&Json::Bool(true)));
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon did not exit after shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "daemon exit status {status}");
+    assert!(!sock.exists(), "the socket file is removed on shutdown");
 }
 
 /// With a `cache_dir`, "warm" means the cache answered every function. A

@@ -23,6 +23,33 @@ fn main() {
 
 const PHASES: [&str; 5] = ["ranges", "priority", "color", "shrink_wrap", "lower"];
 
+/// Counters the compile records once per function, with a `func` label.
+const PER_FUNC: [&str; 3] = [
+    "dataflow.liveness.iterations",
+    "shrink_wrap.iterations",
+    "shrink_wrap.antav.sweeps",
+];
+
+/// The registry counter instances of a trace document.
+fn registry_counters(doc: &Json) -> &[Json] {
+    doc.get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(Json::as_arr)
+        .expect("trace JSON has metrics.counters")
+}
+
+/// The value of counter `name` labeled with function `func` alone.
+fn func_counter(doc: &Json, name: &str, func: &str) -> Option<i64> {
+    let want = Json::Obj(vec![("func".into(), Json::Str(func.into()))]);
+    registry_counters(doc)
+        .iter()
+        .find(|c| {
+            c.get("name").and_then(Json::as_str) == Some(name) && c.get("labels") == Some(&want)
+        })
+        .and_then(|c| c.get("value"))
+        .and_then(Json::as_i64)
+}
+
 #[test]
 fn traced_json_has_every_phase_once_per_function() {
     let module = ipra_frontend::compile(DEMO).unwrap();
@@ -63,11 +90,8 @@ fn traced_json_has_every_phase_once_per_function() {
         }
 
         // Iteration counters present and >= 1.
-        let counters = f.get("counters").unwrap();
         for c in ["dataflow.liveness.iterations", "shrink_wrap.iterations"] {
-            let v = counters
-                .get(c)
-                .and_then(Json::as_i64)
+            let v = func_counter(&doc, c, name)
                 .unwrap_or_else(|| panic!("counter `{c}` missing for `{name}`"));
             assert!(v >= 1, "`{c}` of `{name}` is {v}");
         }
@@ -290,16 +314,88 @@ fn trace_counts_match_function_reports() {
     let compiled = compile_only(&module, &Config::c());
 
     for (ft, report) in trace.funcs.iter().zip(&compiled.reports) {
-        let shrink = ft
-            .counters
-            .iter()
-            .find(|(n, _)| n == "shrink_wrap.iterations")
-            .map(|(_, v)| *v)
-            .unwrap();
+        let shrink = trace
+            .metrics
+            .counter_value("shrink_wrap.iterations", &[("func", &ft.name)]);
         assert_eq!(shrink, u64::from(report.shrink_iterations));
         let split = ft.decisions.iter().filter(|d| d.kind == "split").count();
         let mem = ft.decisions.iter().filter(|d| d.kind == "mem").count();
         assert_eq!(split, report.split_vregs, "split count in `{}`", ft.name);
         assert_eq!(mem, report.memory_vregs, "mem count in `{}`", ft.name);
     }
+}
+
+/// Every count lives once, in the registry: the document has no `module`
+/// member and no per-function `counters`, module-level counters are
+/// unlabeled, per-function ones name their function in a `func` label,
+/// and nothing repeats the cache or analysis-memo outcome that the
+/// `cache` and `analysis` objects already carry. Checked cold (every
+/// function allocated) and warm (every function replayed from the cache).
+#[test]
+fn each_count_is_recorded_once_in_metrics() {
+    let module = ipra_frontend::compile(DEMO).unwrap();
+    let funcs: Vec<&str> = module.funcs.iter().map(|(_, f)| f.name.as_str()).collect();
+    let dir = std::env::temp_dir().join(format!("ipra-trace-once-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = Config::c();
+    config.opts.cache_dir = Some(dir.clone());
+
+    for round in ["cold", "warm"] {
+        let m = compile_and_run_traced(&module, &config).unwrap();
+        let doc = parse(&m.trace.unwrap().to_json().render_pretty()).unwrap();
+        assert!(doc.get("module").is_none(), "[{round}] `module` member");
+        assert!(doc.get("cache").is_some(), "[{round}] `cache` object");
+        for f in doc.get("functions").unwrap().as_arr().unwrap() {
+            assert!(
+                f.get("counters").is_none(),
+                "[{round}] per-function `counters` member: {f:?}"
+            );
+        }
+
+        let mut per_func = 0;
+        for c in registry_counters(&doc) {
+            let name = c.get("name").and_then(Json::as_str).unwrap();
+            let Some(Json::Obj(labels)) = c.get("labels") else {
+                panic!("[{round}] `{name}` has no label object");
+            };
+            assert!(
+                !name.starts_with("cache.") && !name.starts_with("analysis."),
+                "[{round}] `{name}` repeats the cache or analysis object"
+            );
+            if labels.is_empty() {
+                assert!(
+                    ["callgraph.", "promote.", "inline.", "shape."]
+                        .iter()
+                        .any(|p| name.starts_with(p)),
+                    "[{round}] unlabeled `{name}` is not a module-level counter"
+                );
+            } else if PER_FUNC.contains(&name) {
+                assert!(
+                    matches!(&labels[..], [(k, Json::Str(f))] if k == "func" && funcs.contains(&f.as_str())),
+                    "[{round}] `{name}` must carry exactly one `func` label naming a function: {labels:?}"
+                );
+                per_func += 1;
+            }
+        }
+        let want = if round == "cold" {
+            PER_FUNC.len() * funcs.len()
+        } else {
+            0
+        };
+        assert_eq!(
+            per_func, want,
+            "[{round}] one instance per (counter, allocated function)"
+        );
+        let callgraph_functions = registry_counters(&doc)
+            .iter()
+            .find(|c| c.get("name").and_then(Json::as_str) == Some("callgraph.functions"));
+        assert_eq!(
+            callgraph_functions
+                .and_then(|c| c.get("value"))
+                .and_then(Json::as_i64),
+            Some(funcs.len() as i64),
+            "[{round}] module-level call-graph size"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
