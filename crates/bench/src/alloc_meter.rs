@@ -1,16 +1,17 @@
-//! A counting global allocator for the allocation benches.
+//! A counting global allocator for allocation measurements.
 //!
 //! [`CountingAlloc`] wraps the system allocator and keeps four global
 //! atomics: total allocation count, total bytes requested, currently-live
 //! bytes, and the high-water mark of live bytes. Install it with
-//! `#[global_allocator]` in a bench binary, then wrap the region of
-//! interest in [`measure`] to get that region's deltas. When the
-//! allocator is *not* installed the counters simply never move and every
-//! delta reads as zero, so library code (and tests) can link this module
+//! `#[global_allocator]` in a binary or test target (the
+//! `recompile_allocs` test, perfbench), then wrap the region of interest
+//! in [`measure`] to get that region's deltas. When the allocator is
+//! *not* installed the counters simply never move and every delta reads
+//! as zero, so library code (and tests) can link this module
 //! unconditionally.
 //!
-//! The counters are process-global: run measured regions one at a time
-//! (the allocation benches are serial, `jobs = 1`) or the windows overlap.
+//! The counters are process-global: run measured regions one at a time,
+//! with no other thread allocating, or the windows overlap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

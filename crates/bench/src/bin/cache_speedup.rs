@@ -5,20 +5,18 @@
 //! root.
 //!
 //! ```text
-//! cache_speedup [--reps <r>] [--small] [--out <path>] [--history <path>]
+//! cache_speedup [--reps <r>] [--small] [--out <path>]
 //!   --reps <r>      timed repetitions per configuration (default 5; the
 //!                   minimum over reps is reported to suppress scheduling
 //!                   noise)
 //!   --small         three smallest workloads only
 //!   --out <p>       output path (default BENCH_cache.json)
-//!   --history <p>   trajectory file to append one summary line to
-//!                   (default BENCH_history.jsonl; `--history none` skips)
 //! ```
+//!
+//! Exits non-zero when the corpus-total warm speedup is below 3×.
 
 use std::process::ExitCode;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
-
-use ipra_bench::{append_history, history_entry};
+use std::time::Instant;
 
 use ipra_core::ipra::compile_module;
 use ipra_driver::Config;
@@ -66,7 +64,6 @@ fn main() -> ExitCode {
     let mut reps = 5usize;
     let mut small = false;
     let mut out_path = "BENCH_cache.json".to_string();
-    let mut history = Some("BENCH_history.jsonl".to_string());
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let ok = match a.as_str() {
@@ -88,19 +85,10 @@ fn main() -> ExitCode {
                 }
                 None => false,
             },
-            "--history" => match args.next() {
-                Some(p) => {
-                    history = (p != "none").then_some(p);
-                    true
-                }
-                None => false,
-            },
             _ => false,
         };
         if !ok {
-            eprintln!(
-                "usage: cache_speedup [--reps R] [--small] [--out PATH] [--history PATH|none]"
-            );
+            eprintln!("usage: cache_speedup [--reps R] [--small] [--out PATH]");
             return ExitCode::FAILURE;
         }
     }
@@ -200,7 +188,7 @@ fn main() -> ExitCode {
     let doc = Json::obj(vec![
         ("bench", Json::Str("cache_speedup".into())),
         ("reps", Json::Int(reps as i64)),
-        ("total", total.clone()),
+        ("total", total),
         (
             "programs",
             Json::Arr(
@@ -228,19 +216,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("wrote {out_path}");
-    if let Some(path) = history {
-        let unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_millis());
-        if let Err(e) = append_history(
-            path.as_ref(),
-            &history_entry("cache_speedup", unix_ms, total),
-        ) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        println!("appended to {path}");
-    }
     let _ = std::fs::remove_dir_all(&dir);
 
     if warm_speedup < 3.0 {

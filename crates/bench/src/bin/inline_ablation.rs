@@ -1,35 +1,31 @@
 //! `inline_ablation` — the three-leg inlining × IPRA ablation.
 //!
 //! ```text
-//! inline_ablation [--small] [--jobs <n>] [--out <path>] [--history <path>]
-//!   --small        only the three smallest workloads (CI smoke runs)
+//! inline_ablation [--small] [--jobs <n>] [--out <path>]
+//!   --small        only the three smallest workloads (smoke runs)
 //!   --jobs <n>     wave-scheduler worker threads (0 = auto)
 //!   --out <path>   artifact path (default BENCH_inline.json)
-//!   --history <p>  trajectory file to append one summary line to
-//!                  (default BENCH_history.jsonl; `--history none` skips)
 //! ```
 //!
 //! Runs every workload under `off` (configuration C, no inlining),
 //! `inline` (`inline/A`) and `inline+IPRA` (`inline/C`) with a training
-//! run feeding both inline legs, prints a per-workload table, writes the
-//! deterministic `BENCH_inline.json` artifact `bench --check-budgets`
-//! gates on, and appends a trajectory entry to `BENCH_history.jsonl`.
+//! run feeding both inline legs, prints a per-workload table and writes
+//! the deterministic `BENCH_inline.json` artifact, which
+//! `tests/inline_golden.rs` regenerates and compares byte for byte.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ipra_bench::inline_ablation::{ablation_to_json, run_ablation};
-use ipra_bench::{append_history, history_entry};
 
 fn usage() -> &'static str {
-    "usage: inline_ablation [--small] [--jobs N] [--out PATH] [--history PATH|none]"
+    "usage: inline_ablation [--small] [--jobs N] [--out PATH]"
 }
 
 fn real_main() -> Result<(), String> {
     let mut small = false;
     let mut jobs = None;
     let mut out = PathBuf::from("BENCH_inline.json");
-    let mut history = Some("BENCH_history.jsonl".to_string());
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -39,10 +35,6 @@ fn real_main() -> Result<(), String> {
                 jobs = Some(v.trim().parse::<usize>().map_err(|_| "bad --jobs count")?);
             }
             "--out" => out = PathBuf::from(args.next().ok_or("--out needs a path")?),
-            "--history" => {
-                let p = args.next().ok_or("--history needs a path")?;
-                history = (p != "none").then_some(p);
-            }
             "-h" | "--help" => return Err(usage().to_string()),
             other => return Err(format!("unknown option `{other}`\n{}", usage())),
         }
@@ -77,18 +69,6 @@ fn real_main() -> Result<(), String> {
     let doc = ablation_to_json(&rows);
     std::fs::write(&out, doc.render_pretty()).map_err(|e| format!("{}: {e}", out.display()))?;
     println!("wrote {}", out.display());
-
-    if let Some(history) = history {
-        let unix_ms = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis())
-            .unwrap_or(0);
-        let total = doc.get("total").cloned().expect("artifact carries total");
-        append_history(
-            history.as_ref(),
-            &history_entry("inline_ablation", unix_ms, total),
-        )?;
-    }
     Ok(())
 }
 

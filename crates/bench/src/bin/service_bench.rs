@@ -16,25 +16,34 @@
 //!
 //! ```text
 //! service_bench [--requests <n>] [--clients <k>] [--small]
-//!               [--max-active <a>] [--out <path>] [--history <path>]
+//!               [--max-active <a>] [--out <path>]
 //!   --requests <n>   total compile requests (default 240, min 100)
 //!   --clients <k>    concurrent client sessions (default 16)
 //!   --small          three smallest workloads only (CI-sized; the
 //!                    request count floor still applies)
 //!   --max-active <a> admission-gate width (default 4)
 //!   --out <p>        output path (default BENCH_service.json)
-//!   --history <p>    trajectory file to append one summary line to
-//!                    (default BENCH_history.jsonl; `--history none` skips)
 //! ```
+//!
+//! Exits non-zero when a request fails, when throughput falls below
+//! 5 req/s, when the p99 latency exceeds 2 s (generous, so the gate trips
+//! on collapse rather than scheduler jitter) or when the warm-hit ratio
+//! over warm-eligible requests falls below 0.25.
 
 use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 use std::sync::Mutex;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
-use ipra_bench::{append_history, history_entry};
 use ipra_driver::service::{roundtrip, CompileRequest, RequestSource, Service, ServiceConfig};
 use ipra_obs::json::Json;
+
+/// Minimum requests per second over the timed phase.
+const MIN_THROUGHPUT_RPS: f64 = 5.0;
+/// Maximum p99 request latency, in microseconds.
+const MAX_P99_US: u128 = 2_000_000;
+/// Minimum share of warm-eligible requests answered warm.
+const MIN_WARM_HIT_RATIO: f64 = 0.25;
 
 /// One finished request as observed by its client thread.
 struct Sample {
@@ -71,7 +80,6 @@ fn main() -> ExitCode {
     let mut small = false;
     let mut max_active = 4usize;
     let mut out_path = "BENCH_service.json".to_string();
-    let mut history = Some("BENCH_history.jsonl".to_string());
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let ok = match a.as_str() {
@@ -107,19 +115,12 @@ fn main() -> ExitCode {
                 }
                 None => false,
             },
-            "--history" => match args.next() {
-                Some(p) => {
-                    history = (p != "none").then_some(p);
-                    true
-                }
-                None => false,
-            },
             _ => false,
         };
         if !ok {
             eprintln!(
                 "usage: service_bench [--requests N] [--clients K] [--small] \
-                 [--max-active A] [--out PATH] [--history PATH|none]"
+                 [--max-active A] [--out PATH]"
             );
             return ExitCode::FAILURE;
         }
@@ -262,33 +263,28 @@ fn main() -> ExitCode {
             "workloads",
             Json::Arr(workloads.iter().map(|w| Json::Str((*w).into())).collect()),
         ),
-        ("total", total.clone()),
+        ("total", total),
     ]);
     if let Err(e) = std::fs::write(&out_path, doc.render_pretty()) {
         eprintln!("{out_path}: {e}");
         return ExitCode::FAILURE;
     }
     println!("wrote {out_path}");
-    if let Some(path) = history {
-        let unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_millis());
-        if let Err(e) = append_history(
-            path.as_ref(),
-            &history_entry("service_bench", unix_ms, total),
-        ) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        println!("appended to {path}");
-    }
 
     if failed > 0 {
         eprintln!("{failed} requests did not return ok");
         return ExitCode::FAILURE;
     }
-    if warm_hit_ratio < 0.25 {
-        eprintln!("warm-hit ratio {warm_hit_ratio:.2} is below the 0.25 target");
+    if throughput < MIN_THROUGHPUT_RPS {
+        eprintln!("throughput {throughput:.1} req/s is below the {MIN_THROUGHPUT_RPS} req/s floor");
+        return ExitCode::FAILURE;
+    }
+    if p99 > MAX_P99_US {
+        eprintln!("p99 latency {p99}us exceeds the {MAX_P99_US}us ceiling");
+        return ExitCode::FAILURE;
+    }
+    if warm_hit_ratio < MIN_WARM_HIT_RATIO {
+        eprintln!("warm-hit ratio {warm_hit_ratio:.2} is below the {MIN_WARM_HIT_RATIO} target");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! wave_speedup [--jobs <n>] [--reps <r>] [--small] [--out <path>]
-//!              [--history <path>]
 //!   --jobs <n>      parallel worker count to compare against serial
 //!                   (default: available parallelism)
 //!   --reps <r>      timed repetitions per configuration (default 5; the
@@ -13,14 +12,13 @@
 //!                   noise)
 //!   --small         three smallest workloads only
 //!   --out <p>       JSON results path (default BENCH_waves.json)
-//!   --history <p>   trajectory file to append one summary line to
-//!                   (default BENCH_history.jsonl; `--history none` skips)
 //! ```
+//!
+//! The speedup has no floor; this harness only reports it.
 
 use std::process::ExitCode;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
-use ipra_bench::{append_history, history_entry};
 use ipra_callgraph::{scc::SccInfo, CallGraph};
 use ipra_core::ipra::compile_module;
 use ipra_driver::Config;
@@ -60,7 +58,6 @@ fn main() -> ExitCode {
     let mut reps = 5usize;
     let mut small = false;
     let mut out_path = "BENCH_waves.json".to_string();
-    let mut history = Some("BENCH_history.jsonl".to_string());
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let ok = match a.as_str() {
@@ -89,19 +86,10 @@ fn main() -> ExitCode {
                 }
                 None => false,
             },
-            "--history" => match args.next() {
-                Some(p) => {
-                    history = (p != "none").then_some(p);
-                    true
-                }
-                None => false,
-            },
             _ => false,
         };
         if !ok {
-            eprintln!(
-                "usage: wave_speedup [--jobs N] [--reps R] [--small] [--out PATH] [--history PATH|none]"
-            );
+            eprintln!("usage: wave_speedup [--jobs N] [--reps R] [--small] [--out PATH]");
             return ExitCode::FAILURE;
         }
     }
@@ -178,7 +166,7 @@ fn main() -> ExitCode {
         ("bench", Json::Str("wave_speedup".into())),
         ("reps", Json::Int(reps as i64)),
         ("jobs", Json::Int(jobs as i64)),
-        ("total", total.clone()),
+        ("total", total),
         (
             "programs",
             Json::Arr(
@@ -206,18 +194,5 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("wrote {out_path}");
-    if let Some(path) = history {
-        let unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_millis());
-        if let Err(e) = append_history(
-            path.as_ref(),
-            &history_entry("wave_speedup", unix_ms, total),
-        ) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        println!("appended to {path}");
-    }
     ExitCode::SUCCESS
 }

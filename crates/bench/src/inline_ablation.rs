@@ -9,10 +9,10 @@
 //! 2. `inline` — configuration `inline/A` (`-O2` intra-procedural
 //!    allocation plus the profile-guided inliner): what inlining buys
 //!    *without* interprocedural save/restore placement.
-//! 3. `inline+IPRA` — configuration `inline/C`: both together. The
-//!    budget gate pins this leg's total register-usage penalty at or
-//!    below leg 1's — removing calls must never add save/restore
-//!    traffic when IPRA is also on.
+//! 3. `inline+IPRA` — configuration `inline/C`: both together.
+//!    `tests/inline_golden.rs` holds this leg's total register-usage
+//!    penalty at or below leg 1's — removing calls must never add
+//!    save/restore traffic when IPRA is also on.
 //!
 //! Both inline legs are profile-guided the honest way: a training run
 //! under the baseline configuration collects per-block execution counts,
@@ -170,7 +170,7 @@ fn sum(rows: &[AblationRow], leg: usize, f: impl Fn(&LegResult) -> u64) -> u64 {
 }
 
 /// Renders the ablation as the `BENCH_inline.json` document: one row per
-/// workload plus the `total` object `bench --check-budgets` gates on.
+/// workload plus the corpus `total`.
 /// Deterministic: no timestamps, fixed key order, fixed leg order.
 pub fn ablation_to_json(rows: &[AblationRow]) -> Json {
     let row_docs = rows
@@ -255,7 +255,7 @@ mod tests {
         assert!(g("penalty_off") > 0, "baseline pays some penalty");
         assert!(
             g("penalty_inline_ipra") <= g("penalty_off"),
-            "the budget gate's invariant must hold on the small corpus too"
+            "the ablation invariant must hold on the small corpus too"
         );
         assert!(g("sites_considered") > 0);
     }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! table1 [--small] [--trace-json <dir>] [--jobs <n>]
-//!   --small             only the three smallest workloads (CI smoke runs)
+//!   --small             only the three smallest workloads (smoke runs)
 //!   --trace-json <dir>  also run each configuration traced and write one
 //!                       JSON compile trace per (workload, configuration)
 //!                       to <dir>/<workload>-<config>.json
@@ -18,13 +18,12 @@ use std::path::{Path, PathBuf};
 
 use ipra_driver::{compile_and_run_traced, Config};
 use ipra_ir::Module;
-use ipra_obs::json::Json;
 use ipra_workloads::Workload;
 
 /// Options shared by the `table1`/`table2` binaries.
 #[derive(Clone, Debug, Default)]
 pub struct TableArgs {
-    /// Restrict the run to the three smallest workloads (CI smoke mode).
+    /// Restrict the run to the three smallest workloads (smoke mode).
     pub small: bool,
     /// Directory to dump one JSON compile trace per configuration into.
     pub trace_json: Option<PathBuf>,
@@ -107,91 +106,12 @@ pub fn dump_config_traces(
     Ok(())
 }
 
-/// Builds one benchmark-trajectory entry: the bench name, a Unix
-/// timestamp in milliseconds, and the run's `total` object. One of these
-/// per speedup-bench run is appended to `BENCH_history.jsonl`, giving the
-/// budget checker (and humans) a performance trajectory across commits.
-pub fn history_entry(bench: &str, unix_ms: u128, total: Json) -> Json {
-    Json::obj(vec![
-        ("bench", Json::Str(bench.into())),
-        ("unix_ms", Json::Int(unix_ms.min(i64::MAX as u128) as i64)),
-        ("total", total),
-    ])
-}
-
-/// Appends one entry to a JSON-lines history file, creating it if absent.
-/// Each line is a compact, self-contained JSON document.
-///
-/// # Errors
-///
-/// Returns a message on I/O failure.
-pub fn append_history(path: &Path, entry: &Json) -> Result<(), String> {
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    writeln!(f, "{}", entry.render()).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Reads a JSON-lines history file back as parsed entries, newest last.
-///
-/// # Errors
-///
-/// Returns a message on I/O failure or if any line fails to parse — a
-/// corrupt history should fail the budget check loudly, not silently
-/// shorten the trajectory.
-pub fn read_history(path: &Path) -> Result<Vec<Json>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .enumerate()
-        .map(|(i, l)| {
-            ipra_obs::json::parse(l).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> TableArgs {
         parse_table_args(words.iter().map(|s| s.to_string())).unwrap()
-    }
-
-    #[test]
-    fn history_appends_and_reads_back_in_order() {
-        let path = std::env::temp_dir().join(format!("ipra-hist-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        for (i, name) in ["cache_speedup", "wave_speedup"].iter().enumerate() {
-            let e = history_entry(
-                name,
-                1_700_000_000_000 + i as u128,
-                Json::obj(vec![("speedup", Json::Float(3.5))]),
-            );
-            append_history(&path, &e).unwrap();
-        }
-        let entries = read_history(&path).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(
-            entries[0].get("bench").unwrap().as_str(),
-            Some("cache_speedup")
-        );
-        assert_eq!(
-            entries[1]
-                .get("total")
-                .unwrap()
-                .get("speedup")
-                .unwrap()
-                .as_f64(),
-            Some(3.5)
-        );
-        // A corrupt line is an error, not a shorter history.
-        std::fs::write(&path, "{\"ok\": true}\nnot json\n").unwrap();
-        assert!(read_history(&path).is_err());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

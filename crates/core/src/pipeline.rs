@@ -13,7 +13,7 @@
 //! entry (no file read, no JSON parse, no machine-code re-decode), an
 //! unchanged function's analyses come back as a shared `Arc`, and the
 //! allocator phases run inside recycled scratch — which is what drives
-//! the `recompile_allocs` bench's heap-allocation reduction.
+//! the heap-allocation reduction the `recompile_allocs` test pins.
 //!
 //! Output is bit-identical to the one-shot entry points for every
 //! jobs/cache/scratch combination; the differential oracle compiles the

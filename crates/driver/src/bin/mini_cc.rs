@@ -362,11 +362,7 @@ fn real_main() -> Result<(), String> {
 
     match args.emit.as_deref() {
         Some("ir") => println!("{module}"),
-        Some("asm") => {
-            for (_, f) in compiled.mmodule.funcs.iter() {
-                println!("{}", f.display_in(&config.target.regs, &compiled.mmodule));
-            }
-        }
+        Some("asm") => print!("{}", compiled.mmodule.asm(&config.target.regs)),
         Some("summary") => {
             for (report, summary) in compiled.reports.iter().zip(&compiled.summaries) {
                 println!(

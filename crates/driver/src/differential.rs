@@ -26,7 +26,6 @@ use std::fmt;
 use std::path::PathBuf;
 
 use ipra_core::config::AllocOptions;
-use ipra_core::ipra::CompiledModule;
 use ipra_ir::interp::{self, InterpOptions, Trap};
 use ipra_ir::Module;
 use ipra_machine::Target;
@@ -137,20 +136,6 @@ fn fail(config: &str, what: impl Into<String>) -> DiffFailure {
     }
 }
 
-/// Renders every function's machine code — the byte-identity witness for
-/// the determinism and cache checks.
-fn asm_of(compiled: &CompiledModule, config: &Config) -> String {
-    let mut out = String::new();
-    for (_, f) in compiled.mmodule.funcs.iter() {
-        out.push_str(
-            &f.display_in(&config.target.regs, &compiled.mmodule)
-                .to_string(),
-        );
-        out.push('\n');
-    }
-    out
-}
-
 /// Describes the first index where two outputs diverge, compactly.
 fn diff_outputs(got: &[i64], want: &[i64]) -> String {
     let i = got
@@ -216,7 +201,7 @@ pub fn check_module(module: &Module, opts: &DiffOptions) -> Result<DiffVerdict, 
         let mut c4 = config.clone();
         c4.opts.jobs = opts.jobs_pair.1;
         let compiled4 = compile_only(module, &c4);
-        if asm_of(&compiled4, &c4) != asm_of(&compiled, &c1) {
+        if compiled4.mmodule.asm(&c4.target.regs) != compiled.mmodule.asm(&c1.target.regs) {
             return Err(fail(
                 &config.name,
                 format!(
@@ -243,18 +228,18 @@ pub fn check_module(module: &Module, opts: &DiffOptions) -> Result<DiffVerdict, 
 fn check_scratch_reuse(module: &Module) -> Result<(), DiffFailure> {
     let config = Config::c();
     let fresh = compile_only(module, &config);
-    let want = asm_of(&fresh, &config);
+    let want = fresh.mmodule.asm(&config.target.regs);
 
     let pipe = ipra_core::Pipeline::new();
     let first = pipe.compile(module, &config.target, &config.opts);
-    if asm_of(&first, &config) != want {
+    if first.mmodule.asm(&config.target.regs) != want {
         return Err(fail(
             "scratch",
             "pipeline compile differs from one-shot compile",
         ));
     }
     let second = pipe.compile(module, &config.target, &config.opts);
-    if asm_of(&second, &config) != want {
+    if second.mmodule.asm(&config.target.regs) != want {
         return Err(fail(
             "scratch",
             "reused-scratch recompile differs from fresh compile",
@@ -380,7 +365,7 @@ fn check_cache_roundtrip(module: &Module, root: &std::path::Path) -> Result<(), 
                     warm.cache.hits, warm.cache.misses
                 ),
             ))
-        } else if asm_of(&warm, &cfg) != asm_of(&cold, &cfg) {
+        } else if warm.mmodule.asm(&cfg.target.regs) != cold.mmodule.asm(&cfg.target.regs) {
             Err(fail(label, "warm assembly differs from cold"))
         } else {
             Ok(())
@@ -400,7 +385,9 @@ fn check_service(source: &str, module: &Module) -> Result<(), DiffFailure> {
     use crate::service::{roundtrip, CompileRequest, RequestSource, Service};
 
     let config = Config::c();
-    let want = asm_of(&compile_only(module, &config), &config);
+    let want = compile_only(module, &config)
+        .mmodule
+        .asm(&config.target.regs);
     let service = Service::with_defaults();
     let (mut client, server) = std::os::unix::net::UnixStream::pair()
         .map_err(|e| fail("service", format!("socketpair failed: {e}")))?;

@@ -425,14 +425,7 @@ impl Service {
             None
         };
 
-        let mut asm = String::new();
-        for (_, f) in compiled.mmodule.funcs.iter() {
-            asm.push_str(
-                &f.display_in(&config.target.regs, &compiled.mmodule)
-                    .to_string(),
-            );
-            asm.push('\n');
-        }
+        let asm = compiled.mmodule.asm(&config.target.regs);
         // "Warm" means nothing had to be recomputed from source: with a
         // cache directory, the cache answered every function; without
         // one, the analysis memo did.
@@ -855,14 +848,7 @@ mod tests {
         let module = ipra_frontend::compile(DEMO).unwrap();
         let config = Config::o3();
         let oneshot = ipra_core::compile_module(&module, &config.target, &config.opts);
-        let mut want = String::new();
-        for (_, f) in oneshot.mmodule.funcs.iter() {
-            want.push_str(
-                &f.display_in(&config.target.regs, &oneshot.mmodule)
-                    .to_string(),
-            );
-            want.push('\n');
-        }
+        let want = oneshot.mmodule.asm(&config.target.regs);
         assert_eq!(cold.get("asm").and_then(Json::as_str), Some(want.as_str()));
     }
 
@@ -945,11 +931,7 @@ mod tests {
         let module = ipra_frontend::compile(DEMO).unwrap();
         let d = Config::d();
         let local = ipra_core::compile_module(&module, &d.target, &d.opts);
-        let mut want = String::new();
-        for (_, f) in local.mmodule.funcs.iter() {
-            want.push_str(&f.display_in(&d.target.regs, &local.mmodule).to_string());
-            want.push('\n');
-        }
+        let want = local.mmodule.asm(&d.target.regs);
         assert_eq!(resp.get("asm").and_then(Json::as_str), Some(want.as_str()));
     }
 
@@ -963,11 +945,7 @@ mod tests {
         let module = ipra_frontend::compile(DEMO).unwrap();
         let ic = Config::inline_c();
         let local = ipra_core::compile_module(&module, &ic.target, &ic.opts);
-        let mut want = String::new();
-        for (_, f) in local.mmodule.funcs.iter() {
-            want.push_str(&f.display_in(&ic.target.regs, &local.mmodule).to_string());
-            want.push('\n');
-        }
+        let want = local.mmodule.asm(&ic.target.regs);
         assert_eq!(resp.get("asm").and_then(Json::as_str), Some(want.as_str()));
 
         // Malformed budgets are structured errors, not panics.

@@ -32,6 +32,21 @@ impl MFunction {
     }
 }
 
+impl MModule {
+    /// Renders every function in id order, each followed by a newline:
+    /// the text `mini-cc --emit asm` prints and the compile daemon
+    /// returns as `asm`, and the byte-identity witness of the
+    /// determinism and cache checks.
+    pub fn asm(&self, regs: &RegFile) -> String {
+        use fmt::Write as _;
+        let mut out = String::new();
+        for (_, f) in self.funcs.iter() {
+            writeln!(out, "{}", f.display_in(regs, self)).expect("writing to a String cannot fail");
+        }
+        out
+    }
+}
+
 impl AsmDisplay<'_> {
     fn op(&self, o: MOperand) -> String {
         match o {

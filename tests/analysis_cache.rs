@@ -4,7 +4,6 @@
 //! trace must carry the memo counters, and reusing scratch across
 //! compiles (at any job count) must never change the machine code.
 
-use ipra_core::ipra::CompiledModule;
 use ipra_core::Pipeline;
 use ipra_driver::{compile_and_run_traced, compile_only, Config};
 use ipra_obs::json::parse;
@@ -16,19 +15,6 @@ fn top(a: int) -> int { return mid(a) * 2; }
 fn other(a: int) -> int { return a * 3; }
 fn main() { print(top(2) + other(5)); }
 "#;
-
-/// Renders every function's machine code — the byte-identity witness.
-fn asm_of(compiled: &CompiledModule, config: &Config) -> String {
-    let mut out = String::new();
-    for (_, f) in compiled.mmodule.funcs.iter() {
-        out.push_str(
-            &f.display_in(&config.target.regs, &compiled.mmodule)
-                .to_string(),
-        );
-        out.push('\n');
-    }
-    out
-}
 
 /// A cold compile misses the memo for every function, a warm recompile
 /// of the identical module hits for every function, and editing one
@@ -48,7 +34,10 @@ fn memo_invalidation_follows_body_edits_exactly() {
 
     let warm = pipe.compile(&m1, &cfg.target, &cfg.opts);
     assert_eq!((warm.analysis.hits, warm.analysis.misses), (n, 0));
-    assert_eq!(asm_of(&warm, &cfg), asm_of(&cold, &cfg));
+    assert_eq!(
+        warm.mmodule.asm(&cfg.target.regs),
+        cold.mmodule.asm(&cfg.target.regs)
+    );
 
     let edited = pipe.compile(&m2, &cfg.target, &cfg.opts);
     assert_eq!(
@@ -57,8 +46,8 @@ fn memo_invalidation_follows_body_edits_exactly() {
         "editing one body must recompute exactly that function's analyses"
     );
     assert_eq!(
-        asm_of(&edited, &cfg),
-        asm_of(&compile_only(&m2, &cfg), &cfg),
+        edited.mmodule.asm(&cfg.target.regs),
+        compile_only(&m2, &cfg).mmodule.asm(&cfg.target.regs),
         "memoized compile of the edited module == fresh compile"
     );
 
@@ -101,13 +90,13 @@ fn reused_scratch_is_bit_identical_across_jobs() {
     for jobs in [1usize, 4] {
         let mut cfg = Config::c();
         cfg.opts.jobs = jobs;
-        let want = asm_of(&compile_only(&module, &cfg), &cfg);
+        let want = compile_only(&module, &cfg).mmodule.asm(&cfg.target.regs);
 
         let pipe = Pipeline::new();
         for round in 0..3 {
             let got = pipe.compile(&module, &cfg.target, &cfg.opts);
             assert_eq!(
-                asm_of(&got, &cfg),
+                got.mmodule.asm(&cfg.target.regs),
                 want,
                 "jobs={jobs} round={round}: reused scratch changed the output"
             );

@@ -9,6 +9,9 @@ use ipra_core::ipra::CompiledModule;
 use ipra_core::Pipeline;
 use ipra_driver::{compile_only, run_compiled, Config};
 
+mod common;
+use common::{corpus, DEMO};
+
 /// A scratch cache directory, unique per test and process.
 fn cache_dir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("ipra-golden-{}-{tag}", std::process::id()));
@@ -26,64 +29,8 @@ fn observe(compiled: &CompiledModule, config: &Config) -> String {
         "summaries: {:?}\nclobbers: {:?}\nreports: {:?}\n",
         compiled.summaries, compiled.clobber_masks, compiled.reports
     ));
-    for (_, f) in compiled.mmodule.funcs.iter() {
-        out.push_str(
-            &f.display_in(&config.target.regs, &compiled.mmodule)
-                .to_string(),
-        );
-        out.push('\n');
-    }
+    out.push_str(&compiled.mmodule.asm(&config.target.regs));
     out
-}
-
-const DEMO: &str = r#"
-fn helper(a: int, b: int) -> int {
-    var t: int = a * b;
-    if t > 100 { t = t - 100; }
-    return t + 1;
-}
-fn main() {
-    var acc: int = 0;
-    var i: int = 0;
-    while i < 20 {
-        acc = acc + helper(i, acc);
-        i = i + 1;
-    }
-    print(acc);
-}
-"#;
-
-/// The same 11-program corpus as `trace_golden`: the demo, mutual
-/// recursion, a deep call DAG, six generator programs and two real
-/// workloads.
-fn corpus() -> Vec<(String, ipra_ir::Module)> {
-    use ipra_workloads::synth;
-
-    let mutual = r#"
-        fn even(n: int) -> int { if n == 0 { return 1; } return odd(n - 1); }
-        fn odd(n: int) -> int { if n == 0 { return 0; } return even(n - 1); }
-        fn main() { print(even(10) + odd(7)); }
-    "#;
-    let mut corpus: Vec<(String, ipra_ir::Module)> = vec![
-        ("demo".into(), ipra_frontend::compile(DEMO).unwrap()),
-        ("mutual".into(), ipra_frontend::compile(mutual).unwrap()),
-        ("tree".into(), synth::call_tree_program(3, 2, 4, 5)),
-    ];
-    for seed in 0..6u64 {
-        let src = synth::random_source(seed, &synth::SourceConfig::default());
-        corpus.push((
-            format!("synth-{seed}"),
-            ipra_frontend::compile(&src).unwrap(),
-        ));
-    }
-    for w in ["nim", "stanford"] {
-        let workload = ipra_workloads::by_name(w).unwrap();
-        corpus.push((
-            w.into(),
-            ipra_workloads::compile_workload(workload).unwrap(),
-        ));
-    }
-    corpus
 }
 
 /// Warm compiles must replay every function from the cache and still be
@@ -400,4 +347,37 @@ fn memoized_entry_survives_a_global_inserted_before_it() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `mini-cc --cache-dir` end to end: the cold run misses every function,
+/// the warm run replays every function, and both print the same asm.
+#[test]
+fn mini_cc_cache_dir_replays_every_function_with_identical_asm() {
+    let dir = cache_dir("mini-cc");
+    let compile = || {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mini-cc"))
+            .args(["--workload", "nim", "--emit", "asm", "--cache-dir"])
+            .arg(&dir)
+            .output()
+            .expect("mini-cc runs");
+        assert!(out.status.success(), "{out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let counts = stderr
+            .lines()
+            .find_map(|l| l.strip_prefix("[cache] "))
+            .unwrap_or_else(|| panic!("no cache line in {stderr}"))
+            .to_string();
+        (out.stdout, counts)
+    };
+    let (cold_asm, cold) = compile();
+    let (warm_asm, warm) = compile();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(cold.starts_with("hits: 0 "), "cold run: {cold}");
+    assert!(!cold.contains("misses: 0 "), "cold run: {cold}");
+    assert!(warm.contains("misses: 0 "), "warm run: {warm}");
+    assert!(!warm.starts_with("hits: 0 "), "warm run: {warm}");
+    assert!(
+        !cold_asm.is_empty() && warm_asm == cold_asm,
+        "warm asm differs from cold"
+    );
 }

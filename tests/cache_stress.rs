@@ -9,21 +9,9 @@
 //! writing it (the pid-only temp names of cache format v3 had exactly
 //! that hazard).
 
-use ipra_core::ipra::{compile_module, CompiledModule};
+use ipra_core::ipra::compile_module;
 use ipra_driver::Config;
 use ipra_obs::json::{self, Json};
-
-fn asm_of(compiled: &CompiledModule, config: &Config) -> String {
-    let mut out = String::new();
-    for (_, f) in compiled.mmodule.funcs.iter() {
-        out.push_str(
-            &f.display_in(&config.target.regs, &compiled.mmodule)
-                .to_string(),
-        );
-        out.push('\n');
-    }
-    out
-}
 
 #[test]
 fn many_sessions_hammering_one_key_never_tear_an_entry() {
@@ -47,10 +35,9 @@ fn many_sessions_hammering_one_key_never_tear_an_entry() {
 
     let mut cfg = Config::c();
     cfg.opts.cache_dir = Some(dir.clone());
-    let want = asm_of(
-        &compile_module(&module, &cfg.target, &Config::c().opts),
-        &cfg,
-    );
+    let want = compile_module(&module, &cfg.target, &Config::c().opts)
+        .mmodule
+        .asm(&cfg.target.regs);
 
     // Every thread compiles the same module against the same cache
     // directory, repeatedly. Each cold round publishes the same set of
@@ -62,7 +49,11 @@ fn many_sessions_hammering_one_key_never_tear_an_entry() {
             s.spawn(|| {
                 for _ in 0..8 {
                     let compiled = compile_module(&module, &cfg.target, &cfg.opts);
-                    assert_eq!(asm_of(&compiled, &cfg), want, "torn cache entry replayed");
+                    assert_eq!(
+                        compiled.mmodule.asm(&cfg.target.regs),
+                        want,
+                        "torn cache entry replayed"
+                    );
                     assert_eq!(
                         compiled.cache.hits + compiled.cache.misses,
                         n,
@@ -99,7 +90,7 @@ fn many_sessions_hammering_one_key_never_tear_an_entry() {
     let warm = compile_module(&module, &cfg.target, &cfg.opts);
     assert_eq!(warm.cache.hits, n);
     assert_eq!(warm.cache.misses, 0);
-    assert_eq!(asm_of(&warm, &cfg), want);
+    assert_eq!(warm.mmodule.asm(&cfg.target.regs), want);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

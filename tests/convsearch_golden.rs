@@ -3,63 +3,23 @@
 //! rendered JSON and markdown must be byte-identical across wave-scheduler
 //! worker counts (`--jobs 1` vs `--jobs 4`) and across cache temperature
 //! (a cold compile populating a fresh `--cache-dir` vs the warm replay
-//! from it). CI diffs the `convsearch --small` artifact across its two
-//! matrix legs for the same property at the binary level.
+//! from it). CI reruns the dense sweep and diffs it against the committed
+//! `BENCH_convsearch.json`.
 
 use std::path::PathBuf;
 
 use ipra_driver::convsearch::{
     corpus_program, default_shapes, grid_points, run_search, CorpusProgram, SearchOptions,
 };
-use ipra_workloads::synth;
 
-const DEMO: &str = r#"
-fn helper(a: int, b: int) -> int {
-    var t: int = a * b;
-    if t > 100 { t = t - 100; }
-    return t + 1;
-}
-fn main() {
-    var acc: int = 0;
-    var i: int = 0;
-    while i < 20 {
-        acc = acc + helper(i, acc);
-        i = i + 1;
-    }
-    print(acc);
-}
-"#;
+mod common;
 
-/// The same 11-program corpus the cache and wave golden tests use: the
-/// demo, mutual recursion, a call tree, six generator programs and the
-/// two bundled benchmark workloads.
+/// The shared golden corpus, prepared for the search.
 fn corpus() -> Vec<CorpusProgram> {
-    let mutual = r#"
-        fn even(n: int) -> int { if n == 0 { return 1; } return odd(n - 1); }
-        fn odd(n: int) -> int { if n == 0 { return 0; } return even(n - 1); }
-        fn main() { print(even(10) + odd(7)); }
-    "#;
-    let mut corpus = vec![
-        corpus_program("demo", ipra_frontend::compile(DEMO).unwrap()).unwrap(),
-        corpus_program("mutual", ipra_frontend::compile(mutual).unwrap()).unwrap(),
-        corpus_program("tree", synth::call_tree_program(3, 2, 4, 5)).unwrap(),
-    ];
-    for seed in 0..6u64 {
-        let src = synth::random_source(seed, &synth::SourceConfig::default());
-        corpus.push(
-            corpus_program(
-                &format!("synth-{seed}"),
-                ipra_frontend::compile(&src).unwrap(),
-            )
-            .unwrap(),
-        );
-    }
-    for w in ["nim", "stanford"] {
-        let workload = ipra_workloads::by_name(w).unwrap();
-        corpus
-            .push(corpus_program(w, ipra_workloads::compile_workload(workload).unwrap()).unwrap());
-    }
-    corpus
+    common::corpus()
+        .into_iter()
+        .map(|(name, module)| corpus_program(&name, module).unwrap())
+        .collect()
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {

@@ -6,58 +6,17 @@
 //! hold on every corpus program; and two workloads' inliner site counts
 //! are pinned exactly, so any change to ranking, budget accounting or
 //! candidate legality shows up as a diff in this file rather than as a
-//! silent behavior drift.
+//! silent behavior drift. The committed `BENCH_inline.json` must match a
+//! fresh 13-workload run byte for byte.
+//!
+//! The bench crate's other deterministic output, the per-configuration
+//! traces `table1 --trace-json` writes, is checked here too.
 
-use ipra_bench::inline_ablation::{ablation_to_json, run_ablation_modules};
+use ipra_bench::inline_ablation::{ablation_to_json, run_ablation, run_ablation_modules};
+use ipra_obs::json::Json;
 
-/// The same 11-program corpus as `trace_golden` and `cache_golden`: the
-/// demo, mutual recursion, a deep call DAG, six generator programs and
-/// two real workloads.
-fn corpus() -> Vec<(String, ipra_ir::Module)> {
-    use ipra_workloads::synth;
-
-    let demo = r#"
-        fn helper(a: int, b: int) -> int {
-            var t: int = a * b;
-            if t > 100 { t = t - 100; }
-            return t + 1;
-        }
-        fn main() {
-            var acc: int = 0;
-            var i: int = 0;
-            while i < 20 {
-                acc = acc + helper(i, acc);
-                i = i + 1;
-            }
-            print(acc);
-        }
-    "#;
-    let mutual = r#"
-        fn even(n: int) -> int { if n == 0 { return 1; } return odd(n - 1); }
-        fn odd(n: int) -> int { if n == 0 { return 0; } return even(n - 1); }
-        fn main() { print(even(10) + odd(7)); }
-    "#;
-    let mut corpus: Vec<(String, ipra_ir::Module)> = vec![
-        ("demo".into(), ipra_frontend::compile(demo).unwrap()),
-        ("mutual".into(), ipra_frontend::compile(mutual).unwrap()),
-        ("tree".into(), synth::call_tree_program(3, 2, 4, 5)),
-    ];
-    for seed in 0..6u64 {
-        let src = synth::random_source(seed, &synth::SourceConfig::default());
-        corpus.push((
-            format!("synth-{seed}"),
-            ipra_frontend::compile(&src).unwrap(),
-        ));
-    }
-    for w in ["nim", "stanford"] {
-        let workload = ipra_workloads::by_name(w).unwrap();
-        corpus.push((
-            w.into(),
-            ipra_workloads::compile_workload(workload).unwrap(),
-        ));
-    }
-    corpus
-}
+mod common;
+use common::corpus;
 
 /// The full ablation document must not depend on scheduling (`jobs`) or
 /// on allocation-cache temperature: four runs — jobs 1, jobs 4, cold
@@ -90,12 +49,12 @@ fn ablation_json_is_byte_identical_across_jobs_and_cache_temperature() {
     );
 }
 
-/// The budget gate's invariant on this corpus: with IPRA on, inlining
+/// The ablation's invariant on this corpus: with IPRA on, inlining
 /// must not add save/restore penalty in aggregate (individual tiny
 /// programs may pay a few cycles more when splicing shifts register
-/// pressure — `bench --check-budgets` gates the total, and so does this
-/// test), the call-heaviest real workload (`nim`) must improve outright,
-/// and the corpus must actually exercise the inliner.
+/// pressure, so only the total is held), the call-heaviest real
+/// workload (`nim`) must improve outright, and the corpus must actually
+/// exercise the inliner.
 #[test]
 fn inline_plus_ipra_never_pays_more_penalty_than_off() {
     let rows = run_ablation_modules(&corpus(), Some(1), None).expect("ablation runs");
@@ -150,4 +109,57 @@ fn site_counts_are_pinned_for_the_real_workloads() {
         ],
         "(workload, sites_considered, sites_inlined, budget_stops) drifted"
     );
+}
+
+/// `BENCH_inline.json` is exactly what `inline_ablation` renders for the
+/// 13-workload suite, and it meets the ablation's floor: the inline+IPRA
+/// leg pays no more total penalty than the off leg, and the inliner
+/// fired.
+#[test]
+fn committed_ablation_is_regenerated_byte_for_byte() {
+    let doc = ablation_to_json(&run_ablation(&ipra_workloads::all(), None).expect("ablation runs"));
+    assert!(
+        doc.render_pretty() == include_str!("../BENCH_inline.json"),
+        "BENCH_inline.json is stale; regenerate it with \
+         `cargo run --release -p ipra-bench --bin inline_ablation`"
+    );
+    let total = doc.get("total").expect("the document has a total");
+    let get = |key| total.get(key).and_then(Json::as_i64).expect(key);
+    assert!(
+        get("penalty_inline_ipra") <= get("penalty_off"),
+        "inline+IPRA pays more penalty than inlining off"
+    );
+    assert!(get("sites_inlined") > 0, "the inliner never fired");
+}
+
+/// `table1 --small --trace-json DIR` writes one trace per workload and
+/// configuration (nim, map and calcc under base, A, B and C), each of
+/// which `trace-tool` loads.
+#[test]
+fn table1_small_writes_one_loadable_trace_per_config() {
+    let dir = std::env::temp_dir().join(format!("ipra-table1-traces-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+        .args(["--small", "--trace-json"])
+        .arg(&dir)
+        .output()
+        .expect("table1 runs");
+    assert!(out.status.success(), "{out:?}");
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let mut want: Vec<String> = ["nim", "map", "calcc"]
+        .iter()
+        .flat_map(|w| ["base", "A", "B", "C"].map(|c| format!("{w}-{c}.json")))
+        .collect();
+    want.sort();
+    assert_eq!(files, want);
+    for f in &files {
+        let text = std::fs::read_to_string(dir.join(f)).unwrap();
+        let doc = ipra_obs::json::parse(&text).unwrap_or_else(|e| panic!("{f}: {e}"));
+        ipra_driver::tracetool::load(&doc).unwrap_or_else(|e| panic!("{f}: {e}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,14 @@
 //! Golden round-trip test: a compile answered by the service must be
 //! byte-identical to a local `compile_module` of the same source under
 //! the same options — across the whole bundled workload corpus, cold
-//! and warm, and under register-class limits.
+//! and warm, and under register-class limits. A real `mini-ccd` process
+//! on a Unix socket must answer `mini-cc --remote` exactly as a local
+//! `mini-cc` compiles, and shut down cleanly.
 
 use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 
 use ipra_driver::service::{roundtrip, CompileRequest, RequestSource, Service};
 use ipra_driver::Config;
@@ -11,16 +16,9 @@ use ipra_obs::json::Json;
 
 fn local_asm(source: &str, config: &Config) -> String {
     let module = ipra_frontend::compile(source).unwrap();
-    let compiled = ipra_core::compile_module(&module, &config.target, &config.opts);
-    let mut out = String::new();
-    for (_, f) in compiled.mmodule.funcs.iter() {
-        out.push_str(
-            &f.display_in(&config.target.regs, &compiled.mmodule)
-                .to_string(),
-        );
-        out.push('\n');
-    }
-    out
+    ipra_core::compile_module(&module, &config.target, &config.opts)
+        .mmodule
+        .asm(&config.target.regs)
 }
 
 fn remote_asm(service: &Service, req: &CompileRequest) -> (String, bool) {
@@ -224,6 +222,146 @@ fn remote_trace_document_is_served() {
     assert_eq!(paths, ["/metrics/counters"], "`counters` outside `metrics`");
 }
 
+/// A `mini-ccd` child process serving a Unix socket. Dropping it kills the
+/// daemon, so a failing test never leaves one running.
+struct Daemon {
+    child: Child,
+    sock: PathBuf,
+}
+
+impl Daemon {
+    /// Starts `mini-ccd --socket` with `env` set and waits until it
+    /// accepts connections.
+    fn start(tag: &str, env: &[(&str, &str)]) -> Daemon {
+        let sock = std::env::temp_dir().join(format!("ipra-{tag}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&sock);
+        let child = Command::new(env!("CARGO_BIN_EXE_mini-ccd"))
+            .arg("--socket")
+            .arg(&sock)
+            .envs(env.iter().copied())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let daemon = Daemon { child, sock };
+        daemon.connect();
+        daemon
+    }
+
+    /// Opens a session, retrying for up to 30 s while the daemon starts.
+    fn connect(&self) -> UnixStream {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            match UnixStream::connect(&self.sock) {
+                Ok(s) => return s,
+                Err(e) if Instant::now() > deadline => panic!("daemon is not listening: {e}"),
+                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            }
+        }
+    }
+
+    /// Waits up to 30 s for the daemon to exit after a shutdown request.
+    fn wait_exit(&mut self) -> ExitStatus {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Some(status) = self.child.try_wait().unwrap() {
+                return status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "daemon did not exit after shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Runs the built `mini-cc` and returns its stdout and stderr, failing
+/// the test on a non-zero exit.
+fn mini_cc(args: &[&str]) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_mini-cc"))
+        .args(args)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "mini-cc {args:?} failed: {stderr}");
+    (String::from_utf8(out.stdout).unwrap(), stderr)
+}
+
+/// A real `mini-ccd`, driven by `mini-cc --remote`, answers like local
+/// `mini-cc` compiles: two passes over the workload suite are
+/// byte-identical to local asm, and only the second pass reports
+/// `warm`; five option sets cross the wire on nim and stanford. The
+/// daemon's metrics document renders with `trace-tool top`, and
+/// `--shutdown` exits 0 and removes the socket.
+#[test]
+fn a_real_daemon_answers_mini_cc_remote_like_local_compiles() {
+    let mut daemon = Daemon::start("remote", &[]);
+    let sock = daemon.sock.to_str().unwrap().to_string();
+    let remote = |args: &[&str]| mini_cc(&[&["--remote", sock.as_str()], args].concat());
+    assert_eq!(remote(&["--ping"]).0, "pong\n");
+
+    for pass in ["cold", "warm"] {
+        for w in ipra_workloads::all() {
+            let args = ["--workload", w.name, "--emit", "asm"];
+            let (asm, stderr) = remote(&args);
+            assert!(
+                asm == mini_cc(&args).0,
+                "[{}] remote vs local asm ({pass} pass)",
+                w.name
+            );
+            assert_eq!(
+                stderr.contains("warm"),
+                pass == "warm",
+                "[{}] {pass} pass: {stderr}",
+                w.name
+            );
+        }
+    }
+    let option_sets: [&[&str]; 5] = [
+        &["-O2", "--no-shrink-wrap"],
+        &["--limit", "7,0"],
+        &["--target", "embedded8"],
+        &["--inline", "--inline-budget", "8"],
+        &["-O0"],
+    ];
+    for opts in option_sets {
+        for w in ["nim", "stanford"] {
+            let args = [opts, &["--workload", w, "--emit", "asm"]].concat();
+            assert!(
+                remote(&args).0 == mini_cc(&args).0,
+                "[{w}] remote vs local asm under {opts:?}"
+            );
+        }
+    }
+
+    let metrics = daemon.sock.with_extension("metrics.json");
+    std::fs::write(&metrics, remote(&["--emit", "metrics"]).0).unwrap();
+    let top = Command::new(env!("CARGO_BIN_EXE_trace-tool"))
+        .arg("top")
+        .arg(&metrics)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&metrics);
+    let rendered = String::from_utf8_lossy(&top.stdout);
+    assert!(top.status.success(), "trace-tool top: {top:?}");
+    assert!(rendered.contains("service.warm_hits"), "{rendered}");
+
+    remote(&["--shutdown"]);
+    let status = daemon.wait_exit();
+    assert!(status.success(), "daemon exit status {status}");
+    assert!(
+        !daemon.sock.exists(),
+        "the socket file is removed on shutdown"
+    );
+}
+
 /// The daemon holds a thread only for each live session. Finished
 /// session threads used to be joined only at shutdown, so each one kept
 /// its stack mapped: about 2 MB of address space per session, over 600 MB
@@ -232,33 +370,11 @@ fn remote_trace_document_is_served() {
 #[cfg(target_os = "linux")]
 #[test]
 fn daemon_reaps_finished_sessions() {
-    use std::process::{Child, Command, Stdio};
-    use std::time::{Duration, Instant};
-
-    /// Kills the daemon if the test fails before its clean shutdown.
-    struct Daemon(Child);
-    impl Drop for Daemon {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-
-    let sock = std::env::temp_dir().join(format!("ipra-reap-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&sock);
     // One malloc arena: glibc gives a thread that starts while another is
     // still running a fresh 64 MB arena, which would show in VmSize next
     // to the thread stacks this test measures.
-    let mut daemon = Daemon(
-        Command::new(env!("CARGO_BIN_EXE_mini-ccd"))
-            .arg("--socket")
-            .arg(&sock)
-            .env("MALLOC_ARENA_MAX", "1")
-            .stderr(Stdio::null())
-            .spawn()
-            .unwrap(),
-    );
-    let pid = daemon.0.id();
+    let mut daemon = Daemon::start("reap", &[("MALLOC_ARENA_MAX", "1")]);
+    let pid = daemon.child.id();
     let vm_size_kb = || -> u64 {
         let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
         status
@@ -267,17 +383,9 @@ fn daemon_reaps_finished_sessions() {
             .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
             .expect("VmSize line in /proc/<pid>/status")
     };
-    let deadline = Instant::now() + Duration::from_secs(30);
     let session = |cmd: &str| -> Json {
-        let mut stream = loop {
-            match UnixStream::connect(&sock) {
-                Ok(s) => break s,
-                Err(e) if Instant::now() > deadline => panic!("daemon is not listening: {e}"),
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
-            }
-        };
         let req = Json::obj(vec![("id", Json::Int(1)), ("cmd", Json::Str(cmd.into()))]);
-        roundtrip(&mut stream, &req).unwrap()
+        roundtrip(&mut daemon.connect(), &req).unwrap()
     };
 
     for _ in 0..20 {
@@ -295,18 +403,12 @@ fn daemon_reaps_finished_sessions() {
 
     let bye = session("shutdown");
     assert_eq!(bye.get("shutting_down"), Some(&Json::Bool(true)));
-    let status = loop {
-        if let Some(status) = daemon.0.try_wait().unwrap() {
-            break status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "daemon did not exit after shutdown"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    let status = daemon.wait_exit();
     assert!(status.success(), "daemon exit status {status}");
-    assert!(!sock.exists(), "the socket file is removed on shutdown");
+    assert!(
+        !daemon.sock.exists(),
+        "the socket file is removed on shutdown"
+    );
 }
 
 /// With a `cache_dir`, "warm" means the cache answered every function. A
@@ -466,7 +568,7 @@ fn the_core_ignores_the_environment() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let run = |with_env: bool| {
-        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_mini-cc"));
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mini-cc"));
         cmd.args(["--workload", "nim", "--emit", "asm"]);
         for v in ["IPRA_INLINE", "IPRA_CACHE", "IPRA_JOBS"] {
             cmd.env_remove(v);

@@ -4,22 +4,8 @@
 use ipra_driver::{compile_and_run, compile_and_run_traced, compile_only, Config};
 use ipra_obs::json::{parse, Json};
 
-const DEMO: &str = r#"
-fn helper(a: int, b: int) -> int {
-    var t: int = a * b;
-    if t > 100 { t = t - 100; }
-    return t + 1;
-}
-fn main() {
-    var acc: int = 0;
-    var i: int = 0;
-    while i < 20 {
-        acc = acc + helper(i, acc);
-        i = i + 1;
-    }
-    print(acc);
-}
-"#;
+mod common;
+use common::{corpus, DEMO};
 
 const PHASES: [&str; 5] = ["ranges", "priority", "color", "shrink_wrap", "lower"];
 
@@ -236,40 +222,12 @@ fn normalize_times(j: &Json) -> Json {
 /// the two sides always run with different worker counts.
 #[test]
 fn wave_scheduler_output_is_identical_to_serial() {
-    use ipra_workloads::synth;
-
-    let mutual = r#"
-        fn even(n: int) -> int { if n == 0 { return 1; } return odd(n - 1); }
-        fn odd(n: int) -> int { if n == 0 { return 0; } return even(n - 1); }
-        fn main() { print(even(10) + odd(7)); }
-    "#;
-
-    let mut corpus: Vec<(String, ipra_ir::Module)> = vec![
-        ("demo".into(), ipra_frontend::compile(DEMO).unwrap()),
-        ("mutual".into(), ipra_frontend::compile(mutual).unwrap()),
-        ("tree".into(), synth::call_tree_program(3, 2, 4, 5)),
-    ];
-    for seed in 0..6u64 {
-        let src = synth::random_source(seed, &synth::SourceConfig::default());
-        corpus.push((
-            format!("synth-{seed}"),
-            ipra_frontend::compile(&src).unwrap(),
-        ));
-    }
-    for w in ["nim", "stanford"] {
-        let workload = ipra_workloads::by_name(w).unwrap();
-        corpus.push((
-            w.into(),
-            ipra_workloads::compile_workload(workload).unwrap(),
-        ));
-    }
-
     let mut serial_cfg = Config::c();
     serial_cfg.opts.jobs = 1;
     let mut parallel_cfg = Config::c();
     parallel_cfg.opts.jobs = 4;
 
-    for (name, module) in &corpus {
+    for (name, module) in &corpus() {
         let serial = compile_and_run_traced(module, &serial_cfg)
             .unwrap_or_else(|t| panic!("[{name}] serial trapped: {t}"));
         let parallel = compile_and_run_traced(module, &parallel_cfg)
@@ -291,14 +249,12 @@ fn wave_scheduler_output_is_identical_to_serial() {
             format!("{:?}", pc.reports),
             "[{name}] reports"
         );
-        for ((_, sf), (_, pf)) in sc.mmodule.funcs.iter().zip(pc.mmodule.funcs.iter()) {
-            let regs = &serial_cfg.target.regs;
-            assert_eq!(
-                sf.display_in(regs, &sc.mmodule).to_string(),
-                pf.display_in(regs, &pc.mmodule).to_string(),
-                "[{name}] machine code"
-            );
-        }
+        let regs = &serial_cfg.target.regs;
+        assert_eq!(
+            sc.mmodule.asm(regs),
+            pc.mmodule.asm(regs),
+            "[{name}] machine code"
+        );
 
         let st = normalize_times(&serial.trace.unwrap().to_json()).render_pretty();
         let pt = normalize_times(&parallel.trace.unwrap().to_json()).render_pretty();

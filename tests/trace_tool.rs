@@ -1,59 +1,14 @@
 //! Integration tests for the penalty-attribution flight recorder: exact
 //! ledger reconciliation across the corpus, Chrome trace-event validity
-//! on a real compile, and the `trace-tool` binary's exit-code contract.
+//! on a real compile, the trace files `mini-cc` writes, and the
+//! `trace-tool` binary's exit-code contract.
 
 use ipra_driver::{compile_and_run_traced, compile_only, Config};
 use ipra_machine::MemClass;
 use ipra_obs::json::Json;
-use ipra_workloads::synth;
 
-const DEMO: &str = r#"
-fn helper(a: int, b: int) -> int {
-    var t: int = a * b;
-    if t > 100 { t = t - 100; }
-    return t + 1;
-}
-fn main() {
-    var acc: int = 0;
-    var i: int = 0;
-    while i < 20 {
-        acc = acc + helper(i, acc);
-        i = i + 1;
-    }
-    print(acc);
-}
-"#;
-
-/// The same 11-program corpus the cache and wave golden tests use: the
-/// demo, mutual recursion, a call tree, six generator programs and the
-/// two bundled benchmark workloads.
-fn corpus() -> Vec<(String, ipra_ir::Module)> {
-    let mutual = r#"
-        fn even(n: int) -> int { if n == 0 { return 1; } return odd(n - 1); }
-        fn odd(n: int) -> int { if n == 0 { return 0; } return even(n - 1); }
-        fn main() { print(even(10) + odd(7)); }
-    "#;
-    let mut corpus: Vec<(String, ipra_ir::Module)> = vec![
-        ("demo".into(), ipra_frontend::compile(DEMO).unwrap()),
-        ("mutual".into(), ipra_frontend::compile(mutual).unwrap()),
-        ("tree".into(), synth::call_tree_program(3, 2, 4, 5)),
-    ];
-    for seed in 0..6u64 {
-        let src = synth::random_source(seed, &synth::SourceConfig::default());
-        corpus.push((
-            format!("synth-{seed}"),
-            ipra_frontend::compile(&src).unwrap(),
-        ));
-    }
-    for w in ["nim", "stanford"] {
-        let workload = ipra_workloads::by_name(w).unwrap();
-        corpus.push((
-            w.into(),
-            ipra_workloads::compile_workload(workload).unwrap(),
-        ));
-    }
-    corpus
-}
+mod common;
+use common::{corpus, DEMO};
 
 /// The acceptance bar for the ledger: per-edge penalty rows must sum
 /// *exactly* — not approximately — to the aggregate simulator statistics
@@ -122,11 +77,21 @@ fn chrome_export_of_a_real_compile_has_required_keys() {
     let rendered = doc.render_pretty();
     let reparsed = ipra_obs::json::parse(&rendered).expect("chrome JSON parses");
 
-    let events = reparsed
+    assert_eq!(
+        complete_events(&reparsed),
+        raw.spans.len(),
+        "one X event per span"
+    );
+}
+
+/// Checks that every event of a Chrome trace document carries the
+/// trace-event format's required keys, complete (`X`) events also a
+/// duration, and returns the number of complete events.
+fn complete_events(doc: &Json) -> usize {
+    let events = doc
         .get("traceEvents")
         .and_then(Json::as_arr)
         .expect("traceEvents array");
-    assert!(events.len() >= raw.spans.len(), "one X event per span");
     let mut seen_x = 0;
     for ev in events {
         for key in ["name", "ph", "ts", "pid", "tid"] {
@@ -143,7 +108,39 @@ fn chrome_export_of_a_real_compile_has_required_keys() {
             other => panic!("unexpected event phase `{other}`"),
         }
     }
-    assert_eq!(seen_x, raw.spans.len());
+    seen_x
+}
+
+/// One traced `mini-cc` run writes both trace files: the structured
+/// trace loads with `trace-tool`'s loader and self-diffs clean, and the
+/// Chrome trace carries the trace-event format's keys.
+#[test]
+fn mini_cc_writes_loadable_structured_and_chrome_traces() {
+    let dir = std::env::temp_dir().join(format!("ipra-mini-cc-traces-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.json");
+    let chrome = dir.join("chrome.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mini-cc"))
+        .args(["--workload", "stanford", "--run", "--trace-json"])
+        .arg(&trace)
+        .arg("--trace-chrome")
+        .arg(&chrome)
+        .output()
+        .expect("mini-cc runs");
+    assert!(out.status.success(), "{out:?}");
+    let read = |path: &std::path::Path| {
+        ipra_obs::json::parse(&std::fs::read_to_string(path).unwrap()).expect("valid JSON")
+    };
+    let doc = ipra_driver::tracetool::load(&read(&trace)).expect("trace-tool loads the trace");
+    assert!(doc.funcs.iter().any(|f| f.name == "main"));
+    assert!(
+        complete_events(&read(&chrome)) > 0,
+        "chrome trace has spans"
+    );
+    let trace = trace.to_str().unwrap();
+    let (code, text) = run_tool(&["diff", trace, trace]);
+    assert_eq!(code, 0, "self-diff is clean:\n{text}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Runs the built `trace-tool` binary and returns (exit code, stdout).

@@ -1,19 +1,20 @@
 //! Workspace integration test: every workload, compiled under every named
-//! configuration, must print exactly what the reference interpreter prints,
-//! with the simulator's register-preservation checker enabled throughout.
+//! configuration, must pass the static register-contract verifier and
+//! print exactly what the reference interpreter prints, with the
+//! simulator's register-preservation checker enabled throughout.
 
-use ipra_driver::{compile_and_run, Config};
+use ipra_driver::differential::all_configs;
+use ipra_driver::{compile_and_run, compile_only, run_compiled, Config};
 
-fn all_configs() -> Vec<Config> {
-    vec![
-        Config::no_alloc(),
-        Config::o2_base(),
-        Config::a(),
-        Config::b(),
-        Config::c(),
-        Config::d(),
-        Config::e(),
-    ]
+/// Every named configuration, plus the inliner at `-O2` under a small
+/// growth budget (`-O2 --inline --inline-budget 8`).
+fn configs() -> Vec<Config> {
+    let mut small_budget = Config::inline_a();
+    small_budget.name = "inline/A budget 8".into();
+    small_budget.opts.inline_budget = 8;
+    let mut configs = all_configs();
+    configs.push(small_budget);
+    configs
 }
 
 #[test]
@@ -23,8 +24,22 @@ fn every_workload_agrees_with_the_interpreter_under_every_config() {
             .unwrap_or_else(|e| panic!("[{}] front end: {e}", w.name));
         let expected = ipra_ir::interp::run_module(&module)
             .unwrap_or_else(|t| panic!("[{}] interpreter: {t}", w.name));
-        for config in all_configs() {
-            let m = compile_and_run(&module, &config)
+        for config in configs() {
+            let compiled = compile_only(&module, &config);
+            let violations = ipra_verify::verify_module(
+                &compiled.mmodule,
+                &config.target.regs,
+                &compiled.summaries,
+            );
+            assert!(
+                violations.is_empty(),
+                "[{}/{}] {} register-contract violation(s), first: {}",
+                w.name,
+                config.name,
+                violations.len(),
+                violations[0]
+            );
+            let m = run_compiled(&compiled, &config)
                 .unwrap_or_else(|t| panic!("[{}/{}] simulator: {t}", w.name, config.name));
             assert_eq!(
                 m.output, expected.output,
