@@ -1,17 +1,27 @@
 //! The static verifier must accept everything the compiler actually
-//! produces: every reduced fuzz repro in `corpus/`, under every named
-//! configuration. (`workloads_integration` verifies the 13-program
-//! paper-analog suite.) A violation here is either a compiler bug or a
-//! verifier false positive — both are release blockers for the second
-//! oracle.
+//! produces: the 13-program paper-analog suite and every reduced fuzz
+//! repro in `corpus/`, under every named configuration plus the inliner
+//! at `-O2` under a small growth budget. A violation here is either a
+//! compiler bug or a verifier false positive — both are release blockers
+//! for the second oracle.
 
-use ipra_driver::compile_only;
 use ipra_driver::differential::all_configs;
+use ipra_driver::{compile_only, Config};
+
+/// Every named configuration, plus `-O2 --inline --inline-budget 8`.
+fn configs() -> Vec<Config> {
+    let mut small_budget = Config::inline_a();
+    small_budget.name = "inline/A budget 8".into();
+    small_budget.opts.inline_budget = 8;
+    let mut configs = all_configs();
+    configs.push(small_budget);
+    configs
+}
 
 fn assert_verifies(name: &str, source: &str) {
     let module =
         ipra_frontend::compile(source).unwrap_or_else(|e| panic!("{name}: frontend rejected: {e}"));
-    for config in all_configs() {
+    for config in configs() {
         let compiled = compile_only(&module, &config);
         let violations =
             ipra_verify::verify_module(&compiled.mmodule, &config.target.regs, &compiled.summaries);
@@ -22,6 +32,13 @@ fn assert_verifies(name: &str, source: &str) {
             violations.len(),
             violations[0]
         );
+    }
+}
+
+#[test]
+fn paper_analog_suite_verifies_under_all_configs() {
+    for w in ipra_workloads::all() {
+        assert_verifies(w.name, w.source);
     }
 }
 
