@@ -1,9 +1,8 @@
 //! `inline_ablation` — the three-leg inlining × IPRA ablation.
 //!
 //! ```text
-//! inline_ablation [--small] [--jobs <n>] [--out <path>]
+//! inline_ablation [--small] [--out <path>]
 //!   --small        only the three smallest workloads (smoke runs)
-//!   --jobs <n>     wave-scheduler worker threads (0 = auto)
 //!   --out <path>   artifact path (default BENCH_inline.json)
 //! ```
 //!
@@ -19,21 +18,16 @@ use std::process::ExitCode;
 use ipra_bench::inline_ablation::{ablation_to_json, run_ablation};
 
 fn usage() -> &'static str {
-    "usage: inline_ablation [--small] [--jobs N] [--out PATH]"
+    "usage: inline_ablation [--small] [--out PATH]"
 }
 
 fn real_main() -> Result<(), String> {
     let mut small = false;
-    let mut jobs = None;
     let mut out = PathBuf::from("BENCH_inline.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--small" => small = true,
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a count")?;
-                jobs = Some(v.trim().parse::<usize>().map_err(|_| "bad --jobs count")?);
-            }
             "--out" => out = PathBuf::from(args.next().ok_or("--out needs a path")?),
             "-h" | "--help" => return Err(usage().to_string()),
             other => return Err(format!("unknown option `{other}`\n{}", usage())),
@@ -49,7 +43,7 @@ fn real_main() -> Result<(), String> {
         }
     };
 
-    let rows = run_ablation(&workloads, jobs)?;
+    let rows = run_ablation(&workloads, None)?;
     println!(
         "{:<10} {:>12} {:>12} {:>12} {:>7} {:>7}",
         "workload", "penalty-off", "penalty-inl", "penalty-i+I", "sites", "stops"

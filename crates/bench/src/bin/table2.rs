@@ -2,7 +2,7 @@
 //! E = only 7 callee-saved registers, vs the full-register-set -O2 base.
 //!
 //! Flags: `--small` (three smallest workloads), `--trace-json <dir>` (dump
-//! one JSON compile trace per configuration), `--jobs <n>`.
+//! one JSON compile trace per configuration).
 
 use std::process::ExitCode;
 
@@ -24,8 +24,8 @@ fn main() -> ExitCode {
     );
     for w in args.workloads() {
         let module = ipra_workloads::compile_workload(w).expect("workload compiles");
-        let configs = [args.apply(Config::d()), args.apply(Config::e())];
-        let base = args.apply(Config::o2_base());
+        let configs = [Config::d(), Config::e()];
+        let base = Config::o2_base();
         let row = table_row(w.name, &module, &base, &configs);
         println!(
             "{:<10} | {:>6.1}% {:>6.1}% | {:>6.1}% {:>6.1}%",

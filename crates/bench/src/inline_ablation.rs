@@ -80,7 +80,7 @@ fn run_leg(
     let compiled =
         ipra_core::ipra::compile_module_with_profile(module, &config.target, &config.opts, profile);
     let mut sim_opts = ipra_sim::SimOptions::for_target(&config.target.regs)
-        .check_preservation(compiled.clobber_masks.clone());
+        .check_preservation(compiled.clobber_masks());
     if want_profile {
         sim_opts = sim_opts.with_block_profile();
     }
@@ -100,8 +100,8 @@ fn run_leg(
     Ok((result, r.block_profile))
 }
 
-/// Runs the full three-leg ablation over `workloads`, applying a `--jobs`
-/// override when given.
+/// Runs the full three-leg ablation over `workloads`, overriding every
+/// leg's worker count when `jobs` is given.
 ///
 /// # Errors
 ///

@@ -1,8 +1,9 @@
 //! A generic iterative bit-vector data-flow solver.
 //!
-//! Handles the classic four combinations of direction and meet. The
-//! shrink-wrap analysis of the paper (ANT/AV, Eqs. 3.1–3.4) and liveness are
-//! both instances.
+//! Handles the classic four combinations of direction and meet. Liveness
+//! is an instance. The shrink-wrap analysis of the paper (ANT/AV,
+//! Eqs. 3.1–3.4) is not: it runs its own `RegMask` sweeps, one bit per
+//! register, in `ipra-core`'s `shrinkwrap` module.
 
 use crate::bitset::BitSet;
 use crate::graph::Cfg;

@@ -57,10 +57,6 @@ pub struct FuncAllocation {
     /// Registers used anywhere in this function's call tree (for the Fig. 1
     /// tie-break in ancestors).
     pub tree_used: RegMask,
-    /// Whether the function was treated as open.
-    pub is_open: bool,
-    /// Shrink-wrap range-extension iterations (0 when disabled).
-    pub shrink_iterations: u32,
 }
 
 /// Allocation plus the analyses lowering needs.
@@ -106,6 +102,19 @@ pub struct SummaryEnv {
     /// Whole-call-tree register usage of processed functions (closed or
     /// open), for the tie-break preference.
     pub tree_used: HashMap<FuncId, RegMask>,
+}
+
+impl SummaryEnv {
+    /// Publishes a processed function to its callers: its whole-tree usage
+    /// always, its summary only when it is not the default one. A default
+    /// summary marks a function treated as open (or compiled outside
+    /// inter-procedural mode), whose callers must assume the convention.
+    pub(crate) fn publish(&mut self, fid: FuncId, summary: &FuncSummary, tree_used: RegMask) {
+        if !summary.is_default {
+            self.summaries.insert(fid, summary.clone());
+        }
+        self.tree_used.insert(fid, tree_used);
+    }
 }
 
 /// Allocates registers for one function. `profile` optionally supplies
@@ -400,12 +409,11 @@ pub fn allocate_function_with(
     }
     drop(shrink_span);
     scratch.masks.give(occupancy);
-    let shrink_iterations = save_plan.iterations;
     let func_label = [("func", func.name.as_str())];
     ipra_obs::counter(
         "shrink_wrap.iterations",
         &func_label,
-        u64::from(shrink_iterations),
+        u64::from(save_plan.iterations),
     );
     ipra_obs::counter(
         "shrink_wrap.antav.sweeps",
@@ -539,8 +547,6 @@ pub fn allocate_function_with(
             param_locs,
             summary,
             tree_used,
-            is_open,
-            shrink_iterations,
         },
     }
 }

@@ -113,16 +113,6 @@ impl AnalysisCache {
             misses: self.misses.load(Ordering::Relaxed),
         }
     }
-
-    /// Totals accumulated since an earlier [`AnalysisCache::stats`]
-    /// snapshot — the per-compile window.
-    pub fn stats_since(&self, start: AnalysisStats) -> AnalysisStats {
-        let now = self.stats();
-        AnalysisStats {
-            hits: now.hits - start.hits,
-            misses: now.misses - start.misses,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -177,21 +167,5 @@ mod tests {
         let live = Liveness::compute(f, &cfg);
         assert_eq!(an.liveness.live_in, live.live_in);
         assert_eq!(an.liveness.live_out, live.live_out);
-    }
-
-    #[test]
-    fn stats_since_windows_the_counters() {
-        let m = demo();
-        let fid = ipra_ir::FuncId(0);
-        let cache = AnalysisCache::default();
-        let h = hash_function(&m, fid);
-        cache.get_or_compute(h, &m.funcs[fid]);
-        let snap = cache.stats();
-        cache.get_or_compute(h, &m.funcs[fid]);
-        cache.get_or_compute(h, &m.funcs[fid]);
-        assert_eq!(
-            cache.stats_since(snap),
-            AnalysisStats { hits: 2, misses: 0 }
-        );
     }
 }

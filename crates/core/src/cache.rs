@@ -37,7 +37,8 @@ use ipra_machine::{
 };
 use ipra_obs::json::{self, Json};
 
-use crate::alloc::SummaryEnv;
+use crate::alloc::{FuncArtifacts, SummaryEnv};
+use crate::color::VregLoc;
 use crate::config::{AllocMode, AllocOptions};
 use crate::summary::{FuncSummary, ParamLoc};
 
@@ -45,8 +46,9 @@ use crate::summary::{FuncSummary, ParamLoc};
 /// layout changes; files written by another version load as empty.
 /// Version 3 moved from one `ipra-cache.json` document to one
 /// `<key>.ce.json` file per component entry. Version 4 folded the
-/// inline configuration into the config fingerprint.
-pub const CACHE_FORMAT_VERSION: i64 = 4;
+/// inline configuration into the config fingerprint. Version 5 dropped
+/// the per-function open bit, which the summary's default flag carries.
+pub const CACHE_FORMAT_VERSION: i64 = 5;
 
 /// Outcome counters of one compile with the cache enabled.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -65,9 +67,12 @@ pub struct CacheStats {
     pub recompiled: Vec<String>,
 }
 
-/// Everything a cache hit replays for one function: the lowered machine
-/// code, the interface published to callers, and the per-function report
-/// statistics that would otherwise come out of the allocation artifacts.
+/// The one record of a compiled function: its lowered machine code, the
+/// interface published to callers, and its report statistics. A wave task
+/// builds it right after lowering (`CachedFunc::new`) and a cache hit
+/// decodes it; the driver reads both alike, and stores the fresh ones as
+/// they are. A function was treated as open exactly when its summary is
+/// the default one.
 #[derive(Clone, Debug)]
 pub struct CachedFunc {
     /// Function name (guards against key collisions and stale entries).
@@ -78,8 +83,6 @@ pub struct CachedFunc {
     pub summary: FuncSummary,
     /// Whole-call-tree register usage (the Fig. 1 tie-break input).
     pub tree_used: RegMask,
-    /// Whether the function was treated as open.
-    pub is_open: bool,
     /// Registers the assignment uses.
     pub used: RegMask,
     /// Callee-saved registers saved locally.
@@ -92,6 +95,35 @@ pub struct CachedFunc {
     pub split_vregs: usize,
     /// Report statistic: total referenced vregs.
     pub candidate_vregs: usize,
+}
+
+impl CachedFunc {
+    /// The record of a function allocated (`art`) and lowered (`code`) in
+    /// this compile.
+    pub(crate) fn new(name: String, art: &FuncArtifacts, code: MFunction) -> CachedFunc {
+        let a = &art.alloc;
+        let (mut memory_vregs, mut split_vregs, mut candidate_vregs) = (0, 0, 0);
+        for lr in art.ranges.ranges.iter().filter(|lr| lr.is_candidate()) {
+            candidate_vregs += 1;
+            if a.assignment.is_split(lr.vreg) {
+                split_vregs += 1;
+            } else if a.assignment.whole[lr.vreg.index()] == VregLoc::Mem {
+                memory_vregs += 1;
+            }
+        }
+        CachedFunc {
+            name,
+            code,
+            summary: a.summary.clone(),
+            tree_used: a.tree_used,
+            used: a.assignment.used,
+            locally_saved: a.locally_saved,
+            shrink_iterations: a.save_plan.iterations,
+            memory_vregs,
+            split_vregs,
+            candidate_vregs,
+        }
+    }
 }
 
 /// Fingerprint of everything outside the IR that allocation output depends
@@ -803,7 +835,6 @@ fn enc_cached(c: &CachedFunc, module: &Module) -> Json {
     }
     e.bit(c.summary.is_default);
     e.num(c.tree_used.0);
-    e.bit(c.is_open);
     e.num(c.used.0);
     e.num(c.locally_saved.0);
     e.num(c.shrink_iterations);
@@ -837,7 +868,6 @@ fn dec_cached(v: &Json, module: &Module) -> Option<CachedFunc> {
         name,
         summary,
         tree_used: d.mask()?,
-        is_open: d.bit()?,
         used: d.mask()?,
         locally_saved: d.mask()?,
         shrink_iterations: d.u32()?,
@@ -903,7 +933,6 @@ mod tests {
                 code: compiled.mmodule.funcs[fid].clone(),
                 summary: compiled.summaries[fid.index()].clone(),
                 tree_used: compiled.reports[fid.index()].used,
-                is_open: compiled.summaries[fid.index()].is_default,
                 used: compiled.reports[fid.index()].used,
                 locally_saved: compiled.reports[fid.index()].locally_saved,
                 shrink_iterations: compiled.reports[fid.index()].shrink_iterations,

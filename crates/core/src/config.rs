@@ -49,11 +49,12 @@ pub struct AllocOptions {
     /// `std::thread::available_parallelism`. Results are bit-identical
     /// for every value.
     pub jobs: usize,
-    /// Directory for the incremental allocation cache (`ipra-cache.json`
-    /// inside it). `None` disables caching. Warm compiles are
-    /// bit-identical to cold ones; the cache key covers the function
-    /// body, every option in this struct (except `jobs` and `cache_dir`
-    /// themselves), the target, and all callee summaries.
+    /// Directory for the incremental allocation cache (one
+    /// `<key:016x>.ce.json` shard per SCC component inside it). `None`
+    /// disables caching. Warm compiles are bit-identical to cold ones;
+    /// the cache key covers the function body, every option in this
+    /// struct (except `jobs` and `cache_dir` themselves), the target, and
+    /// all callee summaries.
     pub cache_dir: Option<std::path::PathBuf>,
 }
 

@@ -18,10 +18,16 @@
 //! thread. Every compile takes this one path. The unit of work is the
 //! *component*, not the function: members of a multi-node SCC see each
 //! other's whole-tree usage in their processing order, so a worker
-//! replays that order against a private copy of the environment. Workers
-//! collect their own observability shards; the driver merges summaries
-//! and shards in `FuncId` order, making output, reports, and traces
-//! independent of thread scheduling and of the worker count.
+//! replays that order against a private copy of the environment.
+//!
+//! A worker allocates and then lowers each member, so a function leaves
+//! its task as one [`CachedFunc`] record: the same record an
+//! incremental-cache hit replays. Its ranges, interference rows and call
+//! plans die inside the task. Fresh and replayed records then take one
+//! path: the driver publishes them to the summary environment, absorbs
+//! the workers' observability shards and builds the reports in `FuncId`
+//! order, making output, reports, and traces independent of thread
+//! scheduling and of the worker count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,7 +36,7 @@ use ipra_callgraph::{CallGraph, OpenReason, Openness, SccInfo};
 use ipra_ir::{hash_all_functions, EntityVec, FuncId, Module};
 use ipra_machine::{MFunction, MModule, RegMask, Target};
 
-use crate::alloc::{allocate_function_with, FuncArtifacts, SummaryEnv};
+use crate::alloc::{allocate_function_with, SummaryEnv};
 use crate::analysis::{AnalysisCache, AnalysisStats};
 use crate::cache::{component_key, config_fingerprint, AllocCache, CacheStats, CachedFunc};
 use crate::config::{AllocMode, AllocOptions};
@@ -65,15 +71,14 @@ pub struct FuncReport {
     pub candidate_vregs: usize,
 }
 
-/// A fully compiled module.
+/// A fully compiled module, assembled from one [`CachedFunc`] record per
+/// function, whether compiled in this run or replayed from the cache.
 #[derive(Clone, Debug)]
 pub struct CompiledModule {
     /// Executable machine code.
     pub mmodule: MModule,
     /// Final summaries (default summaries for open procedures).
     pub summaries: Vec<FuncSummary>,
-    /// Per-function clobber masks for the simulator's convention checker.
-    pub clobber_masks: Vec<RegMask>,
     /// Per-function diagnostics.
     pub reports: Vec<FuncReport>,
     /// Global-promotion statistics (zero when the pass is off).
@@ -89,14 +94,44 @@ pub struct CompiledModule {
     pub analysis: AnalysisStats,
 }
 
-/// How one function's result was obtained: allocated in this compile, or
-/// replayed from the incremental cache. Cached results point into a
-/// shared component entry (`Arc` + member index) so replay never clones
-/// the decoded entry per function.
-enum FuncResult {
-    Fresh(Box<FuncArtifacts>),
-    Cached(Arc<Vec<CachedFunc>>, usize),
+impl CompiledModule {
+    /// Per-function clobber masks for the simulator's convention checker:
+    /// each summary's clobbers, which for an open procedure are the
+    /// default convention's.
+    pub fn clobber_masks(&self) -> Vec<RegMask> {
+        self.summaries.iter().map(|s| s.clobbers).collect()
+    }
 }
+
+/// One function's record, owned or shared with a cache entry. Without a
+/// cache a fresh record is owned, so its code moves into the module; a
+/// hit, and a fresh record the cache also stores, points into the shared
+/// component entry (`Arc` + member index), so neither replay nor store
+/// clones the entry per function.
+enum FuncRecord {
+    Owned(CachedFunc),
+    Shared(Arc<Vec<CachedFunc>>, usize),
+}
+
+impl FuncRecord {
+    fn get(&self) -> &CachedFunc {
+        match self {
+            FuncRecord::Owned(cf) => cf,
+            FuncRecord::Shared(entry, m) => &entry[*m],
+        }
+    }
+
+    fn into_code(self) -> MFunction {
+        match self {
+            FuncRecord::Owned(cf) => cf.code,
+            FuncRecord::Shared(entry, m) => entry[m].code.clone(),
+        }
+    }
+}
+
+/// What a wave task adds to each fresh record: whether the analyses came
+/// from the memo, and the function's trace shard.
+type FreshExtras = (bool, ipra_obs::Trace);
 
 /// Compiles a module under the given options.
 pub fn compile_module(module: &Module, target: &Target, opts: &AllocOptions) -> CompiledModule {
@@ -224,6 +259,11 @@ pub(crate) fn compile_module_impl(
     }
 
     let inter = opts.mode == AllocMode::Inter;
+    // The open/closed decision (paper §3) the cache key and the
+    // allocator both read.
+    let treated_open = |fid: FuncId| {
+        !inter || opts.forced_open.contains(&module.funcs[fid].name) || openness.is_open(fid)
+    };
     let n = module.funcs.len();
     let jobs = opts.effective_jobs();
     let mut env = SummaryEnv::default();
@@ -242,9 +282,12 @@ pub(crate) fn compile_module_impl(
         ..CacheStats::default()
     };
     let mut recompiled = vec![false; n];
-    let mut miss_records: Vec<(u64, Vec<FuncId>)> = Vec::new();
-
-    let mut results: Vec<Option<FuncResult>> = (0..n).map(|_| None).collect();
+    let mut stores: Vec<(u64, Arc<Vec<CachedFunc>>)> = Vec::new();
+    let mut records: Vec<Option<FuncRecord>> = (0..n).map(|_| None).collect();
+    // This compile's own analysis-memo window, summed from the per-
+    // function hit flags. Diffing the shared memo counters would fold in
+    // whatever concurrent compiles through the same pipeline did.
+    let mut analysis = AnalysisStats::default();
 
     // Wave scheduler: every component of a level has all its callees
     // summarized, so a whole level fans out at once. `env` is frozen
@@ -271,10 +314,7 @@ pub(crate) fn compile_module_impl(
                     module,
                     body_hashes,
                     comp,
-                    |fid| {
-                        let forced = opts.forced_open.contains(&module.funcs[fid].name);
-                        !inter || forced || openness.is_open(fid)
-                    },
+                    treated_open,
                     fingerprint,
                     inter,
                     &env,
@@ -310,73 +350,76 @@ pub(crate) fn compile_module_impl(
             }
         }
 
-        // Fan the misses out across the workers.
+        // Fan the misses out across the workers, then put them back in
+        // wave order: workers return them in thread order, and the queued
+        // stores fix the entry memo's FIFO eviction order.
         let miss_idx: Vec<usize> = (0..comps.len()).filter(|&i| hits[i].is_none()).collect();
-        let mut fresh = run_tasks(jobs, miss_idx.len(), &pipe.scratch, |out, scratch, t| {
-            alloc_component(
+        let mut fresh = run_tasks(jobs, miss_idx.len(), &pipe.scratch, |scratch, t| {
+            let i = miss_idx[t];
+            let compiled = compile_component(
                 module,
-                comps[miss_idx[t]],
+                comps[i],
                 target,
                 opts,
-                inter,
-                openness,
+                treated_open,
                 &env,
                 profile,
                 tracing,
                 &pipe.analyses,
                 body_hashes,
                 scratch,
-                out,
             );
+            (i, compiled)
         });
-        fresh.sort_by_key(|(fid, _, _)| fid.index());
-        if cache.is_some() {
-            for &i in &miss_idx {
-                miss_records.push((comp_keys[i], comps[i].to_vec()));
+        fresh.sort_by_key(|(i, _)| *i);
+
+        // One list per wave. With a cache, a fresh component becomes the
+        // very entry a later compile replays, queued under its lookup-time
+        // key; without one, its records stay owned.
+        let mut merged: Vec<(FuncId, FuncRecord, Option<FreshExtras>)> =
+            Vec::with_capacity(comps.iter().map(|c| c.len()).sum());
+        for (i, entry) in hits.into_iter().enumerate() {
+            if let Some(entry) = entry {
+                for (m, &fid) in comps[i].iter().enumerate() {
+                    merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), None));
+                }
+            }
+        }
+        for (i, (funcs, extras)) in fresh {
+            let members = comps[i].iter().copied().zip(extras);
+            if cache.is_some() {
+                let entry = Arc::new(funcs);
+                for (m, (fid, x)) in members.enumerate() {
+                    merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), Some(x)));
+                }
+                stores.push((comp_keys[i], entry));
+            } else {
+                for ((fid, x), cf) in members.zip(funcs) {
+                    merged.push((fid, FuncRecord::Owned(cf), Some(x)));
+                }
             }
         }
 
-        // Deterministic merge: interleave the hit and miss streams in
-        // FuncId order so the environment, observability records and
-        // counters come out independent of thread scheduling.
-        let mut hit_funcs: Vec<(FuncId, Arc<Vec<CachedFunc>>, usize)> = Vec::new();
-        for (i, h) in hits.into_iter().enumerate() {
-            if let Some(funcs) = h {
-                for (m, &fid) in comps[i].iter().enumerate() {
-                    hit_funcs.push((fid, Arc::clone(&funcs), m));
-                }
-            }
-        }
-        hit_funcs.sort_by_key(|(fid, _, _)| fid.index());
-        let mut fresh_it = fresh.into_iter().peekable();
-        let mut hit_it = hit_funcs.into_iter().peekable();
-        loop {
-            let take_fresh = match (fresh_it.peek(), hit_it.peek()) {
-                (Some((f, _, _)), Some((h, _, _))) => f.index() < h.index(),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_fresh {
-                let (fid, art, shard) = fresh_it.next().expect("peeked");
-                if inter && !art.alloc.is_open {
-                    env.summaries.insert(fid, art.alloc.summary.clone());
-                }
-                env.tree_used.insert(fid, art.alloc.tree_used);
+        // Deterministic merge in FuncId order, so the environment,
+        // observability records and counters come out independent of
+        // thread scheduling.
+        merged.sort_by_key(|(fid, _, _)| fid.index());
+        for (fid, record, fresh) in merged {
+            let cf = record.get();
+            env.publish(fid, &cf.summary, cf.tree_used);
+            if let Some((analysis_hit, shard)) = fresh {
                 ipra_obs::absorb(shard);
+                if analysis_hit {
+                    analysis.hits += 1;
+                } else {
+                    analysis.misses += 1;
+                }
                 recompiled[fid.index()] = true;
                 if cache.is_some() {
                     cache_stats.misses += 1;
-                    cache_stats.recompiled.push(module.funcs[fid].name.clone());
+                    cache_stats.recompiled.push(cf.name.clone());
                 }
-                results[fid.index()] = Some(FuncResult::Fresh(Box::new(art)));
             } else {
-                let (fid, entry, idx) = hit_it.next().expect("peeked");
-                let cf = &entry[idx];
-                if inter && !cf.is_open {
-                    env.summaries.insert(fid, cf.summary.clone());
-                }
-                env.tree_used.insert(fid, cf.tree_used);
                 cache_stats.hits += 1;
                 // A hit whose direct callee was recompiled is an early
                 // cutoff: the callee changed but its summary bytes did
@@ -384,168 +427,44 @@ pub(crate) fn compile_module_impl(
                 if cg.callees(fid).iter().any(|c| recompiled[c.index()]) {
                     cache_stats.cutoffs += 1;
                 }
-                {
-                    // The replay shows as a `cache.hit` phase of the
-                    // function's trace.
-                    let _obs = ipra_obs::scope(&module.funcs[fid].name);
-                    let _t = ipra_obs::span("cache.hit");
-                }
-                results[fid.index()] = Some(FuncResult::Cached(entry, idx));
+                // The replay shows as a `cache.hit` phase of the
+                // function's trace.
+                let _obs = ipra_obs::scope(&cf.name);
+                let _t = ipra_obs::span("cache.hit");
             }
+            records[fid.index()] = Some(record);
         }
     }
 
-    // Lowering is embarrassingly parallel: the artifacts are frozen now.
-    // Cache hits already carry their lowered code and skip this entirely.
-    let fresh_ids: Vec<usize> = (0..n)
-        .filter(|&i| matches!(results[i], Some(FuncResult::Fresh(_))))
-        .collect();
-    let mut lowered_parts = run_tasks(jobs, fresh_ids.len(), &pipe.scratch, |out, scratch, t| {
-        let fi = fresh_ids[t];
-        let fid = FuncId(fi as u32);
-        let func = &module.funcs[fid];
-        let Some(FuncResult::Fresh(art)) = &results[fi] else {
-            unreachable!("fresh_ids only lists fresh results");
-        };
-        // Shard capture only on sink-less worker threads; inline
-        // execution records straight into the driver's sink (see
-        // `alloc_component`).
-        let capture = tracing && !ipra_obs::is_enabled();
-        if capture {
-            ipra_obs::enable();
+    // Store every miss, and mirror the store into the pipeline's entry
+    // image so the next recompile through the same pipeline hits in memory.
+    if let Some(cache) = &mut cache {
+        for (key, entry) in stores {
+            cache.insert(key, &entry, module);
+            pipe.entries.lock().unwrap().insert((key, numbering), entry);
         }
-        let mf = {
-            let _obs = ipra_obs::scope(&func.name);
-            let _t = ipra_obs::span("lower");
-            lower_function_with(module, func, target, art, scratch)
-        };
-        let shard = if capture {
-            ipra_obs::disable()
-        } else {
-            ipra_obs::Trace::default()
-        };
-        out.push((fi, mf, shard));
-    });
-    lowered_parts.sort_by_key(|(i, _, _)| *i);
-    let mut lowered: Vec<Option<MFunction>> = (0..n).map(|_| None).collect();
-    for (i, mf, shard) in lowered_parts {
-        ipra_obs::absorb(shard);
-        lowered[i] = Some(mf);
+        cache.save();
     }
 
     let mut funcs = EntityVec::new();
     let mut summaries = Vec::with_capacity(n);
-    let mut clobber_masks = Vec::with_capacity(n);
     let mut reports = Vec::with_capacity(n);
-    // This compile's own analysis-memo window, summed from the per-
-    // function hit flags. Diffing the shared memo counters would fold in
-    // whatever concurrent compiles through the same pipeline did.
-    let mut analysis = AnalysisStats::default();
-    for (fid, func) in module.funcs.iter() {
-        match results[fid.index()]
-            .as_ref()
-            .expect("every function compiled")
-        {
-            FuncResult::Fresh(art) => {
-                if art.analysis_hit {
-                    analysis.hits += 1;
-                } else {
-                    analysis.misses += 1;
-                }
-                funcs.push(lowered[fid.index()].take().expect("fresh function lowered"));
-                let a = &art.alloc;
-                summaries.push(a.summary.clone());
-                clobber_masks.push(if inter && !a.is_open {
-                    a.summary.clobbers
-                } else {
-                    target.regs.default_clobbers()
-                });
-                let mut memory_vregs = 0;
-                let mut split_vregs = 0;
-                let mut candidates = 0;
-                for lr in &art.ranges.ranges {
-                    if !lr.is_candidate() {
-                        continue;
-                    }
-                    candidates += 1;
-                    if a.assignment.is_split(lr.vreg) {
-                        split_vregs += 1;
-                    } else if a.assignment.whole[lr.vreg.index()] == crate::color::VregLoc::Mem {
-                        memory_vregs += 1;
-                    }
-                }
-                reports.push(FuncReport {
-                    name: func.name.clone(),
-                    open_reasons: openness.reasons(fid).to_vec(),
-                    forced_open: opts.forced_open.contains(&func.name),
-                    used: a.assignment.used,
-                    locally_saved: a.locally_saved,
-                    shrink_iterations: a.shrink_iterations,
-                    memory_vregs,
-                    split_vregs,
-                    candidate_vregs: candidates,
-                });
-            }
-            FuncResult::Cached(entry, idx) => {
-                let c = &entry[*idx];
-                funcs.push(c.code.clone());
-                summaries.push(c.summary.clone());
-                clobber_masks.push(if inter && !c.is_open {
-                    c.summary.clobbers
-                } else {
-                    target.regs.default_clobbers()
-                });
-                reports.push(FuncReport {
-                    name: func.name.clone(),
-                    open_reasons: openness.reasons(fid).to_vec(),
-                    forced_open: opts.forced_open.contains(&func.name),
-                    used: c.used,
-                    locally_saved: c.locally_saved,
-                    shrink_iterations: c.shrink_iterations,
-                    memory_vregs: c.memory_vregs,
-                    split_vregs: c.split_vregs,
-                    candidate_vregs: c.candidate_vregs,
-                });
-            }
-        }
-    }
-
-    // Store every miss back into the cache, keyed by the lookup-time key.
-    if let Some(cache) = &mut cache {
-        for (key, comp) in &miss_records {
-            let entry: Vec<CachedFunc> = comp
-                .iter()
-                .map(|&fid| {
-                    let i = fid.index();
-                    let Some(FuncResult::Fresh(art)) = &results[i] else {
-                        unreachable!("misses were compiled fresh");
-                    };
-                    CachedFunc {
-                        name: module.funcs[fid].name.clone(),
-                        code: funcs[fid].clone(),
-                        summary: summaries[i].clone(),
-                        tree_used: art.alloc.tree_used,
-                        is_open: art.alloc.is_open,
-                        used: reports[i].used,
-                        locally_saved: reports[i].locally_saved,
-                        shrink_iterations: reports[i].shrink_iterations,
-                        memory_vregs: reports[i].memory_vregs,
-                        split_vregs: reports[i].split_vregs,
-                        candidate_vregs: reports[i].candidate_vregs,
-                    }
-                })
-                .collect();
-            cache.insert(*key, &entry, module);
-            // Mirror the store into the pipeline's entry image so the
-            // next recompile through the same pipeline hits in memory.
-            pipe.entries
-                .lock()
-                .unwrap()
-                .insert((*key, numbering), Arc::new(entry));
-        }
-        if !miss_records.is_empty() {
-            cache.save();
-        }
+    for (fid, record) in module.funcs.ids().zip(records) {
+        let record = record.expect("every function compiled");
+        let cf = record.get();
+        summaries.push(cf.summary.clone());
+        reports.push(FuncReport {
+            name: cf.name.clone(),
+            open_reasons: openness.reasons(fid).to_vec(),
+            forced_open: opts.forced_open.contains(&cf.name),
+            used: cf.used,
+            locally_saved: cf.locally_saved,
+            shrink_iterations: cf.shrink_iterations,
+            memory_vregs: cf.memory_vregs,
+            split_vregs: cf.split_vregs,
+            candidate_vregs: cf.candidate_vregs,
+        });
+        funcs.push(record.into_code());
     }
 
     CompiledModule {
@@ -555,7 +474,6 @@ pub(crate) fn compile_module_impl(
             main: module.main,
         },
         summaries,
-        clobber_masks,
         reports,
         promotion,
         inline: prep.inline.clone(),
@@ -565,25 +483,22 @@ pub(crate) fn compile_module_impl(
 }
 
 /// Fans `tasks` indices out across at most `jobs` scoped worker threads.
-/// Workers pull indices from a shared counter and append results into
-/// their own vector; the concatenation is returned in arbitrary order
-/// (callers sort by `FuncId` before consuming). Each worker checks one
-/// [`CompileScratch`] out of the pool for its whole run, so per-task
-/// buffers are recycled instead of reallocated.
+/// Workers pull indices from a shared counter and collect one result per
+/// task; the concatenation is returned in arbitrary order (callers sort
+/// it before consuming). Each worker checks one [`CompileScratch`] out of
+/// the pool for its whole run, so per-task buffers are recycled instead
+/// of reallocated.
 fn run_tasks<T: Send>(
     jobs: usize,
     tasks: usize,
     pool: &ScratchPool,
-    work: impl Fn(&mut Vec<T>, &mut CompileScratch, usize) + Sync,
+    work: impl Fn(&mut CompileScratch, usize) -> T + Sync,
 ) -> Vec<T> {
     let workers = jobs.min(tasks).max(1);
     if workers == 1 {
         // Narrow wave (or one worker): run inline, no thread overhead.
-        let mut out = Vec::new();
         let mut scratch = pool.acquire();
-        for t in 0..tasks {
-            work(&mut out, &mut scratch, t);
-        }
+        let out = (0..tasks).map(|t| work(&mut scratch, t)).collect();
         pool.release(scratch);
         return out;
     }
@@ -599,7 +514,7 @@ fn run_tasks<T: Send>(
                         if t >= tasks {
                             break;
                         }
-                        work(&mut out, &mut scratch, t);
+                        out.push(work(&mut scratch, t));
                     }
                     pool.release(scratch);
                     out
@@ -617,34 +532,33 @@ fn run_tasks<T: Send>(
     })
 }
 
-/// Allocates one SCC on a worker thread. Members of a multi-node SCC
-/// observe each other's whole-tree register usage in serial order, so the
-/// component replays that order against a private copy of the environment
-/// (multi-node SCCs are rare; singletons use the shared snapshot
-/// directly). Each member's observability records are collected into a
-/// per-function shard for deterministic merging by the driver.
+/// Compiles one SCC on a worker thread: allocates each member, lowers it
+/// at once, and returns the members' records with their fresh extras.
+/// Members of a multi-node SCC observe each other's whole-tree register
+/// usage in serial order, so the component replays that order against a
+/// private copy of the environment (multi-node SCCs are rare; singletons
+/// use the shared snapshot directly). Each member's observability records
+/// are collected into a per-function shard for deterministic merging by
+/// the driver.
 #[allow(clippy::too_many_arguments)]
-fn alloc_component(
+fn compile_component(
     module: &Module,
     comp: &[FuncId],
     target: &Target,
     opts: &AllocOptions,
-    inter: bool,
-    openness: &Openness,
+    treated_open: impl Fn(FuncId) -> bool,
     env: &SummaryEnv,
     profile: Option<&[Vec<u64>]>,
     tracing: bool,
     analyses: &AnalysisCache,
     body_hashes: &[u64],
     scratch: &mut CompileScratch,
-    out: &mut Vec<(FuncId, FuncArtifacts, ipra_obs::Trace)>,
-) {
-    let mut overlay: Option<SummaryEnv> = if comp.len() > 1 {
-        Some(env.clone())
-    } else {
-        None
-    };
+) -> (Vec<CachedFunc>, Vec<FreshExtras>) {
+    let mut overlay = (comp.len() > 1).then(|| env.clone());
+    let mut funcs = Vec::with_capacity(comp.len());
+    let mut extras = Vec::with_capacity(comp.len());
     for &fid in comp {
+        let func = &module.funcs[fid];
         // On a spawned worker the thread has no sink: install one and
         // return its records as a shard. When the task runs inline on the
         // driver thread (narrow wave), the driver's own sink is already
@@ -654,21 +568,27 @@ fn alloc_component(
         if capture {
             ipra_obs::enable();
         }
-        let art = {
-            let _obs = ipra_obs::scope(&module.funcs[fid].name);
-            let forced = opts.forced_open.contains(&module.funcs[fid].name);
-            let is_open = !inter || forced || openness.is_open(fid);
-            allocate_function_with(
+        let (cf, analysis_hit) = {
+            let _obs = ipra_obs::scope(&func.name);
+            let art = allocate_function_with(
                 module,
                 fid,
                 target,
                 opts,
-                is_open,
+                treated_open(fid),
                 overlay.as_ref().unwrap_or(env),
                 profile.map(|p| p[fid.index()].as_slice()),
                 analyses,
                 body_hashes[fid.index()],
                 scratch,
+            );
+            let code = {
+                let _t = ipra_obs::span("lower");
+                lower_function_with(module, func, target, &art, scratch)
+            };
+            (
+                CachedFunc::new(func.name.clone(), &art, code),
+                art.analysis_hit,
             )
         };
         let shard = if capture {
@@ -677,28 +597,10 @@ fn alloc_component(
             ipra_obs::Trace::default()
         };
         if let Some(ov) = overlay.as_mut() {
-            if inter && !art.alloc.is_open {
-                ov.summaries.insert(fid, art.alloc.summary.clone());
-            }
-            ov.tree_used.insert(fid, art.alloc.tree_used);
+            ov.publish(fid, &cf.summary, cf.tree_used);
         }
-        out.push((fid, art, shard));
+        funcs.push(cf);
+        extras.push((analysis_hit, shard));
     }
-}
-
-/// Convenience: which functions ended up open under `opts`.
-pub fn open_functions(module: &Module, opts: &AllocOptions) -> Vec<FuncId> {
-    let cg = CallGraph::build(module);
-    let scc = SccInfo::compute(&cg);
-    let openness = Openness::compute(module, &cg, &scc);
-    module
-        .funcs
-        .iter()
-        .filter(|(id, f)| {
-            opts.mode != AllocMode::Inter
-                || opts.forced_open.contains(&f.name)
-                || openness.is_open(*id)
-        })
-        .map(|(id, _)| id)
-        .collect()
+    (funcs, extras)
 }

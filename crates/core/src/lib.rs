@@ -42,7 +42,6 @@ pub use color::{Assignment, VregLoc};
 pub use config::{AllocMode, AllocOptions};
 pub use inline::{inline_hot_calls, InlineStats, DEFAULT_INLINE_BUDGET};
 pub use ipra::{compile_module, compile_module_with_profile, CompiledModule, FuncReport};
-pub use lower::lower_function;
 pub use normalize::normalize_entries;
 pub use pipeline::Pipeline;
 pub use priority::PriorityCtx;

@@ -41,17 +41,7 @@ struct Lowerer<'a> {
     boundary_stores: Vec<Vec<(Vreg, PReg)>>,
 }
 
-/// Lowers one function.
-pub fn lower_function(
-    module: &Module,
-    func: &Function,
-    target: &Target,
-    art: &FuncArtifacts,
-) -> MFunction {
-    lower_function_with(module, func, target, art, &mut CompileScratch::default())
-}
-
-/// [`lower_function`] resolving its parallel moves out of the caller's
+/// Lowers one function, resolving its parallel moves out of the caller's
 /// [`CompileScratch`] worklists.
 pub fn lower_function_with(
     module: &Module,

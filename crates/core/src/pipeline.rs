@@ -214,7 +214,7 @@ impl Pipeline {
 
     /// Compiles a module, reusing any state earlier compiles left behind.
     pub fn compile(&self, module: &Module, target: &Target, opts: &AllocOptions) -> CompiledModule {
-        self.compile_with_profile(module, target, opts, None)
+        compile_module_impl(module, target, opts, None, self)
     }
 
     /// The inline-configuration component of the prepared-module memo
@@ -242,18 +242,6 @@ impl Pipeline {
             None => h.write_u8(0),
         }
         h.finish()
-    }
-
-    /// [`Pipeline::compile`] with profile feedback (see
-    /// [`crate::compile_module_with_profile`]).
-    pub fn compile_with_profile(
-        &self,
-        module: &Module,
-        target: &Target,
-        opts: &AllocOptions,
-        profile: Option<&[Vec<u64>]>,
-    ) -> CompiledModule {
-        compile_module_impl(module, target, opts, profile, self)
     }
 
     /// Lifetime hit/miss totals of the analysis memo (each

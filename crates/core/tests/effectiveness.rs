@@ -12,7 +12,7 @@ use ipra_sim::{run, SimOptions, Stats};
 fn measure(module: &Module, target: &Target, opts: &AllocOptions) -> Stats {
     let compiled = compile_module(module, target, opts);
     let sim_opts =
-        SimOptions::for_target(&target.regs).check_preservation(compiled.clobber_masks.clone());
+        SimOptions::for_target(&target.regs).check_preservation(compiled.clobber_masks());
     run(&compiled.mmodule, &target.regs, &sim_opts)
         .expect("runs")
         .stats

@@ -61,7 +61,7 @@ fn check_all_configs(module: &Module) {
     for (name, target, opts) in configs() {
         let compiled = compile_module(module, &target, &opts);
         let sim_opts =
-            SimOptions::for_target(&target.regs).check_preservation(compiled.clobber_masks.clone());
+            SimOptions::for_target(&target.regs).check_preservation(compiled.clobber_masks());
         let result = run(&compiled.mmodule, &target.regs, &sim_opts)
             .unwrap_or_else(|t| panic!("[{name}] simulation trapped: {t}"));
         assert_eq!(
@@ -394,7 +394,7 @@ fn forced_open_simulates_separate_compilation() {
     let compiled = compile_module(&m, &target, &opts);
     assert!(compiled.reports[lib.index()].forced_open);
     let sim_opts =
-        SimOptions::for_target(&target.regs).check_preservation(compiled.clobber_masks.clone());
+        SimOptions::for_target(&target.regs).check_preservation(compiled.clobber_masks());
     let result = run(&compiled.mmodule, &target.regs, &sim_opts).unwrap();
     assert_eq!(result.output, expected.output);
 }

@@ -392,7 +392,7 @@ fn real_main() -> Result<(), String> {
     if args.spec.run {
         let (run_stats, output) = if let Some(path) = &args.profile_out {
             let sim_opts = ipra_sim::SimOptions::for_target(&config.target.regs)
-                .check_preservation(compiled.clobber_masks.clone())
+                .check_preservation(compiled.clobber_masks())
                 .with_block_profile();
             let r = ipra_sim::run(&compiled.mmodule, &config.target.regs, &sim_opts)
                 .map_err(|t| format!("runtime trap: {t}"))?;

@@ -427,7 +427,7 @@ fn check_service(source: &str, module: &Module) -> Result<(), DiffFailure> {
 
 /// Compiles Mini source and runs [`check_module`] on the result, then —
 /// because only source-level seeds can exercise the wire protocol — the
-/// daemon-vs-oneshot service oracle ([`check_service`]).
+/// daemon-vs-oneshot service oracle (`check_service`).
 ///
 /// # Errors
 ///

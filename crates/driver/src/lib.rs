@@ -194,7 +194,7 @@ pub fn profile_guided(module: &Module, config: &Config) -> Result<Measurement, S
     // Training run.
     let compiled = compile_module(module, &config.target, &config.opts);
     let sim_opts = SimOptions::for_target(&config.target.regs)
-        .check_preservation(compiled.clobber_masks.clone())
+        .check_preservation(compiled.clobber_masks())
         .with_block_profile();
     let trained = ipra_sim::run(&compiled.mmodule, &config.target.regs, &sim_opts)?;
     let profile = trained.block_profile.expect("profile requested");
@@ -202,8 +202,8 @@ pub fn profile_guided(module: &Module, config: &Config) -> Result<Measurement, S
     // Feedback run.
     let compiled =
         compile_module_with_profile(module, &config.target, &config.opts, Some(&profile));
-    let sim_opts = SimOptions::for_target(&config.target.regs)
-        .check_preservation(compiled.clobber_masks.clone());
+    let sim_opts =
+        SimOptions::for_target(&config.target.regs).check_preservation(compiled.clobber_masks());
     let r = ipra_sim::run(&compiled.mmodule, &config.target.regs, &sim_opts)?;
     Ok(Measurement {
         config: format!("{}+profile", config.name),
@@ -219,8 +219,8 @@ pub fn profile_guided(module: &Module, config: &Config) -> Result<Measurement, S
 ///
 /// Returns the simulator trap.
 pub fn run_compiled(compiled: &CompiledModule, config: &Config) -> Result<Measurement, SimTrap> {
-    let sim_opts = SimOptions::for_target(&config.target.regs)
-        .check_preservation(compiled.clobber_masks.clone());
+    let sim_opts =
+        SimOptions::for_target(&config.target.regs).check_preservation(compiled.clobber_masks());
     let r = ipra_sim::run(&compiled.mmodule, &config.target.regs, &sim_opts)?;
     Ok(Measurement {
         config: config.name.clone(),

@@ -10,7 +10,7 @@ use std::marker::PhantomData;
 
 /// A typed dense index.
 ///
-/// Implemented by the id newtypes generated with [`entity_id!`].
+/// Implemented by the id newtypes generated with [`entity_id!`](crate::entity_id).
 pub trait EntityId: Copy + Eq + std::hash::Hash {
     /// Builds an id from a raw index.
     ///

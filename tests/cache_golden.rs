@@ -27,7 +27,9 @@ fn observe(compiled: &CompiledModule, config: &Config) -> String {
     out.push_str(&format!("output: {:?}\nstats: {:?}\n", m.output, m.stats));
     out.push_str(&format!(
         "summaries: {:?}\nclobbers: {:?}\nreports: {:?}\n",
-        compiled.summaries, compiled.clobber_masks, compiled.reports
+        compiled.summaries,
+        compiled.clobber_masks(),
+        compiled.reports
     ));
     out.push_str(&compiled.mmodule.asm(&config.target.regs));
     out

@@ -188,7 +188,7 @@ fn check(mut config: Config) {
     for w in ipra_workloads::all() {
         let module = ipra_workloads::compile_workload(w).unwrap();
         let compiled = compile_only(&module, &config);
-        let opts = SimOptions::for_target(regs).check_preservation(compiled.clobber_masks);
+        let opts = SimOptions::for_target(regs).check_preservation(compiled.clobber_masks());
         let tag = format!("{}/{}", w.name, config.name);
         let plain = ipra_sim::run(&compiled.mmodule, regs, &opts)
             .unwrap_or_else(|t| panic!("[{tag}] trapped: {t}"));
@@ -277,7 +277,7 @@ fn fuel_of_exactly_the_pinned_cycles_suffices_and_one_less_does_not() {
         let w = ipra_workloads::by_name(name).expect("corpus workload");
         let module = ipra_workloads::compile_workload(w).unwrap();
         let compiled = compile_only(&module, &config);
-        let mut opts = SimOptions::for_target(regs).check_preservation(compiled.clobber_masks);
+        let mut opts = SimOptions::for_target(regs).check_preservation(compiled.clobber_masks());
         opts.fuel = cycles;
         let r = ipra_sim::run(&compiled.mmodule, regs, &opts)
             .unwrap_or_else(|t| panic!("[{name}] trapped with fuel {cycles}: {t}"));

@@ -243,7 +243,11 @@ fn wave_scheduler_output_is_identical_to_serial() {
             format!("{:?}", pc.summaries),
             "[{name}] summaries"
         );
-        assert_eq!(sc.clobber_masks, pc.clobber_masks, "[{name}] clobber masks");
+        assert_eq!(
+            sc.clobber_masks(),
+            pc.clobber_masks(),
+            "[{name}] clobber masks"
+        );
         assert_eq!(
             format!("{:?}", sc.reports),
             format!("{:?}", pc.reports),

@@ -3,8 +3,10 @@
 //! repro in `corpus/`, under every named configuration plus the inliner
 //! at `-O2` under a small growth budget. A violation here is either a
 //! compiler bug or a verifier false positive — both are release blockers
-//! for the second oracle.
+//! for the second oracle. The same compiles pin that a summary is the
+//! default one exactly when its function was treated as open.
 
+use ipra_core::AllocMode;
 use ipra_driver::differential::all_configs;
 use ipra_driver::{compile_only, Config};
 
@@ -32,6 +34,20 @@ fn assert_verifies(name: &str, source: &str) {
             violations.len(),
             violations[0]
         );
+        // The driver publishes a summary to callers, and
+        // `clobber_masks()` reads its clobbers, on the strength of the
+        // default flag alone: it must hold exactly for the functions
+        // treated as open.
+        for (summary, report) in compiled.summaries.iter().zip(&compiled.reports) {
+            let treated_open = config.opts.mode != AllocMode::Inter
+                || !report.open_reasons.is_empty()
+                || report.forced_open;
+            assert_eq!(
+                summary.is_default, treated_open,
+                "{name} under {}: `{}` has a default summary iff it was treated as open",
+                config.name, report.name
+            );
+        }
     }
 }
 
