@@ -14,7 +14,10 @@
 //!   --out <p>       JSON results path (default BENCH_waves.json)
 //! ```
 //!
-//! The speedup has no floor; this harness only reports it.
+//! Serial and parallel repetitions alternate, and which of the two runs
+//! first flips every repetition, so a host whose speed drifts over the
+//! run biases neither side. The speedup has no floor; this harness only
+//! reports it.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -43,14 +46,27 @@ fn wave_shape(module: &Module) -> (usize, usize, usize) {
     (module.funcs.len(), waves.len(), widest)
 }
 
-fn best_of(reps: usize, mut f: impl FnMut()) -> u128 {
-    let mut best = u128::MAX;
-    for _ in 0..reps {
+/// Best-of-`reps` wall times of `a` and `b`, in microseconds, taking
+/// their samples alternately and flipping which goes first each rep.
+fn best_of_alternating(reps: usize, a: impl Fn(), b: impl Fn()) -> (u128, u128) {
+    let time = |f: &dyn Fn()| {
         let t = Instant::now();
         f();
-        best = best.min(t.elapsed().as_micros());
+        t.elapsed().as_micros()
+    };
+    let (mut best_a, mut best_b) = (u128::MAX, u128::MAX);
+    for rep in 0..reps {
+        let (ta, tb) = if rep % 2 == 0 {
+            let ta = time(&a);
+            (ta, time(&b))
+        } else {
+            let tb = time(&b);
+            (time(&a), tb)
+        };
+        best_a = best_a.min(ta);
+        best_b = best_b.min(tb);
     }
-    best
+    (best_a, best_b)
 }
 
 fn main() -> ExitCode {
@@ -122,12 +138,15 @@ fn main() -> ExitCode {
         serial.opts.jobs = 1;
         let mut parallel = base.clone();
         parallel.opts.jobs = jobs;
-        let serial_us = best_of(reps, || {
-            compile_module(module, &serial.target, &serial.opts);
-        });
-        let parallel_us = best_of(reps, || {
-            compile_module(module, &parallel.target, &parallel.opts);
-        });
+        let (serial_us, parallel_us) = best_of_alternating(
+            reps,
+            || {
+                compile_module(module, &serial.target, &serial.opts);
+            },
+            || {
+                compile_module(module, &parallel.target, &parallel.opts);
+            },
+        );
         rows.push(Row {
             name: name.clone(),
             funcs,

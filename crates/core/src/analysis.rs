@@ -73,13 +73,30 @@ pub struct AnalysisCache {
     map: Mutex<HashMap<u64, Arc<FuncAnalyses>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Computes without looking up or storing: a one-shot compile's memo,
+    /// which no later lookup could hit (the body hash includes the
+    /// function name, so distinct functions never share an entry).
+    one_shot: bool,
 }
 
 impl AnalysisCache {
+    /// The memo of a one-shot compile: every lookup misses and nothing
+    /// is kept.
+    pub(crate) fn one_shot() -> AnalysisCache {
+        AnalysisCache {
+            one_shot: true,
+            ..AnalysisCache::default()
+        }
+    }
+
     /// Returns the memoized analyses for `body_hash`, computing (and
     /// remembering) them from `func` on a miss. The second element reports
     /// whether this was a hit.
     pub fn get_or_compute(&self, body_hash: u64, func: &Function) -> (Arc<FuncAnalyses>, bool) {
+        if self.one_shot {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return (Arc::new(FuncAnalyses::compute(func)), false);
+        }
         if let Some(a) = self.map.lock().unwrap().get(&body_hash) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(a), true);

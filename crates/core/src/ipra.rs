@@ -12,25 +12,36 @@
 //! The bottom-up invariant only orders a function after its callees;
 //! functions whose callees are all summarized are mutually independent.
 //! The driver therefore partitions the SCC condensation into levels
-//! ([`SccInfo::levels`]) and fans each level out across scoped worker
-//! threads when [`AllocOptions::jobs`] resolves to more than one; with one
-//! worker, or a one-component level, the level runs inline on the driver
-//! thread. Every compile takes this one path. The unit of work is the
+//! ([`SccInfo::levels`]) and runs each level as one wave of tasks. A
+//! compile keeps one worker crew for its whole length: a single thread
+//! scope whose `min(jobs, widest wave) − 1` helper threads, with `jobs`
+//! resolved from [`AllocOptions::jobs`], are spawned at the first wave
+//! with two or more tasks and live until the compile ends. Each wide wave
+//! goes once to the helpers, and the driver thread draws tasks from the
+//! same counter as they do. With one worker, or in a wave with fewer than
+//! two tasks, the driver runs the tasks itself: no spawn, no channel.
+//! Every compile takes this one path. The unit of work is the
 //! *component*, not the function: members of a multi-node SCC see each
-//! other's whole-tree usage in their processing order, so a worker
-//! replays that order against a private copy of the environment.
+//! other's whole-tree usage in their processing order, so a task replays
+//! that order against a private copy of the environment.
 //!
-//! A worker allocates and then lowers each member, so a function leaves
+//! Tasks only read the summary environment, behind a lock; the driver
+//! writes it between waves, when no task runs.
+//!
+//! A task allocates and then lowers each member, so a function leaves
 //! its task as one [`CachedFunc`] record: the same record an
 //! incremental-cache hit replays. Its ranges, interference rows and call
 //! plans die inside the task. Fresh and replayed records then take one
 //! path: the driver publishes them to the summary environment, absorbs
-//! the workers' observability shards and builds the reports in `FuncId`
+//! the helpers' observability shards and builds the reports in `FuncId`
 //! order, making output, reports, and traces independent of thread
 //! scheduling and of the worker count.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, RwLock};
+use std::thread::Scope;
 
 use ipra_callgraph::{CallGraph, OpenReason, Openness, SccInfo};
 use ipra_ir::{hash_all_functions, EntityVec, FuncId, Module};
@@ -148,8 +159,7 @@ pub fn compile_module_with_profile(
     opts: &AllocOptions,
     profile: Option<&[Vec<u64>]>,
 ) -> CompiledModule {
-    // One-shot compile: a throwaway pipeline (empty memo, empty pools).
-    compile_module_impl(module, target, opts, profile, &Pipeline::new())
+    compile_module_impl(module, target, opts, profile, &Pipeline::one_shot())
 }
 
 /// The module-level front half of one compile: clone and transform the
@@ -164,7 +174,6 @@ pub(crate) fn prepare_module(
     opts: &AllocOptions,
     profile: Option<&[Vec<u64>]>,
 ) -> PreparedModule {
-    let input = module.clone();
     let mut module = module.clone();
     // Prologue code must run once per invocation, so entries may not be
     // branch targets (front ends guarantee this; generated IR may not).
@@ -178,8 +187,7 @@ pub(crate) fn prepare_module(
     // the incremental cache, the analysis memo, the SCC condensation and
     // the openness classification all see the transformed bodies —
     // summary/body-hash invalidation falls out of the key derivation.
-    let inline_on = opts.inline;
-    let inline = if inline_on {
+    let inline = if opts.inline {
         inline_hot_calls(&mut module, opts.inline_budget, &opts.forced_open, profile)
     } else {
         InlineStats::default()
@@ -193,15 +201,7 @@ pub(crate) fn prepare_module(
     let scc = SccInfo::compute(&cg);
     let openness = Openness::compute(&module, &cg, &scc);
     PreparedModule {
-        input,
-        promote: opts.promote_globals,
-        inline_on,
-        inline_budget: opts.inline_budget,
-        inline_profile: if inline_on {
-            profile.map(|p| p.to_vec())
-        } else {
-            None
-        },
+        from: None,
         module,
         promotion,
         inline,
@@ -238,7 +238,7 @@ pub(crate) fn compile_module_impl(
         &[],
         promotion.accesses_rewritten as u64,
     );
-    if prep.inline_on {
+    if opts.inline {
         ipra_obs::counter("inline.sites_considered", &[], prep.inline.sites_considered);
         ipra_obs::counter("inline.inlined", &[], prep.inline.inlined);
         ipra_obs::counter("inline.budget_stops", &[], prep.inline.budget_stops);
@@ -249,11 +249,12 @@ pub(crate) fn compile_module_impl(
     // Flight-recorder shape of the traversal. Recorded from the SCC
     // structure itself (not from the scheduler) so every worker count
     // produces identical metrics.
+    let waves = scc.levels(cg);
     if ipra_obs::is_enabled() {
         for comp in &scc.components {
             ipra_obs::observe("callgraph.scc_size", &[], comp.len() as u64);
         }
-        for wave in scc.levels(cg) {
+        for wave in &waves {
             ipra_obs::observe("wave.width", &[], wave.len() as u64);
         }
     }
@@ -265,8 +266,9 @@ pub(crate) fn compile_module_impl(
         !inter || opts.forced_open.contains(&module.funcs[fid].name) || openness.is_open(fid)
     };
     let n = module.funcs.len();
-    let jobs = opts.effective_jobs();
-    let mut env = SummaryEnv::default();
+    // Tasks only read the environment; the driver publishes into it
+    // between waves, when no task runs.
+    let env = RwLock::new(SummaryEnv::default());
 
     // Incremental cache (see `crate::cache`). The per-wave lookup below
     // runs against the environment frozen at wave boundaries, so output
@@ -289,159 +291,169 @@ pub(crate) fn compile_module_impl(
     // whatever concurrent compiles through the same pipeline did.
     let mut analysis = AnalysisStats::default();
 
-    // Wave scheduler: every component of a level has all its callees
-    // summarized, so a whole level fans out at once. `env` is frozen
-    // (shared read-only) while a wave runs and updated between waves in
-    // FuncId order, so results are independent of the worker count.
+    // One wave task: compile a component against the frozen environment.
+    // The read guard is released before the result is reported.
     let tracing = ipra_obs::is_enabled();
-    for wave in scc.levels(cg) {
-        let comps: Vec<&[FuncId]> = wave
-            .iter()
-            .map(|&ci| scc.components[ci].as_slice())
-            .collect();
+    let task = |scratch: &mut CompileScratch, &(_, comp): &(usize, &[FuncId])| {
+        let env = env.read().expect("no task runs while the driver publishes");
+        compile_component(
+            module,
+            comp,
+            target,
+            opts,
+            treated_open,
+            &env,
+            profile,
+            tracing,
+            &pipe.analyses,
+            body_hashes,
+            scratch,
+        )
+    };
+    let widest = waves.iter().map(Vec::len).max().unwrap_or(0);
+    let workers = opts.effective_jobs().min(widest);
 
-        // Cache lookup, serial and deterministic, against the frozen
-        // environment (every external callee lives in a lower wave).
-        // The pipeline's in-memory entry image is consulted first; a
-        // disk hit is decoded once and promoted into it, so a warm
-        // recompile through a persistent [`Pipeline`] never rereads
-        // or reparses the cache directory.
-        let mut comp_keys = vec![0u64; comps.len()];
-        let mut hits: Vec<Option<Arc<Vec<CachedFunc>>>> = (0..comps.len()).map(|_| None).collect();
-        if let Some(c) = &cache {
-            for (i, comp) in comps.iter().enumerate() {
-                let key = component_key(
-                    module,
-                    body_hashes,
-                    comp,
-                    treated_open,
-                    fingerprint,
-                    inter,
-                    &env,
-                    profile,
-                );
-                comp_keys[i] = key;
-                // The names guard against FNV collisions and stale
-                // entries; a mismatch is just a miss.
-                let matches = |funcs: &[CachedFunc]| {
-                    funcs.len() == comp.len()
-                        && funcs
-                            .iter()
-                            .zip(comp.iter())
-                            .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
-                };
-                let memo = pipe.entries.lock().unwrap().get(&(key, numbering)).cloned();
-                if let Some(funcs) = memo {
-                    if matches(&funcs) {
-                        hits[i] = Some(funcs);
-                        continue;
+    // Wave scheduler: every component of a level has all its callees
+    // summarized, so a whole level runs at once. The environment is
+    // frozen while a wave runs and updated between waves in FuncId
+    // order, so results are independent of the worker count.
+    std::thread::scope(|s| {
+        let mut crew = Crew::new(s, workers, &pipe.scratch, &task);
+        for wave in &waves {
+            let comps: Vec<&[FuncId]> = wave
+                .iter()
+                .map(|&ci| scc.components[ci].as_slice())
+                .collect();
+
+            // Cache lookup, serial and deterministic, against the frozen
+            // environment (every external callee lives in a lower wave).
+            // The pipeline's in-memory entry image is consulted first; a
+            // disk hit is decoded once and promoted into it, so a warm
+            // recompile through a persistent [`Pipeline`] never rereads
+            // or reparses the cache directory.
+            let mut comp_keys = vec![0u64; comps.len()];
+            let mut hits: Vec<Option<Arc<Vec<CachedFunc>>>> =
+                (0..comps.len()).map(|_| None).collect();
+            if let Some(c) = &cache {
+                let env = env.read().expect("no task runs during the lookup");
+                for (i, comp) in comps.iter().enumerate() {
+                    let key = component_key(
+                        module,
+                        body_hashes,
+                        comp,
+                        treated_open,
+                        fingerprint,
+                        inter,
+                        &env,
+                        profile,
+                    );
+                    comp_keys[i] = key;
+                    // The names guard against FNV collisions and stale
+                    // entries; a mismatch is just a miss.
+                    let matches = |funcs: &[CachedFunc]| {
+                        funcs.len() == comp.len()
+                            && funcs
+                                .iter()
+                                .zip(comp.iter())
+                                .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
+                    };
+                    let memo = pipe.entries.lock().unwrap().get(&(key, numbering)).cloned();
+                    if let Some(funcs) = memo {
+                        if matches(&funcs) {
+                            hits[i] = Some(funcs);
+                            continue;
+                        }
+                    }
+                    if let Some(funcs) = c.lookup(key, module) {
+                        if matches(&funcs) {
+                            let funcs = Arc::new(funcs);
+                            pipe.remember_entry((key, numbering), Arc::clone(&funcs));
+                            hits[i] = Some(funcs);
+                        }
                     }
                 }
-                if let Some(funcs) = c.lookup(key, module) {
-                    if matches(&funcs) {
-                        let funcs = Arc::new(funcs);
-                        pipe.entries
-                            .lock()
-                            .unwrap()
-                            .insert((key, numbering), Arc::clone(&funcs));
-                        hits[i] = Some(funcs);
+            }
+
+            // The crew returns the misses in wave order; the queued
+            // stores fix the entry memo's FIFO eviction order.
+            let misses: Vec<(usize, &[FuncId])> = (0..comps.len())
+                .filter(|&i| hits[i].is_none())
+                .map(|i| (i, comps[i]))
+                .collect();
+            let fresh = crew.run(&misses);
+
+            // One list per wave. With a cache, a fresh component becomes
+            // the very entry a later compile replays, queued under its
+            // lookup-time key; without one, its records stay owned.
+            let mut merged: Vec<(FuncId, FuncRecord, Option<FreshExtras>)> =
+                Vec::with_capacity(comps.iter().map(|c| c.len()).sum());
+            for (i, entry) in hits.into_iter().enumerate() {
+                if let Some(entry) = entry {
+                    for (m, &fid) in comps[i].iter().enumerate() {
+                        merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), None));
                     }
                 }
             }
-        }
-
-        // Fan the misses out across the workers, then put them back in
-        // wave order: workers return them in thread order, and the queued
-        // stores fix the entry memo's FIFO eviction order.
-        let miss_idx: Vec<usize> = (0..comps.len()).filter(|&i| hits[i].is_none()).collect();
-        let mut fresh = run_tasks(jobs, miss_idx.len(), &pipe.scratch, |scratch, t| {
-            let i = miss_idx[t];
-            let compiled = compile_component(
-                module,
-                comps[i],
-                target,
-                opts,
-                treated_open,
-                &env,
-                profile,
-                tracing,
-                &pipe.analyses,
-                body_hashes,
-                scratch,
-            );
-            (i, compiled)
-        });
-        fresh.sort_by_key(|(i, _)| *i);
-
-        // One list per wave. With a cache, a fresh component becomes the
-        // very entry a later compile replays, queued under its lookup-time
-        // key; without one, its records stay owned.
-        let mut merged: Vec<(FuncId, FuncRecord, Option<FreshExtras>)> =
-            Vec::with_capacity(comps.iter().map(|c| c.len()).sum());
-        for (i, entry) in hits.into_iter().enumerate() {
-            if let Some(entry) = entry {
-                for (m, &fid) in comps[i].iter().enumerate() {
-                    merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), None));
-                }
-            }
-        }
-        for (i, (funcs, extras)) in fresh {
-            let members = comps[i].iter().copied().zip(extras);
-            if cache.is_some() {
-                let entry = Arc::new(funcs);
-                for (m, (fid, x)) in members.enumerate() {
-                    merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), Some(x)));
-                }
-                stores.push((comp_keys[i], entry));
-            } else {
-                for ((fid, x), cf) in members.zip(funcs) {
-                    merged.push((fid, FuncRecord::Owned(cf), Some(x)));
-                }
-            }
-        }
-
-        // Deterministic merge in FuncId order, so the environment,
-        // observability records and counters come out independent of
-        // thread scheduling.
-        merged.sort_by_key(|(fid, _, _)| fid.index());
-        for (fid, record, fresh) in merged {
-            let cf = record.get();
-            env.publish(fid, &cf.summary, cf.tree_used);
-            if let Some((analysis_hit, shard)) = fresh {
-                ipra_obs::absorb(shard);
-                if analysis_hit {
-                    analysis.hits += 1;
-                } else {
-                    analysis.misses += 1;
-                }
-                recompiled[fid.index()] = true;
+            for (&(i, _), (funcs, extras)) in misses.iter().zip(fresh) {
+                let members = comps[i].iter().copied().zip(extras);
                 if cache.is_some() {
-                    cache_stats.misses += 1;
-                    cache_stats.recompiled.push(cf.name.clone());
+                    let entry = Arc::new(funcs);
+                    for (m, (fid, x)) in members.enumerate() {
+                        merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), Some(x)));
+                    }
+                    stores.push((comp_keys[i], entry));
+                } else {
+                    for ((fid, x), cf) in members.zip(funcs) {
+                        merged.push((fid, FuncRecord::Owned(cf), Some(x)));
+                    }
                 }
-            } else {
-                cache_stats.hits += 1;
-                // A hit whose direct callee was recompiled is an early
-                // cutoff: the callee changed but its summary bytes did
-                // not, so invalidation stopped here.
-                if cg.callees(fid).iter().any(|c| recompiled[c.index()]) {
-                    cache_stats.cutoffs += 1;
-                }
-                // The replay shows as a `cache.hit` phase of the
-                // function's trace.
-                let _obs = ipra_obs::scope(&cf.name);
-                let _t = ipra_obs::span("cache.hit");
             }
-            records[fid.index()] = Some(record);
+
+            // Deterministic merge in FuncId order, so the environment,
+            // observability records and counters come out independent of
+            // thread scheduling.
+            merged.sort_by_key(|(fid, _, _)| fid.index());
+            let mut env = env.write().expect("no task runs between waves");
+            for (fid, record, fresh) in merged {
+                let cf = record.get();
+                env.publish(fid, &cf.summary, cf.tree_used);
+                if let Some((analysis_hit, shard)) = fresh {
+                    ipra_obs::absorb(shard);
+                    if analysis_hit {
+                        analysis.hits += 1;
+                    } else {
+                        analysis.misses += 1;
+                    }
+                    recompiled[fid.index()] = true;
+                    if cache.is_some() {
+                        cache_stats.misses += 1;
+                        cache_stats.recompiled.push(cf.name.clone());
+                    }
+                } else {
+                    cache_stats.hits += 1;
+                    // A hit whose direct callee was recompiled is an early
+                    // cutoff: the callee changed but its summary bytes did
+                    // not, so invalidation stopped here.
+                    if cg.callees(fid).iter().any(|c| recompiled[c.index()]) {
+                        cache_stats.cutoffs += 1;
+                    }
+                    // The replay shows as a `cache.hit` phase of the
+                    // function's trace.
+                    let _obs = ipra_obs::scope(&cf.name);
+                    let _t = ipra_obs::span("cache.hit");
+                }
+                records[fid.index()] = Some(record);
+            }
         }
-    }
+        crew.finish();
+    });
 
     // Store every miss, and mirror the store into the pipeline's entry
     // image so the next recompile through the same pipeline hits in memory.
     if let Some(cache) = &mut cache {
         for (key, entry) in stores {
             cache.insert(key, &entry, module);
-            pipe.entries.lock().unwrap().insert((key, numbering), entry);
+            pipe.remember_entry((key, numbering), entry);
         }
         cache.save();
     }
@@ -482,58 +494,176 @@ pub(crate) fn compile_module_impl(
     }
 }
 
-/// Fans `tasks` indices out across at most `jobs` scoped worker threads.
-/// Workers pull indices from a shared counter and collect one result per
-/// task; the concatenation is returned in arbitrary order (callers sort
-/// it before consuming). Each worker checks one [`CompileScratch`] out of
-/// the pool for its whole run, so per-task buffers are recycled instead
-/// of reallocated.
-fn run_tasks<T: Send>(
-    jobs: usize,
-    tasks: usize,
-    pool: &ScratchPool,
-    work: impl Fn(&mut CompileScratch, usize) -> T + Sync,
-) -> Vec<T> {
-    let workers = jobs.min(tasks).max(1);
-    if workers == 1 {
-        // Narrow wave (or one worker): run inline, no thread overhead.
-        let mut scratch = pool.acquire();
-        let out = (0..tasks).map(|t| work(&mut scratch, t)).collect();
-        pool.release(scratch);
-        return out;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    let mut scratch = pool.acquire();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks {
-                            break;
-                        }
-                        out.push(work(&mut scratch, t));
-                    }
-                    pool.release(scratch);
-                    out
-                })
-            })
-            .collect();
-        let mut all = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(part) => all.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        all
-    })
+/// One wide wave as the crew shares it: the task list and the counter
+/// every worker draws its next task from.
+struct Wave<I> {
+    tasks: Vec<I>,
+    /// Next task index. Only hands out tickets: the tasks reach the
+    /// helpers through their channels, and results come back the same way.
+    next: AtomicUsize,
 }
 
-/// Compiles one SCC on a worker thread: allocates each member, lowers it
-/// at once, and returns the members' records with their fresh extras.
+impl<I> Wave<I> {
+    /// Runs tasks until the counter passes the end, tagging each result
+    /// with its task index.
+    fn drain<T>(
+        &self,
+        work: &impl Fn(&mut CompileScratch, &I) -> T,
+        scratch: &mut CompileScratch,
+    ) -> Vec<(usize, T)> {
+        let mut out = Vec::new();
+        loop {
+            let t = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(task) = self.tasks.get(t) else {
+                return out;
+            };
+            out.push((t, work(scratch, task)));
+        }
+    }
+}
+
+/// What a helper reports for one wave: its results, or the payload of the
+/// panic one of its tasks raised.
+type Share<T> = std::thread::Result<Vec<(usize, T)>>;
+
+/// The helpers of a running crew: one wave channel each, and the channel
+/// they all report on.
+struct Helpers<I, T> {
+    waves: Vec<Sender<Arc<Wave<I>>>>,
+    done: Receiver<Share<T>>,
+}
+
+/// One compile's workers: the driver thread and, from the first wave with
+/// two or more tasks on, `workers − 1` helper threads in the compile's
+/// thread scope. Dropping the crew closes the helpers' wave channels, so
+/// they exit and the scope joins them — also when the driver unwinds.
+struct Crew<'scope, 'env, I, T, F> {
+    scope: &'scope Scope<'scope, 'env>,
+    workers: usize,
+    pool: &'scope ScratchPool,
+    work: &'scope F,
+    /// The driver's scratch, held for the whole compile.
+    scratch: CompileScratch,
+    helpers: Option<Helpers<I, T>>,
+}
+
+impl<'scope, 'env, I, T, F> Crew<'scope, 'env, I, T, F>
+where
+    I: Clone + Send + Sync + 'scope,
+    T: Send + 'scope,
+    F: Fn(&mut CompileScratch, &I) -> T + Sync,
+{
+    fn new(
+        scope: &'scope Scope<'scope, 'env>,
+        workers: usize,
+        pool: &'scope ScratchPool,
+        work: &'scope F,
+    ) -> Self {
+        Crew {
+            scope,
+            workers,
+            pool,
+            work,
+            scratch: pool.acquire(),
+            helpers: None,
+        }
+    }
+
+    /// Runs one wave's tasks and returns their results in task order.
+    /// With one worker, or fewer than two tasks, the driver runs them in
+    /// order. Otherwise the wave goes once to each helper that can get a
+    /// task, the driver drains it alongside them, and then takes exactly
+    /// one report from each of those helpers; a helper's panic is resumed
+    /// here.
+    fn run(&mut self, tasks: &[I]) -> Vec<T> {
+        if self.workers < 2 || tasks.len() < 2 {
+            return tasks
+                .iter()
+                .map(|t| (self.work)(&mut self.scratch, t))
+                .collect();
+        }
+        let (scope, workers, pool, work) = (self.scope, self.workers, self.pool, self.work);
+        let helpers = self
+            .helpers
+            .get_or_insert_with(|| spawn_helpers(scope, workers - 1, pool, work));
+        let wave = Arc::new(Wave {
+            tasks: tasks.to_vec(),
+            next: AtomicUsize::new(0),
+        });
+        let sent = helpers.waves.len().min(wave.tasks.len() - 1);
+        for tx in &helpers.waves[..sent] {
+            tx.send(Arc::clone(&wave))
+                .expect("a helper serves until the crew drops");
+        }
+        let mut out = wave.drain(work, &mut self.scratch);
+        for _ in 0..sent {
+            match helpers
+                .done
+                .recv()
+                .expect("a helper reports every wave it gets")
+            {
+                Ok(part) => out.extend(part),
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+        out.sort_by_key(|&(t, _)| t);
+        out.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// Returns the driver's scratch to the pool; each helper returns its
+    /// own as it exits.
+    fn finish(self) {
+        self.pool.release(self.scratch);
+    }
+}
+
+/// Spawns `count` helpers that each hold one scratch from `pool` and run
+/// every wave they are sent until their channel closes. A helper catches
+/// a task's panic, reports its payload and exits without pooling the
+/// scratch the task may have left half-used.
+fn spawn_helpers<'scope, I, T, F>(
+    scope: &'scope Scope<'scope, '_>,
+    count: usize,
+    pool: &'scope ScratchPool,
+    work: &'scope F,
+) -> Helpers<I, T>
+where
+    I: Send + Sync + 'scope,
+    T: Send + 'scope,
+    F: Fn(&mut CompileScratch, &I) -> T + Sync,
+{
+    let (report, done) = mpsc::channel();
+    let waves = (0..count)
+        .map(|_| {
+            let (tx, rx) = mpsc::channel::<Arc<Wave<I>>>();
+            let report = report.clone();
+            scope.spawn(move || {
+                let mut scratch = pool.acquire();
+                for wave in rx {
+                    match panic::catch_unwind(AssertUnwindSafe(|| wave.drain(work, &mut scratch))) {
+                        Ok(part) => {
+                            // A closed report channel means the driver
+                            // unwound: nothing more will be asked.
+                            if report.send(Ok(part)).is_err() {
+                                break;
+                            }
+                        }
+                        Err(payload) => {
+                            let _ = report.send(Err(payload));
+                            return;
+                        }
+                    }
+                }
+                pool.release(scratch);
+            });
+            tx
+        })
+        .collect();
+    Helpers { waves, done }
+}
+
+/// Compiles one SCC as a wave task: allocates each member, lowers it at
+/// once, and returns the members' records with their fresh extras.
 /// Members of a multi-node SCC observe each other's whole-tree register
 /// usage in serial order, so the component replays that order against a
 /// private copy of the environment (multi-node SCCs are rare; singletons
@@ -559,11 +689,11 @@ fn compile_component(
     let mut extras = Vec::with_capacity(comp.len());
     for &fid in comp {
         let func = &module.funcs[fid];
-        // On a spawned worker the thread has no sink: install one and
-        // return its records as a shard. When the task runs inline on the
-        // driver thread (narrow wave), the driver's own sink is already
-        // installed and records flow into it directly — enabling here
-        // would wipe it.
+        // On a helper thread there is no sink: install one and return
+        // its records as a shard. When the driver thread runs the task
+        // (its share of a wide wave, or every task of a narrow one), the
+        // driver's own sink is already installed and records flow into it
+        // directly — enabling here would wipe it.
         let capture = tracing && !ipra_obs::is_enabled();
         if capture {
             ipra_obs::enable();
@@ -603,4 +733,117 @@ fn compile_component(
         extras.push((analysis_hit, shard));
     }
     (funcs, extras)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::{Condvar, Mutex};
+    use std::thread;
+
+    use super::Crew;
+    use crate::scratch::{CompileScratch, ScratchPool};
+
+    /// Runs one wave of `n` tasks per entry of `waves` through a single
+    /// crew of `workers`, as one compile does, and returns each wave's
+    /// results.
+    fn run_waves(
+        workers: usize,
+        waves: &[usize],
+        work: impl Fn(&mut CompileScratch, &usize) -> usize + Sync,
+    ) -> Vec<Vec<usize>> {
+        let pool = ScratchPool::default();
+        thread::scope(|s| {
+            let mut crew = Crew::new(s, workers, &pool, &work);
+            let out = waves
+                .iter()
+                .map(|&n| crew.run(&(0..n).collect::<Vec<_>>()))
+                .collect();
+            crew.finish();
+            out
+        })
+    }
+
+    #[test]
+    fn crew_returns_every_task_exactly_once_in_task_order() {
+        let counts = [0, 1, 2, 7];
+        for workers in [1, 2, 4] {
+            let got = run_waves(workers, &counts, |_, &t| t);
+            for (&n, wave) in counts.iter().zip(&got) {
+                assert_eq!(
+                    *wave,
+                    (0..n).collect::<Vec<_>>(),
+                    "{workers} workers, {n} tasks"
+                );
+            }
+        }
+    }
+
+    /// A latch that forces a task onto each side of the crew: one side
+    /// waits in its first task until the other side opens it.
+    #[derive(Default)]
+    struct Gate(Mutex<bool>, Condvar);
+
+    impl Gate {
+        fn open(&self) {
+            *self.0.lock().unwrap() = true;
+            self.1.notify_all();
+        }
+
+        fn wait(&self) {
+            let mut open = self.0.lock().unwrap();
+            while !*open {
+                open = self.1.wait(open).unwrap();
+            }
+        }
+    }
+
+    /// Runs one seven-task wave whose tasks call `on_driver` on the
+    /// driver thread and `on_helper` on a helper, and reports whether the
+    /// call panicked.
+    fn wave_panics(
+        workers: usize,
+        on_driver: impl Fn(&Gate) + Sync,
+        on_helper: impl Fn(&Gate) + Sync,
+    ) -> bool {
+        let driver = thread::current().id();
+        let gate = Gate::default();
+        let run = || {
+            run_waves(workers, &[7], |_, &t| {
+                if thread::current().id() == driver {
+                    on_driver(&gate);
+                } else {
+                    on_helper(&gate);
+                }
+                t
+            })
+        };
+        panic::catch_unwind(AssertUnwindSafe(run)).is_err()
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_surfaces_from_the_call() {
+        for workers in [2, 4] {
+            let panicked = wave_panics(workers, Gate::wait, |gate| {
+                gate.open();
+                panic!("helper task");
+            });
+            assert!(panicked, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_drivers_share_surfaces_from_the_call() {
+        for workers in [2, 4] {
+            let panicked = wave_panics(
+                workers,
+                |gate| {
+                    gate.open();
+                    panic!("driver task");
+                },
+                Gate::wait,
+            );
+            assert!(panicked, "{workers} workers");
+        }
+    }
 }

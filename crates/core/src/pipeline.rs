@@ -43,20 +43,9 @@ use crate::scratch::ScratchPool;
 /// SCC condensation and the openness classification.
 #[derive(Debug)]
 pub(crate) struct PreparedModule {
-    /// The untransformed input, kept to guard the memo against hash
-    /// collisions with an exact equality check.
-    pub(crate) input: Module,
-    /// Whether global promotion ran (it changes the transformed body).
-    pub(crate) promote: bool,
-    /// Whether the inliner ran (it changes the transformed body too).
-    pub(crate) inline_on: bool,
-    /// The inliner's budget at preparation time.
-    pub(crate) inline_budget: u32,
-    /// The profile the inliner ranked sites with (`None` when inlining
-    /// was off or no profile was supplied) — part of the memo's exact
-    /// equality guard, because a different profile can pick different
-    /// sites for the same input module.
-    pub(crate) inline_profile: Option<Vec<Vec<u64>>>,
+    /// What the module was prepared from, kept only when the pipeline
+    /// memoizes it (see [`Pipeline::prepared`]).
+    pub(crate) from: Option<PreparedFrom>,
     /// The transformed module all downstream passes read.
     pub(crate) module: Module,
     /// What global promotion did (zeros when the pass is off).
@@ -73,11 +62,49 @@ pub(crate) struct PreparedModule {
     pub(crate) openness: Openness,
 }
 
+/// What a memoized [`PreparedModule`] was prepared from: the exact input
+/// module and every option that changes the transform. Stored in the memo
+/// entry, it guards the memo against hash collisions with an equality
+/// check.
+#[derive(Debug)]
+pub(crate) struct PreparedFrom {
+    module: Module,
+    /// Whether global promotion ran (it changes the transformed body).
+    promote: bool,
+    /// The inliner's budget and the profile it ranked sites with, or
+    /// `None` when inlining was off. A different profile can pick
+    /// different sites for the same input module.
+    inline: Option<(u32, Option<Vec<Vec<u64>>>)>,
+}
+
+impl PreparedFrom {
+    fn new(module: &Module, opts: &AllocOptions, profile: Option<&[Vec<u64>]>) -> PreparedFrom {
+        PreparedFrom {
+            module: module.clone(),
+            promote: opts.promote_globals,
+            inline: opts
+                .inline
+                .then(|| (opts.inline_budget, profile.map(<[_]>::to_vec))),
+        }
+    }
+
+    fn matches(&self, module: &Module, opts: &AllocOptions, profile: Option<&[Vec<u64>]>) -> bool {
+        let inline = match &self.inline {
+            None => !opts.inline,
+            Some((budget, p)) => {
+                opts.inline && *budget == opts.inline_budget && p.as_deref() == profile
+            }
+        };
+        self.promote == opts.promote_globals && inline && self.module == *module
+    }
+}
+
 /// A FIFO-bounded memo: a map plus an insertion-order queue, evicting the
-/// oldest entries once `cap` is exceeded. One-shot compiles use an
-/// unbounded memo (their pipeline dies with the compile); a long-lived
-/// daemon caps both memos so serving an unbounded stream of distinct
-/// modules cannot grow memory without bound.
+/// oldest entries once `cap` is exceeded. [`Pipeline::new`] leaves its
+/// memos unbounded; a long-lived daemon caps both so serving an unbounded
+/// stream of distinct modules cannot grow memory without bound. A
+/// one-shot compile's pipeline stores nothing in them at all
+/// ([`Pipeline::one_shot`]).
 #[derive(Debug)]
 pub(crate) struct BoundedMemo<K, V> {
     map: HashMap<K, V>,
@@ -166,7 +193,10 @@ pub struct Pipeline {
     /// promotion / inlining passes and the call-graph work entirely —
     /// while an inline-config or profile change can never replay a stale
     /// transform.
-    pub(crate) prepared: Mutex<BoundedMemo<(u64, bool, u64), Arc<PreparedModule>>>,
+    prepared: Mutex<BoundedMemo<(u64, bool, u64), Arc<PreparedModule>>>,
+    /// Whether this pipeline serves a single compile and so stores
+    /// nothing in its memos ([`Pipeline::one_shot`]).
+    one_shot: bool,
 }
 
 impl Default for Pipeline {
@@ -183,9 +213,22 @@ const _: fn() = || {
 };
 
 impl Pipeline {
-    /// An unbounded pipeline (one-shot compiles, tests, benches).
+    /// An unbounded pipeline (tests, benches).
     pub fn new() -> Pipeline {
         Pipeline::with_memo_caps(usize::MAX, usize::MAX)
+    }
+
+    /// The pipeline of one [`crate::compile_module`] call. It dies with
+    /// the compile, so nothing it memoized could ever be read again: it
+    /// prepares the module without the memo or its guard copy, keeps no
+    /// analyses and mirrors no cache entry. Only its scratch pool, which
+    /// the compile's own functions reuse, does any work.
+    pub(crate) fn one_shot() -> Pipeline {
+        Pipeline {
+            analyses: AnalysisCache::one_shot(),
+            one_shot: true,
+            ..Pipeline::new()
+        }
     }
 
     /// A pipeline whose prepared-module and decoded-entry memos are
@@ -200,6 +243,7 @@ impl Pipeline {
             scratch: ScratchPool::default(),
             entries: Mutex::new(BoundedMemo::new(entries_cap.max(1))),
             prepared: Mutex::new(BoundedMemo::new(prepared_cap.max(1))),
+            one_shot: false,
         }
     }
 
@@ -252,32 +296,44 @@ impl Pipeline {
 
     /// The prepared form of `module` under `opts` (and, when inlining is
     /// on, `profile`), from the memo when the exact same input was
-    /// prepared before. A colliding hash is caught by the stored input's
-    /// equality check — covering the inline configuration and the exact
-    /// profile — and recomputed (last write wins).
+    /// prepared before. A colliding hash is caught by the stored
+    /// [`PreparedFrom`] guard — covering the inline configuration and the
+    /// exact profile — and recomputed (last write wins).
     pub(crate) fn prepared(
         &self,
         module: &Module,
         opts: &AllocOptions,
         profile: Option<&[Vec<u64>]>,
     ) -> Arc<PreparedModule> {
-        let inline_on = opts.inline;
+        if self.one_shot {
+            return Arc::new(prepare_module(module, opts, profile));
+        }
         let key = (
             hash_module(module),
             opts.promote_globals,
             Self::inline_key(opts, profile),
         );
         if let Some(p) = self.prepared.lock().unwrap().get(&key) {
-            let inline_matches = p.inline_on == inline_on
-                && (!inline_on
-                    || (p.inline_budget == opts.inline_budget
-                        && p.inline_profile.as_deref() == profile));
-            if p.promote == opts.promote_globals && inline_matches && p.input == *module {
+            if p.from
+                .as_ref()
+                .is_some_and(|f| f.matches(module, opts, profile))
+            {
                 return Arc::clone(p);
             }
         }
-        let p = Arc::new(prepare_module(module, opts, profile));
+        let mut p = prepare_module(module, opts, profile);
+        p.from = Some(PreparedFrom::new(module, opts, profile));
+        let p = Arc::new(p);
         self.prepared.lock().unwrap().insert(key, Arc::clone(&p));
         p
+    }
+
+    /// Mirrors a decoded or freshly compiled cache entry into the entry
+    /// memo, so the next compile through this pipeline replays it from
+    /// memory. A one-shot pipeline keeps none.
+    pub(crate) fn remember_entry(&self, key: EntryKey, entry: Arc<Vec<CachedFunc>>) {
+        if !self.one_shot {
+            self.entries.lock().unwrap().insert(key, entry);
+        }
     }
 }

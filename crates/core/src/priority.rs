@@ -138,12 +138,16 @@ fn pref_rank(p: (bool, bool)) -> u8 {
 /// evolving state (`used_in_func`), so it is added at lookup time — in the
 /// same accumulation order as [`PriorityCtx::reg_cost`], which keeps every
 /// floating-point result bit-identical to the uncached path.
+///
+/// A NaN marks a term not yet computed, so an entry costs no tag. A term
+/// whose true value is NaN is simply recomputed on every lookup, with the
+/// same bits, so the marker can never change a result.
 pub struct PriorityCache {
     nr: usize,
-    /// Per-vreg benefit; `None` until first asked.
-    benefit: Vec<Option<f64>>,
+    /// Per-vreg benefit.
+    benefit: Vec<f64>,
     /// Per `(vreg, reg)` pair: `(call_cost, hint_bonus)`.
-    pair: Vec<Option<(f64, f64)>>,
+    pair: Vec<(f64, f64)>,
 }
 
 impl PriorityCache {
@@ -153,8 +157,8 @@ impl PriorityCache {
         let nr = ctx.target.regs.num_regs();
         PriorityCache {
             nr,
-            benefit: vec![None; nv],
-            pair: vec![None; nv * nr],
+            benefit: vec![f64::NAN; nv],
+            pair: vec![(f64::NAN, f64::NAN); nv * nr],
         }
     }
 
@@ -167,8 +171,12 @@ impl PriorityCache {
         used_in_func: RegMask,
     ) -> f64 {
         let vi = lr.vreg.index();
-        let benefit = *self.benefit[vi].get_or_insert_with(|| ctx.benefit(lr));
-        let (call_cost, hint) = *self.pair[vi * self.nr + r.index()].get_or_insert_with(|| {
+        if self.benefit[vi].is_nan() {
+            self.benefit[vi] = ctx.benefit(lr);
+        }
+        let benefit = self.benefit[vi];
+        let pair = &mut self.pair[vi * self.nr + r.index()];
+        if pair.0.is_nan() {
             let c = &ctx.target.cost;
             let save_restore = (c.load + c.store) as f64;
             let mut cost = 0.0;
@@ -177,8 +185,9 @@ impl PriorityCache {
                     cost += ctx.ranges.call_sites[site as usize].weight * save_restore;
                 }
             }
-            (cost, ctx.hint_bonus(lr, r))
-        });
+            *pair = (cost, ctx.hint_bonus(lr, r));
+        }
+        let (call_cost, hint) = *pair;
         let mut cost = call_cost;
         if ctx.charge_callee_saved_entry
             && ctx.target.regs.class(r) == Some(RegClass::CalleeSaved)

@@ -16,8 +16,10 @@
 //! wait behind them, and anything beyond that is answered immediately
 //! with a structured `busy` response instead of being buffered without
 //! bound. Cheap commands (`ping`, `metrics`, `shutdown`) bypass the gate.
-//! Each admitted compile's wave-scheduler job count is clamped to
-//! `jobs_cap` so concurrent sessions cannot multiply threads.
+//! Each admitted compile's wave-scheduler worker count is clamped to
+//! `jobs_cap` so concurrent sessions cannot multiply threads; auto
+//! (`"jobs": 0`) means one worker per core, as in `mini-cc`, within the
+//! same cap.
 //!
 //! # Determinism
 //!
@@ -368,13 +370,10 @@ impl Service {
 
     fn handle_compile(&self, req: &Json, id: &Json) -> Json {
         let resolved = CompileRequest::from_json(req).and_then(|mut spec| {
-            // Per-request clamp: auto (0) resolves to the cap, explicit
-            // requests are honored up to it. Output is jobs-independent,
-            // so the clamp is invisible to clients.
-            spec.jobs = match spec.jobs {
-                0 => self.config.jobs_cap,
-                j => j.min(self.config.jobs_cap),
-            };
+            // Output is jobs-independent, so the clamp is invisible to
+            // clients.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            spec.jobs = admitted_jobs(spec.jobs, self.config.jobs_cap, cores);
             Ok((spec.source.text()?, spec.config()?, spec.run, spec.trace))
         });
         let (source, config, run, trace) = match resolved {
@@ -798,10 +797,29 @@ pub fn roundtrip(stream: &mut (impl Read + Write), req: &Json) -> Result<Json, F
     read_frame(stream)
 }
 
+/// The wave-scheduler worker count a daemon compile runs with: auto
+/// (`0`) means one per core, as everywhere else, and every request is
+/// clamped to `cap`.
+fn admitted_jobs(requested: usize, cap: usize, cores: usize) -> usize {
+    match requested {
+        0 => cores,
+        j => j,
+    }
+    .min(cap)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    #[test]
+    fn auto_jobs_resolve_to_the_cores_within_the_cap() {
+        assert_eq!(admitted_jobs(0, 4, 2), 2, "auto on a 2-core host");
+        assert_eq!(admitted_jobs(0, 4, 16), 4, "auto is capped");
+        assert_eq!(admitted_jobs(3, 4, 2), 3, "explicit ignores the cores");
+        assert_eq!(admitted_jobs(9, 4, 2), 4, "explicit is capped");
+    }
 
     fn serve(service: &Service, requests: &[Json]) -> Vec<Json> {
         let mut input = Vec::new();

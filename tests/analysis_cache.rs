@@ -87,7 +87,7 @@ fn reused_scratch_is_bit_identical_across_jobs() {
     let workload = ipra_workloads::by_name("nim").unwrap();
     let module = ipra_workloads::compile_workload(workload).unwrap();
 
-    for jobs in [1usize, 4] {
+    for jobs in [1usize, 2, 4] {
         let mut cfg = Config::c();
         cfg.opts.jobs = jobs;
         let want = compile_only(&module, &cfg).mmodule.asm(&cfg.target.regs);

@@ -37,10 +37,11 @@ fn observe(compiled: &CompiledModule, config: &Config) -> String {
 
 /// Warm compiles must replay every function from the cache and still be
 /// bit-identical to the cold compile — machine code, summaries, clobber
-/// masks, reports, output and stats — at both `jobs = 1` and `jobs = 4`.
+/// masks, reports, output and stats — at `jobs = 1`, `2` (the driver
+/// plus one helper) and `4`.
 #[test]
 fn warm_compile_is_bit_identical_to_cold_across_corpus() {
-    for jobs in [1usize, 4] {
+    for jobs in [1usize, 2, 4] {
         let dir = cache_dir(&format!("warm-{jobs}"));
         for (name, module) in &corpus() {
             let mut cfg = Config::c();

@@ -215,54 +215,64 @@ fn normalize_times(j: &Json) -> Json {
 }
 
 /// The wave scheduler must be invisible in every output: compiling with
-/// `jobs = 4` has to produce the same machine code, summaries, clobber
-/// masks, reports and (timing aside) the same trace JSON as `jobs = 1`,
-/// across a corpus that covers deep call DAGs, mutual recursion and
-/// generator-produced programs. The library reads no environment, so
-/// the two sides always run with different worker counts.
+/// `jobs = 2` (the driver plus one helper) or `jobs = 4` has to produce
+/// the same machine code, summaries, clobber masks, reports and (timing
+/// aside) the same trace JSON as `jobs = 1`, across a corpus that covers
+/// deep call DAGs, mutual recursion and generator-produced programs. The
+/// library reads no environment, so the sides always run with different
+/// worker counts.
 #[test]
 fn wave_scheduler_output_is_identical_to_serial() {
     let mut serial_cfg = Config::c();
     serial_cfg.opts.jobs = 1;
-    let mut parallel_cfg = Config::c();
-    parallel_cfg.opts.jobs = 4;
+    let regs = &serial_cfg.target.regs;
 
     for (name, module) in &corpus() {
         let serial = compile_and_run_traced(module, &serial_cfg)
             .unwrap_or_else(|t| panic!("[{name}] serial trapped: {t}"));
-        let parallel = compile_and_run_traced(module, &parallel_cfg)
-            .unwrap_or_else(|t| panic!("[{name}] parallel trapped: {t}"));
-
-        assert_eq!(serial.output, parallel.output, "[{name}] program output");
-        assert_eq!(serial.stats, parallel.stats, "[{name}] simulator stats");
-
         let sc = compile_only(module, &serial_cfg);
-        let pc = compile_only(module, &parallel_cfg);
-        assert_eq!(
-            format!("{:?}", sc.summaries),
-            format!("{:?}", pc.summaries),
-            "[{name}] summaries"
-        );
-        assert_eq!(
-            sc.clobber_masks(),
-            pc.clobber_masks(),
-            "[{name}] clobber masks"
-        );
-        assert_eq!(
-            format!("{:?}", sc.reports),
-            format!("{:?}", pc.reports),
-            "[{name}] reports"
-        );
-        let regs = &serial_cfg.target.regs;
-        assert_eq!(
-            sc.mmodule.asm(regs),
-            pc.mmodule.asm(regs),
-            "[{name}] machine code"
-        );
-
         let st = normalize_times(&serial.trace.unwrap().to_json()).render_pretty();
-        let pt = normalize_times(&parallel.trace.unwrap().to_json()).render_pretty();
-        assert_eq!(st, pt, "[{name}] trace JSON (timing normalized)");
+
+        for jobs in [2, 4] {
+            let mut parallel_cfg = Config::c();
+            parallel_cfg.opts.jobs = jobs;
+            let parallel = compile_and_run_traced(module, &parallel_cfg)
+                .unwrap_or_else(|t| panic!("[{name}/j{jobs}] parallel trapped: {t}"));
+
+            assert_eq!(
+                serial.output, parallel.output,
+                "[{name}/j{jobs}] program output"
+            );
+            assert_eq!(
+                serial.stats, parallel.stats,
+                "[{name}/j{jobs}] simulator stats"
+            );
+
+            let pc = compile_only(module, &parallel_cfg);
+            assert_eq!(
+                format!("{:?}", sc.summaries),
+                format!("{:?}", pc.summaries),
+                "[{name}/j{jobs}] summaries"
+            );
+            assert_eq!(
+                sc.clobber_masks(),
+                pc.clobber_masks(),
+                "[{name}/j{jobs}] clobber masks"
+            );
+            assert_eq!(
+                format!("{:?}", sc.reports),
+                format!("{:?}", pc.reports),
+                "[{name}/j{jobs}] reports"
+            );
+            assert_eq!(
+                sc.mmodule.asm(regs),
+                pc.mmodule.asm(regs),
+                "[{name}/j{jobs}] machine code"
+            );
+
+            let pt = normalize_times(&parallel.trace.unwrap().to_json()).render_pretty();
+            assert_eq!(st, pt, "[{name}/j{jobs}] trace JSON (timing normalized)");
+        }
     }
 }
 
