@@ -1,9 +1,10 @@
-//! A dense fixed-capacity bit set.
+//! Dense fixed-capacity bit sets and bit matrices.
 
 /// A bit set over indices `0..capacity`.
 ///
-/// Used for block sets, liveness sets and interference rows. All binary
-/// operations require both operands to have the same capacity.
+/// Used for loop bodies, coloring's split regions and range
+/// construction's running live set. All binary operations require both
+/// operands to have the same capacity.
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
@@ -77,9 +78,17 @@ impl BitSet {
     /// `copy_from` calls only allocates when it grows past its largest
     /// capacity so far.
     pub fn copy_from(&mut self, other: &BitSet) {
-        self.words.resize(other.words.len(), 0);
-        self.words.copy_from_slice(&other.words);
-        self.capacity = other.capacity;
+        self.copy_from_row(other.capacity, &other.words);
+    }
+
+    /// Makes `self` the set over `0..capacity` whose words are `words`
+    /// (one row of a [`BitMatrix`]), reusing the existing word buffer as
+    /// [`BitSet::copy_from`] does.
+    pub fn copy_from_row(&mut self, capacity: usize, words: &[u64]) {
+        debug_assert_eq!(words.len(), capacity.div_ceil(64));
+        self.words.resize(words.len(), 0);
+        self.words.copy_from_slice(words);
+        self.capacity = capacity;
     }
 
     /// Inserts every index in `0..capacity`.
@@ -174,19 +183,26 @@ impl BitSet {
 
     /// Iterates over elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        Iter::new(&self.words)
     }
 }
 
-/// Iterator over the elements of a [`BitSet`].
+/// Iterator over the set bits of a word slice (a [`BitSet`] or one
+/// [`BitMatrix`] row), in increasing order.
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    words: &'a [u64],
     word_idx: usize,
     current: u64,
+}
+
+impl<'a> Iter<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        Iter {
+            words,
+            word_idx: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for Iter<'_> {
@@ -200,10 +216,10 @@ impl Iterator for Iter<'_> {
                 return Some(self.word_idx * 64 + bit);
             }
             self.word_idx += 1;
-            if self.word_idx >= self.set.words.len() {
+            if self.word_idx >= self.words.len() {
                 return None;
             }
-            self.current = self.set.words[self.word_idx];
+            self.current = self.words[self.word_idx];
         }
     }
 }
@@ -232,6 +248,68 @@ impl FromIterator<usize> for BitSet {
             s.insert(i);
         }
         s
+    }
+}
+
+/// A `rows × cols` bit matrix in one allocation: row `r` is the set of
+/// column indices `0..cols` in the `⌈cols/64⌉` words starting at
+/// `r * ⌈cols/64⌉`. Liveness keeps one per-block table of virtual
+/// registers in each.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BitMatrix {
+    words: Vec<u64>,
+    cols: usize,
+    stride: usize,
+}
+
+impl BitMatrix {
+    /// An all-zero matrix.
+    pub fn new(rows: usize, cols: usize) -> Self {
+        let stride = cols.div_ceil(64);
+        BitMatrix {
+            words: vec![0; rows * stride],
+            cols,
+            stride,
+        }
+    }
+
+    /// Number of columns (the capacity of each row).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The words of row `r`.
+    pub fn row(&self, r: usize) -> &[u64] {
+        &self.words[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// The words of row `r`, mutably. Bits at or above [`BitMatrix::cols`]
+    /// must stay clear.
+    pub fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.words[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// Sets bit `(r, c)`; returns whether it was newly set.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `c >= cols`.
+    pub fn insert(&mut self, r: usize, c: usize) -> bool {
+        assert!(c < self.cols, "bit {c} out of capacity {}", self.cols);
+        let w = &mut self.words[r * self.stride + c / 64];
+        let old = *w;
+        *w |= 1 << (c % 64);
+        old != *w
+    }
+
+    /// Whether bit `(r, c)` is set.
+    pub fn contains(&self, r: usize, c: usize) -> bool {
+        c < self.cols && self.words[r * self.stride + c / 64] & (1 << (c % 64)) != 0
+    }
+
+    /// Iterates over the set columns of row `r` in increasing order.
+    pub fn iter_row(&self, r: usize) -> Iter<'_> {
+        Iter::new(self.row(r))
     }
 }
 
@@ -330,6 +408,24 @@ mod tests {
         scratch.copy_from(&small);
         assert!(scratch.insert(0));
         assert_eq!(scratch.iter().collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    #[test]
+    fn matrix_rows_are_independent_sets() {
+        let mut m = BitMatrix::new(3, 70);
+        assert!(m.insert(0, 69));
+        assert!(!m.insert(0, 69), "second insert reports no change");
+        m.insert(2, 0);
+        m.insert(2, 64);
+        assert!(m.contains(0, 69) && !m.contains(1, 69));
+        assert!(!m.contains(2, 70), "out of capacity reads as absent");
+        assert_eq!(m.iter_row(2).collect::<Vec<_>>(), vec![0, 64]);
+        assert_eq!(m.iter_row(1).count(), 0);
+        let mut s = BitSet::new(0);
+        s.copy_from_row(m.cols(), m.row(2));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 64]);
+        assert_eq!(s.capacity(), 70);
+        assert_eq!(BitMatrix::new(2, 0).iter_row(1).count(), 0);
     }
 
     #[test]

@@ -2,17 +2,18 @@
 
 use ipra_ir::{BlockId, Function};
 
+use crate::csr::Csr;
+
 /// Predecessor/successor structure of a function, plus reachability and
 /// depth-first orderings.
 #[derive(Clone, Debug)]
 pub struct Cfg {
     /// Entry block.
     pub entry: BlockId,
-    /// Successors of each block (indexed by block).
-    pub succs: Vec<Vec<BlockId>>,
-    /// Predecessors of each block (indexed by block), restricted to
-    /// reachable predecessors.
-    pub preds: Vec<Vec<BlockId>>,
+    /// Successors of each block (a row per block).
+    succs: Csr<BlockId>,
+    /// Reachable predecessors of each block (a row per block).
+    preds: Csr<BlockId>,
     /// Blocks terminated by `ret`, in block order (reachable only).
     pub exits: Vec<BlockId>,
     /// Reverse postorder over reachable blocks (entry first).
@@ -24,38 +25,38 @@ pub struct Cfg {
 impl Cfg {
     /// Builds the CFG of `func`.
     pub fn new(func: &Function) -> Self {
-        let n = func.num_blocks();
-        let mut succs = vec![Vec::new(); n];
-        let mut rets = Vec::new();
-        for (id, b) in func.blocks.iter() {
-            b.term.for_each_succ(|s| succs[id.index()].push(s));
-            if b.term.is_ret() {
-                rets.push(id);
+        let succs = Csr::build(func.num_blocks(), func.entry, |emit| {
+            for (id, b) in func.blocks.iter() {
+                b.term.for_each_succ(|s| emit(id.index(), s));
             }
-        }
-        Self::from_succs(func.entry, succs, &rets)
+        });
+        Self::from_succs(func.entry, succs, |b| func.blocks[b].term.is_ret())
     }
 
-    /// Builds a CFG from explicit edges: per-block successor lists plus the
-    /// `ret`-terminated blocks (in block order). This is how machine-level
-    /// consumers (the static verifier) analyze an `MFunction`, whose block
-    /// structure lives in `MTerminator`s rather than in an IR `Function`.
-    /// Unreachable `rets` entries are dropped from `exits`, mirroring
-    /// [`Cfg::new`].
-    pub fn from_succs(entry: BlockId, succs: Vec<Vec<BlockId>>, rets: &[BlockId]) -> Self {
-        let n = succs.len();
-        // Iterative DFS computing postorder over reachable blocks.
+    /// Builds a CFG from explicit edges: a successor row per block plus
+    /// which blocks end in `ret`. This is how machine-level consumers (the
+    /// static verifier) analyze an `MFunction`, whose block structure
+    /// lives in `MTerminator`s rather than in an IR `Function`. Only
+    /// reachable `ret` blocks become `exits`, as in [`Cfg::new`].
+    pub fn from_succs(
+        entry: BlockId,
+        succs: Csr<BlockId>,
+        is_ret: impl Fn(BlockId) -> bool,
+    ) -> Self {
+        let n = succs.rows();
+        // Iterative DFS computing postorder over reachable blocks; a
+        // visited block's `rpo_pos` leaves `usize::MAX` until it gets its
+        // position below.
+        let mut rpo_pos = vec![usize::MAX; n];
         let mut post: Vec<BlockId> = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
         // Stack holds (block, next successor index to visit).
         let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
-        visited[entry.index()] = true;
+        rpo_pos[entry.index()] = 0;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < succs[b.index()].len() {
-                let s = succs[b.index()][*i];
+            if let Some(&s) = succs.row(b.index()).get(*i) {
                 *i += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
+                if rpo_pos[s.index()] == usize::MAX {
+                    rpo_pos[s.index()] = 0;
                     stack.push((s, 0));
                 }
             } else {
@@ -65,22 +66,21 @@ impl Cfg {
         }
         let mut rpo = post;
         rpo.reverse();
-        let mut rpo_pos = vec![usize::MAX; n];
         for (i, b) in rpo.iter().enumerate() {
             rpo_pos[b.index()] = i;
         }
 
-        let mut preds = vec![Vec::new(); n];
-        for &b in &rpo {
-            for &s in &succs[b.index()] {
-                preds[s.index()].push(b);
+        let preds = Csr::build(n, entry, |emit| {
+            for &b in &rpo {
+                for &s in succs.row(b.index()) {
+                    emit(s.index(), b);
+                }
             }
-        }
+        });
 
-        let exits = rets
-            .iter()
-            .copied()
-            .filter(|b| visited[b.index()])
+        let exits = (0..n as u32)
+            .map(BlockId)
+            .filter(|&b| rpo_pos[b.index()] != usize::MAX && is_ret(b))
             .collect();
 
         Cfg {
@@ -95,7 +95,7 @@ impl Cfg {
 
     /// Number of blocks in the underlying function (reachable or not).
     pub fn num_blocks(&self) -> usize {
-        self.succs.len()
+        self.succs.rows()
     }
 
     /// Whether `b` is reachable from the entry.
@@ -105,12 +105,12 @@ impl Cfg {
 
     /// Successors of `b`.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.index()]
+        self.succs.row(b.index())
     }
 
     /// Reachable predecessors of `b`.
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.index()]
+        self.preds.row(b.index())
     }
 }
 

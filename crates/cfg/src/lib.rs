@@ -1,9 +1,10 @@
 //! # ipra-cfg — control-flow analyses
 //!
-//! Control-flow graph extraction, dominators, natural loops, a generic
-//! iterative bit-vector data-flow solver and liveness — the analysis
-//! substrate required by priority-based coloring and by the shrink-wrap
-//! placement optimization of Chow's PLDI 1988 paper.
+//! Control-flow graph extraction, dominators, natural loops and liveness
+//! — the analysis substrate required by priority-based coloring and by
+//! the shrink-wrap placement optimization of Chow's PLDI 1988 paper.
+//! Per-function tables are flat: the CFG's edge lists are compressed
+//! sparse rows ([`Csr`]) and each liveness table is one [`BitMatrix`].
 //!
 //! ```
 //! use ipra_ir::builder::FunctionBuilder;
@@ -25,14 +26,14 @@
 #![warn(missing_docs)]
 
 pub mod bitset;
-pub mod dataflow;
+pub mod csr;
 pub mod dominators;
 pub mod graph;
 pub mod liveness;
 pub mod loops;
 
-pub use bitset::BitSet;
-pub use dataflow::{solve, DataflowResult, Direction, GenKill, Meet};
+pub use bitset::{BitMatrix, BitSet};
+pub use csr::Csr;
 pub use dominators::Dominators;
 pub use graph::Cfg;
 pub use liveness::Liveness;

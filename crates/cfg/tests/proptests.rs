@@ -1,13 +1,13 @@
 //! Property tests of the analysis substrate: bitset algebra, dominator
-//! laws, loop facts and data-flow fixpoint properties on random graphs.
+//! laws, loop facts and liveness fixpoint properties on random graphs.
 //! Each property runs over `CASES` seeds of the workspace PRNG; a failure
 //! names its seed, and `XorShift64Star::new(seed)` replays that case.
 
 use std::collections::BTreeSet;
 
-use ipra_cfg::{solve, BitSet, Cfg, Direction, Dominators, GenKill, Liveness, LoopInfo, Meet};
+use ipra_cfg::{BitSet, Cfg, Dominators, Liveness, LoopInfo};
 use ipra_ir::builder::FunctionBuilder;
-use ipra_ir::{BinOp, Function};
+use ipra_ir::{BinOp, Function, Vreg};
 use ipra_workloads::synth::XorShift64Star;
 
 const CASES: u64 = 256;
@@ -25,8 +25,11 @@ fn vec_of<T>(
 
 /// Random function shape: 2–8 blocks; the first `edges.len()` blocks end
 /// in a branch, the rest return. Blocks may be unreachable and the graph
-/// irreducible.
-fn random_function(rng: &mut XorShift64Star) -> Function {
+/// irreducible. `body` fills each block before its terminator.
+fn random_cfg_function(
+    rng: &mut XorShift64Star,
+    mut body: impl FnMut(&mut XorShift64Star, &mut FunctionBuilder),
+) -> Function {
     let n = rng.range_i64(2, 9) as usize;
     let edges = vec_of(rng, 0, n as i64, |r| {
         let t1 = r.below(n as u64) as usize;
@@ -37,9 +40,7 @@ fn random_function(rng: &mut XorShift64Star) -> Function {
     let all: Vec<_> = std::iter::once(b.current_block()).chain(rest).collect();
     for (i, &block) in all.iter().enumerate() {
         b.switch_to(block);
-        // A use and a def so liveness has something to chew on.
-        let v = b.bin(BinOp::Add, 1, 2);
-        b.print(v);
+        body(rng, &mut b);
         match edges.get(i) {
             Some(&(t1, Some(t2))) if t1 != t2 => {
                 let c = b.copy(1);
@@ -50,6 +51,15 @@ fn random_function(rng: &mut XorShift64Star) -> Function {
         }
     }
     b.build()
+}
+
+/// A random CFG whose blocks each define and print one fresh temporary,
+/// so liveness has something to chew on.
+fn random_function(rng: &mut XorShift64Star) -> Function {
+    random_cfg_function(rng, |_, b| {
+        let v = b.bin(BinOp::Add, 1, 2);
+        b.print(v);
+    })
 }
 
 /// Bitset union/intersection/difference behave like sets.
@@ -169,111 +179,112 @@ fn liveness_is_a_fixpoint() {
         let lv = Liveness::compute(&f, &cfg);
         for &b in &cfg.rpo {
             let bi = b.index();
-            let mut out = BitSet::new(f.num_vregs());
-            for s in cfg.succs(b) {
-                out.union_with(&lv.live_in[s.index()]);
-            }
-            assert_eq!(out, lv.live_out[bi], "seed {seed}: live_out at {b}");
-            let mut inn = lv.live_out[bi].clone();
-            inn.subtract(&lv.defs[bi]);
-            inn.union_with(&lv.uevar[bi]);
-            assert_eq!(inn, lv.live_in[bi], "seed {seed}: live_in at {b}");
+            let out: BTreeSet<usize> = cfg
+                .succs(b)
+                .iter()
+                .flat_map(|s| lv.live_in.iter_row(s.index()))
+                .collect();
+            let live_out: BTreeSet<usize> = lv.live_out.iter_row(bi).collect();
+            assert_eq!(out, live_out, "seed {seed}: live_out at {b}");
+            let defs: BTreeSet<usize> = lv.defs.iter_row(bi).collect();
+            let inn: BTreeSet<usize> = lv
+                .uevar
+                .iter_row(bi)
+                .chain(live_out.difference(&defs).copied())
+                .collect();
+            let live_in: BTreeSet<usize> = lv.live_in.iter_row(bi).collect();
+            assert_eq!(inn, live_in, "seed {seed}: live_in at {b}");
         }
     }
 }
 
-/// The generic solver agrees with a naive chaotic iteration on random
-/// gen/kill problems, in all four direction/meet combinations.
+/// The worklist liveness solver agrees with naive round-robin iteration
+/// of the liveness equations, on random CFGs whose blocks read and write
+/// a small pool of variables at random.
 #[test]
 fn dataflow_solver_matches_chaotic_iteration() {
     for seed in 0..CASES {
         let rng = &mut XorShift64Star::new(seed);
-        let f = random_function(rng);
-        let gens = vec_of(rng, 1, 12, |r| r.below(256) as u32);
-        let kills = vec_of(rng, 1, 12, |r| r.below(256) as u32);
-        let forward = rng.coin();
-        let union = rng.coin();
-
-        let cfg = Cfg::new(&f);
-        let nb = cfg.num_blocks();
-        let bits = 8;
-        let set = |mask: u32| {
-            let mut s = BitSet::new(bits);
-            for t in (0..bits).filter(|t| mask & (1 << t) != 0) {
-                s.insert(t);
+        let mut vars: Vec<Vreg> = Vec::new();
+        let f = random_cfg_function(rng, |r, b| {
+            if vars.is_empty() {
+                vars = (0..6).map(|i| b.var(format!("x{i}"))).collect();
             }
-            s
-        };
-        let transfer: Vec<GenKill> = (0..nb)
-            .map(|i| GenKill {
-                gen: set(gens[i % gens.len()]),
-                kill: set(kills[i % kills.len()]),
-            })
-            .collect();
-        let dir = if forward {
-            Direction::Forward
-        } else {
-            Direction::Backward
-        };
-        let meet = if union { Meet::Union } else { Meet::Intersect };
-        let boundary = BitSet::new(bits);
-        let r = solve(&cfg, dir, meet, &boundary, &transfer);
-
-        // Chaotic iteration from the same initial values.
-        let bottom = || {
-            if union {
-                BitSet::new(bits)
-            } else {
-                BitSet::full(bits)
-            }
-        };
-        let mut inp: Vec<BitSet> = (0..nb).map(|_| bottom()).collect();
-        let mut out: Vec<BitSet> = (0..nb).map(|_| bottom()).collect();
-        for _ in 0..(nb * 10 + 10) {
-            for &b in &cfg.rpo {
-                let bi = b.index();
-                let neigh: Vec<usize> = if forward {
-                    cfg.preds(b).iter().map(|p| p.index()).collect()
-                } else {
-                    cfg.succs(b).iter().map(|s| s.index()).collect()
-                };
-                let is_boundary = if forward {
-                    b == cfg.entry
-                } else {
-                    neigh.is_empty()
-                };
-                let met = if is_boundary {
-                    boundary.clone()
-                } else if neigh.is_empty() {
-                    bottom()
-                } else {
-                    let side = if forward { &out } else { &inp };
-                    let mut acc = side[neigh[0]].clone();
-                    for &x in &neigh[1..] {
-                        if union {
-                            acc.union_with(&side[x]);
-                        } else {
-                            acc.intersect_with(&side[x]);
-                        }
+            for _ in 0..r.range_i64(0, 4) {
+                let pick = |r: &mut XorShift64Star| vars[r.below(vars.len() as u64) as usize];
+                let (x, y, z) = (pick(r), pick(r), pick(r));
+                match r.below(3) {
+                    0 => b.copy_to(x, 7),
+                    1 => {
+                        let s = b.bin(BinOp::Add, y, z);
+                        b.copy_to(x, s);
                     }
-                    acc
-                };
-                let mut xfer = met.clone();
-                xfer.subtract(&transfer[bi].kill);
-                xfer.union_with(&transfer[bi].gen);
-                if forward {
-                    inp[bi] = met;
-                    out[bi] = xfer;
-                } else {
-                    out[bi] = met;
-                    inp[bi] = xfer;
+                    _ => b.print(x),
                 }
             }
+        });
+        let cfg = Cfg::new(&f);
+        let lv = Liveness::compute(&f, &cfg);
+
+        // Upward-exposed uses and definitions, one instruction at a time.
+        let nb = f.num_blocks();
+        let mut uevar = vec![BTreeSet::new(); nb];
+        let mut defs = vec![BTreeSet::new(); nb];
+        for (id, block) in f.blocks.iter() {
+            let bi = id.index();
+            for inst in &block.insts {
+                inst.for_each_use(|v| {
+                    if !defs[bi].contains(&v.index()) {
+                        uevar[bi].insert(v.index());
+                    }
+                });
+                if let Some(d) = inst.def() {
+                    defs[bi].insert(d.index());
+                }
+            }
+            block.term.for_each_use(|v| {
+                if !defs[bi].contains(&v.index()) {
+                    uevar[bi].insert(v.index());
+                }
+            });
         }
-        for &b in &cfg.rpo {
-            let bi = b.index();
-            assert_eq!(r.entry[bi], inp[bi], "seed {seed}: entry value at {b}");
-            assert_eq!(r.exit[bi], out[bi], "seed {seed}: exit value at {b}");
+        // Round-robin sweeps over the reachable blocks until nothing moves.
+        let mut live_in: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nb];
+        let mut live_out: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nb];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in &cfg.rpo {
+                let bi = b.index();
+                let out: BTreeSet<usize> = cfg
+                    .succs(b)
+                    .iter()
+                    .flat_map(|s| live_in[s.index()].iter().copied())
+                    .collect();
+                let inn: BTreeSet<usize> = uevar[bi]
+                    .iter()
+                    .chain(out.difference(&defs[bi]))
+                    .copied()
+                    .collect();
+                changed |= inn != live_in[bi];
+                live_in[bi] = inn;
+                live_out[bi] = out;
+            }
+        }
+        for b in 0..nb {
+            let row = |m: &ipra_cfg::BitMatrix| m.iter_row(b).collect::<BTreeSet<usize>>();
+            assert_eq!(row(&lv.uevar), uevar[b], "seed {seed}: uevar at bb{b}");
+            assert_eq!(row(&lv.defs), defs[b], "seed {seed}: defs at bb{b}");
+            assert_eq!(
+                row(&lv.live_in),
+                live_in[b],
+                "seed {seed}: live_in at bb{b}"
+            );
+            assert_eq!(
+                row(&lv.live_out),
+                live_out[b],
+                "seed {seed}: live_out at bb{b}"
+            );
         }
     }
 }

@@ -282,13 +282,12 @@ pub fn allocate_function_with(
     let mut param_locs = Vec::with_capacity(func.params.len());
     if custom_params {
         let mut next_stack = 0u32;
-        let entry_in = &liveness.live_in[func.entry.index()];
         for &p in &func.params {
             // A parameter whose incoming value is dead on arrival (never
             // read before being overwritten) needs no transport at all —
             // and must not claim a register, since dead-on-arrival
             // parameters do not interfere with each other.
-            if !entry_in.contains(p.index()) {
+            if !liveness.is_live_in(func.entry, p) {
                 param_locs.push(ParamLoc::Ignored);
                 continue;
             }
@@ -334,8 +333,8 @@ pub fn allocate_function_with(
             }
             None => {
                 if let VregLoc::Reg(r) = assignment.whole[lr.vreg.index()] {
-                    for b in lr.blocks.iter() {
-                        occupancy[b].insert(r);
+                    for b in ranges.blocks(lr.vreg) {
+                        occupancy[b.index()].insert(r);
                     }
                 }
             }
@@ -478,7 +477,7 @@ pub fn allocate_function_with(
     // Fill save_around: registers of values live across each call that the
     // call may destroy.
     for lr in &ranges.ranges {
-        for &site in &lr.spans_calls {
+        for &site in ranges.spans_calls(lr.vreg) {
             let site = site as usize;
             let block = ranges.call_sites[site].loc.block;
             if let VregLoc::Reg(r) = assignment.loc(lr.vreg, block) {

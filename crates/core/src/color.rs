@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use ipra_cfg::{Cfg, Liveness};
+use ipra_cfg::{BitSet, Cfg, Liveness};
 use ipra_ir::{BlockId, Vreg};
 use ipra_machine::{PReg, RegClass, RegMask};
 
@@ -116,8 +116,8 @@ pub fn color_with(
         if !lr.is_candidate() {
             continue;
         }
-        for b in lr.blocks.iter() {
-            ranges_in_block[b].push(lr.vreg.index() as u32);
+        for b in ctx.ranges.blocks(lr.vreg) {
+            ranges_in_block[b.index()].push(lr.vreg.index() as u32);
         }
     }
     let mut split_forbid = scratch.masks.take(nv, RegMask::EMPTY);
@@ -181,11 +181,11 @@ pub fn color_with(
                 }
                 whole[vi] = VregLoc::Reg(r);
                 used.insert(r);
-                for n in ctx.ranges.adj[vi].iter() {
-                    forbidden[n].insert(r);
+                for n in ctx.ranges.neighbors(lr.vreg) {
+                    forbidden[n.index()].insert(r);
                 }
-                for b in lr.blocks.iter() {
-                    occ_whole[b].insert(r);
+                for b in ctx.ranges.blocks(lr.vreg) {
+                    occ_whole[b.index()].insert(r);
                 }
                 emit_decision(ctx, vi, &split, Some(r), d2);
             }
@@ -278,19 +278,25 @@ fn try_split(
     ranges_in_block: &[Vec<u32>],
     split_forbid: &mut [RegMask],
 ) {
-    let lr = &ctx.ranges.ranges[vi];
-    if lr.size() < 2 {
+    let v = Vreg(vi as u32);
+    let blocks = ctx.ranges.blocks(v);
+    if blocks.len() < 2 {
         return;
     }
     let c = &ctx.target.cost;
     let save_restore = (c.load + c.store) as f64;
 
-    // Per-block weighted reference gain for this vreg.
-    let gain_of = per_block_gain(ctx, vi);
+    // Weighted memory-traffic gain of `v` in block `b`: loads avoided for
+    // uses, stores avoided for defs.
+    let refs = ctx.ranges.block_refs(v);
+    let gain_of = |b: usize| match blocks.binary_search(&BlockId(b as u32)) {
+        Ok(k) => refs[k].0 * c.load as f64 + refs[k].1 * c.store as f64,
+        Err(_) => 0.0,
+    };
 
     // Calls spanned by the range, by block.
     let mut call_cost_in_block: HashMap<usize, Vec<(usize, f64)>> = HashMap::new();
-    for &site in &lr.spans_calls {
+    for &site in ctx.ranges.spans_calls(v) {
         let s = &ctx.ranges.call_sites[site as usize];
         call_cost_in_block
             .entry(s.loc.block.index())
@@ -298,7 +304,10 @@ fn try_split(
             .push((site as usize, s.weight));
     }
 
-    let mut remaining = lr.blocks.clone();
+    let mut remaining = BitSet::new(cfg.num_blocks());
+    for b in blocks {
+        remaining.insert(b.index());
+    }
     let mut map: HashMap<usize, PReg> = HashMap::new();
 
     loop {
@@ -314,8 +323,8 @@ fn try_split(
             // Seed at the highest-gain referenced free block.
             let Some(&seed) = free
                 .iter()
-                .filter(|&&b| gain_of.get(&b).copied().unwrap_or(0.0) > 0.0)
-                .max_by(|&&a, &&b| gain_of[&a].total_cmp(&gain_of[&b]))
+                .filter(|&&b| gain_of(b) > 0.0)
+                .max_by(|&&a, &&b| gain_of(a).total_cmp(&gain_of(b)))
             else {
                 continue;
             };
@@ -338,7 +347,7 @@ fn try_split(
             // Estimate the region's net value.
             let mut net = 0.0;
             for &b in &region {
-                net += gain_of.get(&b).copied().unwrap_or(0.0);
+                net += gain_of(b);
                 if let Some(calls) = call_cost_in_block.get(&b) {
                     for &(site, w) in calls {
                         if ctx.site_clobbers[site].contains(r) {
@@ -353,7 +362,7 @@ fn try_split(
             for &b in &region {
                 let bid = BlockId(b as u32);
                 let w = ctx.weights.weight(bid).max(1.0);
-                if liveness.live_in[b].contains(vi)
+                if liveness.live_in.contains(b, vi)
                     && cfg
                         .preds(bid)
                         .iter()
@@ -362,7 +371,7 @@ fn try_split(
                     net -= w * c.load as f64;
                 }
                 if cfg.succs(bid).iter().any(|s| {
-                    liveness.live_in[s.index()].contains(vi) && !in_region.contains(&s.index())
+                    liveness.live_in.contains(s.index(), vi) && !in_region.contains(&s.index())
                 }) {
                     net -= w * c.store as f64;
                 }
@@ -398,17 +407,6 @@ fn try_split(
     if !map.is_empty() {
         split[vi] = Some(map);
     }
-}
-
-/// Weighted memory-traffic gain per block for one vreg: loads avoided for
-/// uses, stores avoided for defs, from the range's per-block detail.
-fn per_block_gain(ctx: &PriorityCtx<'_>, vi: usize) -> HashMap<usize, f64> {
-    let lr = &ctx.ranges.ranges[vi];
-    let c = &ctx.target.cost;
-    lr.block_refs
-        .iter()
-        .map(|(&b, &(wu, wd))| (b as usize, wu * c.load as f64 + wd * c.store as f64))
-        .collect()
 }
 
 /// Max-heap key over f64 (total order).

@@ -1,6 +1,7 @@
 //! Allocation configuration: the compiler flags of the paper's §8.
 
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// How registers are allocated.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,9 +46,8 @@ pub struct AllocOptions {
     /// Per-caller growth budget for the inliner, in instructions. Only
     /// consulted when inlining is on.
     pub inline_budget: u32,
-    /// Worker threads for the wave scheduler: `0` picks
-    /// `std::thread::available_parallelism`. Results are bit-identical
-    /// for every value.
+    /// Worker threads for the wave scheduler: `0` picks [`host_cores`].
+    /// Results are bit-identical for every value.
     pub jobs: usize,
     /// Directory for the incremental allocation cache (one
     /// `<key:016x>.ce.json` shard per SCC component inside it). `None`
@@ -147,14 +147,23 @@ impl AllocOptions {
     }
 
     /// Resolves [`AllocOptions::jobs`] to a concrete worker count: `0`
-    /// means "ask the OS", clamped to at least 1.
+    /// means [`host_cores`].
     pub fn effective_jobs(&self) -> usize {
         if self.jobs == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            host_cores()
         } else {
             self.jobs
         }
     }
+}
+
+/// The host's core count as `std::thread::available_parallelism` reports
+/// it (1 when unknown), read once per process: on Linux each read parses
+/// cgroup files. A change of the process's CPU quota or affinity takes
+/// effect only after a restart.
+pub fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl Default for AllocOptions {
@@ -208,5 +217,9 @@ mod tests {
         assert_eq!(AllocOptions::o3().with_jobs(3).effective_jobs(), 3);
         assert_eq!(AllocOptions::o3().with_jobs(1).effective_jobs(), 1);
         assert!(AllocOptions::o3().with_jobs(0).effective_jobs() >= 1);
+        assert_eq!(
+            AllocOptions::o3().with_jobs(0).effective_jobs(),
+            host_cores()
+        );
     }
 }

@@ -190,7 +190,7 @@ impl<'a> Lowerer<'a> {
             for &b in &cfg.rpo {
                 let bi = b.index();
                 if let VregLoc::Reg(r) = self.loc(vr, b) {
-                    if live.live_in[bi].contains(v)
+                    if live.live_in.contains(bi, v)
                         && cfg
                             .preds(b)
                             .iter()
@@ -206,7 +206,7 @@ impl<'a> Lowerer<'a> {
                 let bi = b.index();
                 if let VregLoc::Reg(r) = self.loc(vr, b) {
                     let must_store = cfg.succs(b).iter().any(|&s| {
-                        live.live_in[s.index()].contains(v)
+                        live.live_in.contains(s.index(), v)
                             && (self.loc(vr, s) == VregLoc::Mem || loads[s.index()])
                     });
                     if must_store {
@@ -305,7 +305,7 @@ impl<'a> Lowerer<'a> {
             // Dead-on-arrival parameters (unreferenced, or overwritten
             // before any read) need no placement under any convention.
             if self.art.ranges.ranges[p.index()].num_refs == 0
-                || !self.art.liveness().live_in[entry.index()].contains(p.index())
+                || !self.art.liveness().is_live_in(entry, p)
             {
                 continue;
             }

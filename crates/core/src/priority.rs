@@ -59,7 +59,7 @@ impl PriorityCtx<'_> {
         let c = &self.target.cost;
         let save_restore = (c.load + c.store) as f64;
         let mut cost = 0.0;
-        for &site in &lr.spans_calls {
+        for &site in self.ranges.spans_calls(lr.vreg) {
             if self.site_clobbers[site as usize].contains(r) {
                 cost += self.ranges.call_sites[site as usize].weight * save_restore;
             }
@@ -97,7 +97,7 @@ impl PriorityCtx<'_> {
         forbidden: RegMask,
         used_in_func: RegMask,
     ) -> Option<(PReg, f64)> {
-        let size = lr.size().max(1) as f64;
+        let size = self.ranges.blocks(lr.vreg).len().max(1) as f64;
         let mut best: Option<(PReg, f64, (bool, bool))> = None;
         for &r in self.target.regs.allocatable() {
             if forbidden.contains(r) {
@@ -133,61 +133,72 @@ fn pref_rank(p: (bool, bool)) -> u8 {
 /// `benefit`, the per-call cost sum, and the hint bonus of a
 /// `(variable, register)` pair never change while coloring runs (site
 /// clobbers and hints are fixed per function), yet [`PriorityCtx::best`]
-/// re-derives them on every heap revalidation. The cache computes each
-/// pair once, lazily. Only the callee-saved entry charge depends on
-/// evolving state (`used_in_func`), so it is added at lookup time — in the
-/// same accumulation order as [`PriorityCtx::reg_cost`], which keeps every
-/// floating-point result bit-identical to the uncached path.
-///
-/// A NaN marks a term not yet computed, so an entry costs no tag. A term
-/// whose true value is NaN is simply recomputed on every lookup, with the
-/// same bits, so the marker can never change a result.
+/// re-derives them on every heap revalidation. The cache gives a range,
+/// on its first lookup, one row of `(call cost, hint)` terms over the
+/// allocatable registers, filled by one pass over the range's spanned
+/// calls that adds each register's costs in call order, as
+/// [`PriorityCtx::reg_cost`] does. Only the callee-saved entry charge
+/// depends on evolving state (`used_in_func`), so it is added at lookup
+/// time in the same order, which keeps every floating-point result
+/// bit-identical to the uncached path.
 pub struct PriorityCache {
-    nr: usize,
-    /// Per-vreg benefit.
+    /// Per vreg: its row, or `u32::MAX` before its first lookup.
+    row_of: Vec<u32>,
+    /// Per row: the range's benefit.
     benefit: Vec<f64>,
-    /// Per `(vreg, reg)` pair: `(call_cost, hint_bonus)`.
-    pair: Vec<(f64, f64)>,
+    /// Per row, per allocatable register: `(call_cost, hint_bonus)`.
+    terms: Vec<(f64, f64)>,
 }
 
 impl PriorityCache {
-    /// An empty cache sized for `ctx`.
+    /// An empty cache sized for `ctx`: a row for each candidate range.
     pub fn new(ctx: &PriorityCtx<'_>) -> Self {
-        let nv = ctx.ranges.ranges.len();
-        let nr = ctx.target.regs.num_regs();
+        let ranges = &ctx.ranges.ranges;
+        let rows = ranges.iter().filter(|lr| lr.is_candidate()).count();
         PriorityCache {
-            nr,
-            benefit: vec![f64::NAN; nv],
-            pair: vec![(f64::NAN, f64::NAN); nv * nr],
+            row_of: vec![u32::MAX; ranges.len()],
+            benefit: Vec::with_capacity(rows),
+            terms: Vec::with_capacity(rows * ctx.target.regs.allocatable().len()),
         }
     }
 
-    /// Cached equivalent of [`PriorityCtx::net`].
-    pub fn net(
-        &mut self,
+    /// `lr`'s row of terms, filled on first use.
+    fn row(&mut self, ctx: &PriorityCtx<'_>, lr: &LiveRange) -> usize {
+        let vi = lr.vreg.index();
+        if self.row_of[vi] == u32::MAX {
+            self.row_of[vi] = self.benefit.len() as u32;
+            self.benefit.push(ctx.benefit(lr));
+            let allocatable = ctx.target.regs.allocatable();
+            let base = self.terms.len();
+            self.terms
+                .extend(allocatable.iter().map(|&r| (0.0, ctx.hint_bonus(lr, r))));
+            let c = &ctx.target.cost;
+            let save_restore = (c.load + c.store) as f64;
+            for &site in ctx.ranges.spans_calls(lr.vreg) {
+                let clobbers = ctx.site_clobbers[site as usize];
+                let cost = ctx.ranges.call_sites[site as usize].weight * save_restore;
+                for (j, &r) in allocatable.iter().enumerate() {
+                    if clobbers.contains(r) {
+                        self.terms[base + j].0 += cost;
+                    }
+                }
+            }
+        }
+        self.row_of[vi] as usize
+    }
+
+    /// The net priority of the `j`-th allocatable register `r` for the
+    /// range in `row`.
+    fn net_at(
+        &self,
         ctx: &PriorityCtx<'_>,
-        lr: &LiveRange,
+        row: usize,
+        j: usize,
         r: PReg,
         used_in_func: RegMask,
     ) -> f64 {
-        let vi = lr.vreg.index();
-        if self.benefit[vi].is_nan() {
-            self.benefit[vi] = ctx.benefit(lr);
-        }
-        let benefit = self.benefit[vi];
-        let pair = &mut self.pair[vi * self.nr + r.index()];
-        if pair.0.is_nan() {
-            let c = &ctx.target.cost;
-            let save_restore = (c.load + c.store) as f64;
-            let mut cost = 0.0;
-            for &site in &lr.spans_calls {
-                if ctx.site_clobbers[site as usize].contains(r) {
-                    cost += ctx.ranges.call_sites[site as usize].weight * save_restore;
-                }
-            }
-            *pair = (cost, ctx.hint_bonus(lr, r));
-        }
-        let (call_cost, hint) = *pair;
+        let width = ctx.target.regs.allocatable().len();
+        let (call_cost, hint) = self.terms[row * width + j];
         let mut cost = call_cost;
         if ctx.charge_callee_saved_entry
             && ctx.target.regs.class(r) == Some(RegClass::CalleeSaved)
@@ -196,12 +207,35 @@ impl PriorityCache {
             let c = &ctx.target.cost;
             cost += ctx.entry_weight * (c.load + c.store) as f64;
         }
-        benefit - cost + hint
+        self.benefit[row] - cost + hint
+    }
+
+    /// Cached equivalent of [`PriorityCtx::net`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r` is not allocatable.
+    pub fn net(
+        &mut self,
+        ctx: &PriorityCtx<'_>,
+        lr: &LiveRange,
+        r: PReg,
+        used_in_func: RegMask,
+    ) -> f64 {
+        let row = self.row(ctx, lr);
+        let j = ctx
+            .target
+            .regs
+            .allocatable()
+            .iter()
+            .position(|&a| a == r)
+            .expect("priority of an allocatable register");
+        self.net_at(ctx, row, j, r, used_in_func)
     }
 
     /// Cached equivalent of [`PriorityCtx::best`]: same selection, same
     /// tie-breaks, same result — the per-pair terms just come from the
-    /// memo table.
+    /// range's row.
     pub fn best(
         &mut self,
         ctx: &PriorityCtx<'_>,
@@ -209,13 +243,14 @@ impl PriorityCache {
         forbidden: RegMask,
         used_in_func: RegMask,
     ) -> Option<(PReg, f64)> {
-        let size = lr.size().max(1) as f64;
+        let row = self.row(ctx, lr);
+        let size = ctx.ranges.blocks(lr.vreg).len().max(1) as f64;
         let mut best: Option<(PReg, f64, (bool, bool))> = None;
-        for &r in ctx.target.regs.allocatable() {
+        for (j, &r) in ctx.target.regs.allocatable().iter().enumerate() {
             if forbidden.contains(r) {
                 continue;
             }
-            let density = self.net(ctx, lr, r, used_in_func) / size;
+            let density = self.net_at(ctx, row, j, r, used_in_func) / size;
             let pref = (ctx.subtree_used.contains(r), used_in_func.contains(r));
             let better = match best {
                 None => true,

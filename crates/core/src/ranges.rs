@@ -8,7 +8,7 @@
 //! the per-(variable, register) cost terms of the inter-procedural
 //! allocator.
 
-use ipra_cfg::{BitSet, Cfg, Liveness, LoopInfo};
+use ipra_cfg::{Cfg, Csr, Liveness, LoopInfo};
 use ipra_ir::{BlockId, Callee, FuncId, Function, Inst, InstLoc, Vreg};
 
 use crate::scratch::CompileScratch;
@@ -66,34 +66,22 @@ pub struct CallSiteInfo {
     pub weight: f64,
 }
 
-/// The live range of one virtual register.
+/// The scalar facts of one virtual register's live range. Its blocks,
+/// spanned calls and interference neighbours are rows of the
+/// [`RangeData`] tables.
 #[derive(Clone, Debug)]
 pub struct LiveRange {
     /// The register this range belongs to.
     pub vreg: Vreg,
-    /// Blocks in the range (live or referenced).
-    pub blocks: BitSet,
     /// Loop-weighted count of uses (reads).
     pub weighted_uses: f64,
     /// Loop-weighted count of definitions (writes).
     pub weighted_defs: f64,
     /// Static reference count (uses + defs).
     pub num_refs: u32,
-    /// Indices (into [`RangeData::call_sites`]) of the calls this range is
-    /// live across.
-    pub spans_calls: Vec<u32>,
-    /// Weighted `(uses, defs)` per block index — the per-block detail the
-    /// splitter needs to seed and value sub-regions.
-    pub block_refs: std::collections::HashMap<u32, (f64, f64)>,
 }
 
 impl LiveRange {
-    /// Number of blocks in the range (the normalization term of the
-    /// priority function).
-    pub fn size(&self) -> usize {
-        self.blocks.count()
-    }
-
     /// Whether this range is ever referenced (unreferenced ranges are not
     /// allocation candidates).
     pub fn is_candidate(&self) -> bool {
@@ -102,15 +90,26 @@ impl LiveRange {
 }
 
 /// Live ranges, interference and call sites for one function.
+///
+/// Each per-range table is compressed sparse rows ([`Csr`]), a row per
+/// virtual register: storage follows the number of (range, block) pairs,
+/// spanned calls and interference edges, not vregs × blocks or vregs².
 #[derive(Clone, Debug)]
 pub struct RangeData {
     /// One live range per virtual register.
     pub ranges: Vec<LiveRange>,
-    /// Interference adjacency: `adj[v]` holds every vreg whose value is live
-    /// simultaneously with `v` at some program point.
-    pub adj: Vec<BitSet>,
     /// All call sites, in block order.
     pub call_sites: Vec<CallSiteInfo>,
+    /// Blocks in each range (live or referenced), ascending.
+    blocks: Csr<BlockId>,
+    /// Loop-weighted `(uses, defs)` per (range, block), parallel to
+    /// `blocks`' items.
+    block_refs: Vec<(f64, f64)>,
+    /// Indices into `call_sites` of the calls each range is live across,
+    /// in the backward scan's order.
+    spans_calls: Csr<u32>,
+    /// Interference neighbours of each range, ascending and distinct.
+    adj: Csr<Vreg>,
 }
 
 impl RangeData {
@@ -120,8 +119,9 @@ impl RangeData {
     }
 
     /// [`RangeData::build`] running its backward scan out of the caller's
-    /// [`CompileScratch`] (the per-block working liveness set is the one
-    /// transient buffer here; everything else escapes into the result).
+    /// [`CompileScratch`]: the working liveness set and the scan's
+    /// (definition, live value) and (value, call) pair lists are
+    /// transient; the tables escape into the result.
     pub fn build_with(
         func: &Function,
         cfg: &Cfg,
@@ -130,23 +130,18 @@ impl RangeData {
         scratch: &mut CompileScratch,
     ) -> Self {
         let nv = func.num_vregs();
-        let nb = func.num_blocks();
 
         let mut ranges: Vec<LiveRange> = (0..nv)
             .map(|i| LiveRange {
                 vreg: Vreg(i as u32),
-                blocks: BitSet::new(nb),
                 weighted_uses: 0.0,
                 weighted_defs: 0.0,
                 num_refs: 0,
-                spans_calls: Vec::new(),
-                block_refs: std::collections::HashMap::new(),
             })
             .collect();
-        let mut adj: Vec<BitSet> = (0..nv).map(|_| BitSet::new(nv)).collect();
 
-        // Collect call sites in forward block order so the backward scan can
-        // index them.
+        // Call sites in forward block order; the backward scan walks each
+        // block's sites from its last one down.
         let mut call_sites = Vec::new();
         for (id, b) in func.blocks.iter() {
             if !cfg.is_reachable(id) {
@@ -166,136 +161,184 @@ impl RangeData {
                 }
             }
         }
-        // Per-block index of the first call site.
-        let mut site_index = std::collections::HashMap::new();
-        for (i, c) in call_sites.iter().enumerate() {
-            site_index.insert(c.loc, i as u32);
-        }
 
-        // Range membership: every block where the register is live or
-        // referenced.
-        for (id, _) in func.blocks.iter() {
-            if !cfg.is_reachable(id) {
-                continue;
-            }
-            let bi = id.index();
-            for set in [
-                &live.live_in[bi],
-                &live.live_out[bi],
-                &live.uevar[bi],
-                &live.defs[bi],
-            ] {
-                for v in set.iter() {
-                    ranges[v].blocks.insert(bi);
+        // Range membership: every reachable block where the register is
+        // live or referenced, visited in ascending block order.
+        let stride = nv.div_ceil(64);
+        let blocks = Csr::build(nv, func.entry, |emit| {
+            for (id, _) in func.blocks.iter() {
+                if !cfg.is_reachable(id) {
+                    continue;
+                }
+                let bi = id.index();
+                let rows = [
+                    live.live_in.row(bi),
+                    live.live_out.row(bi),
+                    live.uevar.row(bi),
+                    live.defs.row(bi),
+                ];
+                for w in 0..stride {
+                    let mut word = rows.iter().fold(0, |acc, row| acc | row[w]);
+                    while word != 0 {
+                        emit(w * 64 + word.trailing_zeros() as usize, id);
+                        word &= word - 1;
+                    }
                 }
             }
-        }
+        });
+        let mut block_refs = vec![(0.0, 0.0); blocks.len()];
+        let ref_at = |v: usize, b: BlockId| -> usize {
+            let k = blocks
+                .row(v)
+                .binary_search(&b)
+                .expect("a referenced block is in its range");
+            blocks.offset(v) + k
+        };
 
         // Backward scan: precise interference, weighted counts, live-across
-        // sets. Each def ORs the whole live set into its adjacency row in
-        // one word-level pass — the reverse edges are filled in by a single
-        // symmetrization sweep after the scan, instead of a per-def
-        // bit-by-bit walk of `live_now`.
+        // calls. Each definition pairs with every value live just after
+        // it, and each call with every value live across it; the pairs
+        // become rows once the scan is done.
+        let def_live = &mut scratch.def_live;
+        let live_across = &mut scratch.live_across;
+        def_live.clear();
+        live_across.clear();
+        let mut next_site = 0;
         for (id, b) in func.blocks.iter() {
             if !cfg.is_reachable(id) {
                 continue;
             }
             let bi = id.index();
             let w = weights.weight(id);
-            scratch.live_now.copy_from(&live.live_out[bi]);
+            let first_site = next_site;
+            while call_sites.get(next_site).is_some_and(|s| s.loc.block == id) {
+                next_site += 1;
+            }
+            let mut site = next_site;
+            scratch
+                .live_now
+                .copy_from_row(live.live_out.cols(), live.live_out.row(bi));
             let live_now = &mut scratch.live_now;
 
             b.term.for_each_use(|v| {
                 let r = &mut ranges[v.index()];
                 r.weighted_uses += w;
                 r.num_refs += 1;
-                r.block_refs.entry(bi as u32).or_insert((0.0, 0.0)).0 += w;
+                block_refs[ref_at(v.index(), id)].0 += w;
                 live_now.insert(v.index());
             });
 
-            for (i, inst) in b.insts.iter().enumerate().rev() {
+            for inst in b.insts.iter().rev() {
                 if inst.is_call() {
-                    let site = site_index[&InstLoc { block: id, inst: i }];
-                    let dst = inst.def();
-                    for v in live_now.iter() {
-                        if dst.map(|d| d.index()) != Some(v) {
-                            ranges[v].spans_calls.push(site);
-                        }
+                    site -= 1;
+                    let dst = inst.def().map(|d| d.index());
+                    for v in live_now.iter().filter(|&v| Some(v) != dst) {
+                        live_across.push((Vreg(v as u32), site as u32));
                     }
                 }
                 if let Some(d) = inst.def() {
                     let di = d.index();
-                    adj[di].union_with(live_now);
+                    for v in live_now.iter().filter(|&v| v != di) {
+                        def_live.push((d, Vreg(v as u32)));
+                    }
                     live_now.remove(di);
                     ranges[di].weighted_defs += w;
                     ranges[di].num_refs += 1;
-                    ranges[di]
-                        .block_refs
-                        .entry(bi as u32)
-                        .or_insert((0.0, 0.0))
-                        .1 += w;
+                    block_refs[ref_at(di, id)].1 += w;
                 }
                 inst.for_each_use(|v| {
                     let r = &mut ranges[v.index()];
                     r.weighted_uses += w;
                     r.num_refs += 1;
-                    r.block_refs.entry(bi as u32).or_insert((0.0, 0.0)).0 += w;
+                    block_refs[ref_at(v.index(), id)].0 += w;
                     live_now.insert(v.index());
                 });
             }
+            debug_assert_eq!(site, first_site, "every call site of the block visited");
         }
 
         // Parameters are all defined simultaneously at entry; any pair live
         // at entry interferes (the instruction scan never sees their defs).
-        let entry_in = &live.live_in[func.entry.index()];
         for (i, &p) in func.params.iter().enumerate() {
-            if !entry_in.contains(p.index()) {
+            if !live.is_live_in(func.entry, p) {
                 continue;
             }
             // A parameter's arrival counts as its (free) definition, but its
             // home-store cost is real when it ends up in memory.
             let ew = weights.weight(func.entry);
             ranges[p.index()].weighted_defs += ew;
-            ranges[p.index()]
-                .block_refs
-                .entry(func.entry.index() as u32)
-                .or_insert((0.0, 0.0))
-                .1 += ew;
+            block_refs[ref_at(p.index(), func.entry)].1 += ew;
             for &q in func.params.iter().skip(i + 1) {
-                if entry_in.contains(q.index()) && p != q {
-                    adj[p.index()].insert(q.index());
-                    adj[q.index()].insert(p.index());
+                if live.is_live_in(func.entry, q) && p != q {
+                    def_live.push((p, q));
                 }
             }
         }
 
-        // Symmetrize: the scan recorded def -> live edges only. Rows of
-        // vregs that were never defined while something was live are empty
-        // and skipped with one word-level check.
-        for v in 0..nv {
-            adj[v].remove(v);
-            if adj[v].is_empty() {
-                continue;
+        // Each range's spanned calls keep the scan's order: the priority
+        // function sums their costs in it.
+        let spans_calls = Csr::build(nv, 0, |emit| {
+            for &(v, site) in live_across.iter() {
+                emit(v.index(), site);
             }
-            let row = std::mem::replace(&mut adj[v], BitSet::new(0));
-            for u in row.iter() {
-                adj[u].insert(v);
+        });
+        let mut adj = Csr::build(nv, Vreg(0), |emit| {
+            for &(d, v) in def_live.iter() {
+                emit(d.index(), v);
+                emit(v.index(), d);
             }
-            adj[v] = row;
-        }
+        });
+        adj.sort_dedup_rows();
+        ipra_obs::counter(
+            "ranges.interference_edges",
+            &[("func", &func.name)],
+            (adj.len() / 2) as u64,
+        );
 
-        // De-duplicate spans_calls (a range can be rediscovered live across
-        // the same call only once per scan, so they are already unique).
         RangeData {
             ranges,
-            adj,
             call_sites,
+            blocks,
+            block_refs,
+            spans_calls,
+            adj,
         }
     }
 
-    /// Whether `a` and `b` interfere.
+    /// Blocks in `v`'s range (live or referenced), ascending.
+    pub fn blocks(&self, v: Vreg) -> &[BlockId] {
+        self.blocks.row(v.index())
+    }
+
+    /// Loop-weighted `(uses, defs)` of `v` in each block of
+    /// [`RangeData::blocks`], in the same order: the per-block detail the
+    /// splitter needs to seed and value sub-regions.
+    pub fn block_refs(&self, v: Vreg) -> &[(f64, f64)] {
+        let i = v.index();
+        &self.block_refs[self.blocks.offset(i)..self.blocks.offset(i + 1)]
+    }
+
+    /// Indices into [`RangeData::call_sites`] of the calls `v` is live
+    /// across.
+    pub fn spans_calls(&self, v: Vreg) -> &[u32] {
+        self.spans_calls.row(v.index())
+    }
+
+    /// Every vreg whose value is live simultaneously with `v` at some
+    /// program point, ascending.
+    pub fn neighbors(&self, v: Vreg) -> &[Vreg] {
+        self.adj.row(v.index())
+    }
+
+    /// Whether `a` and `b` interfere: a binary search of the shorter
+    /// neighbour row.
     pub fn interferes(&self, a: Vreg, b: Vreg) -> bool {
-        self.adj[a.index()].contains(b.index())
+        let (na, nb) = (self.neighbors(a), self.neighbors(b));
+        if na.len() <= nb.len() {
+            na.binary_search(&b).is_ok()
+        } else {
+            nb.binary_search(&a).is_ok()
+        }
     }
 }
 
@@ -360,9 +403,10 @@ mod tests {
         let f = b.build();
         let (_, rd) = analyze(&f);
         for a in 0..f.num_vregs() {
-            assert!(!rd.adj[a].contains(a), "no self interference");
-            for bb in rd.adj[a].iter() {
-                assert!(rd.adj[bb].contains(a), "symmetry {a} vs {bb}");
+            let a = Vreg(a as u32);
+            assert!(!rd.interferes(a, a), "no self interference");
+            for &bb in rd.neighbors(a) {
+                assert!(rd.neighbors(bb).contains(&a), "symmetry {a} vs {bb}");
             }
         }
     }
@@ -381,13 +425,9 @@ mod tests {
         let (_, rd) = analyze(&f);
         assert_eq!(rd.call_sites.len(), 1);
         assert_eq!(rd.call_sites[0].callee, Some(callee));
-        assert_eq!(
-            rd.ranges[x.index()].spans_calls,
-            vec![0],
-            "x survives the call"
-        );
+        assert_eq!(rd.spans_calls(x), &[0], "x survives the call");
         assert!(
-            rd.ranges[r.index()].spans_calls.is_empty(),
+            rd.spans_calls(r).is_empty(),
             "call result is not live across"
         );
     }
@@ -403,7 +443,7 @@ mod tests {
         let f = b.build();
         let (_, rd) = analyze(&f);
         assert!(
-            rd.ranges[x.index()].spans_calls.is_empty(),
+            rd.spans_calls(x).is_empty(),
             "argument dies at the call; no save needed"
         );
     }
@@ -433,7 +473,13 @@ mod tests {
         // w=10 (body add) + w=1 (print).
         assert_eq!(r.weighted_defs, 11.0);
         assert_eq!(r.weighted_uses, 21.0);
-        assert_eq!(r.blocks.count(), 4);
+        assert_eq!(rd.blocks(i).len(), 4);
+        // Per block: entry def w=1, header use w=10, body use and def
+        // w=10, exit use w=1.
+        assert_eq!(
+            rd.block_refs(i),
+            &[(0.0, 1.0), (10.0, 0.0), (10.0, 10.0), (1.0, 0.0)]
+        );
     }
 
     #[test]

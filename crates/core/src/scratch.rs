@@ -2,8 +2,8 @@
 //!
 //! Each function compiled allocates the same shapes of transient storage:
 //! per-block `RegMask` vectors (occupancy, shrink-wrap dataflow),
-//! per-vreg flag vectors, range-index rows, a liveness bitset, and the
-//! parallel-move resolver's worklists. [`CompileScratch`] owns one of
+//! per-vreg flag vectors, range-index rows, a liveness bitset, range
+//! construction's pair lists, and the parallel-move resolver's worklists. [`CompileScratch`] owns one of
 //! each and hands them out `clear()`ed instead of freshly allocated, so a
 //! worker compiling its hundredth function reuses the buffers of its
 //! first. [`ScratchPool`] holds one `CompileScratch` per wave worker and
@@ -19,6 +19,7 @@ use std::collections::HashSet;
 use std::sync::Mutex;
 
 use ipra_cfg::BitSet;
+use ipra_ir::Vreg;
 use ipra_machine::{PReg, RegMask};
 
 /// A pool of `Vec<RegMask>` buffers.
@@ -72,6 +73,12 @@ pub struct CompileScratch {
     pub masks: MaskPool,
     /// Running liveness set for range construction.
     pub live_now: BitSet,
+    /// Range construction's (definition, value live just after it)
+    /// pairs, the interference edges before deduplication.
+    pub def_live: Vec<(Vreg, Vreg)>,
+    /// Range construction's (value, call site) pairs, one per value live
+    /// across a call.
+    pub live_across: Vec<(Vreg, u32)>,
     /// Parallel-move resolver worklists.
     pub moves: MoveScratch,
     /// Per-vreg boolean flags (coloring's `done` vector).

@@ -1,20 +1,23 @@
 //! Property tests of the allocator's internal invariants: shrink-wrap
-//! placement correctness on arbitrary CFGs, interference-respecting
-//! coloring, and parallel-move semantics. Each property runs over `CASES`
+//! placement correctness on arbitrary CFGs, exact interference,
+//! interference-respecting coloring, and parallel-move semantics. Each property runs over `CASES`
 //! seeds of the workspace PRNG; a failure names its seed, and
 //! `XorShift64Star::new(seed)` replays that case.
+
+use std::collections::BTreeSet;
 
 use ipra_cfg::{Cfg, Dominators, Liveness, LoopInfo};
 use ipra_core::color::{color, VregLoc};
 use ipra_core::normalize::normalize_entries;
 use ipra_core::parmove::{resolve_parallel_moves, MoveSrc};
 use ipra_core::priority::PriorityCtx;
+use ipra_core::promote_globals;
 use ipra_core::ranges::{BlockWeights, RangeData};
 use ipra_core::shrinkwrap::{shrink_wrap, verify_plan};
 use ipra_ir::builder::FunctionBuilder;
-use ipra_ir::{BinOp, Function, Module, Operand};
+use ipra_ir::{BinOp, BlockId, Function, Module, Operand, Vreg};
 use ipra_machine::{MInst, MOperand, PReg, RegMask, Target};
-use ipra_workloads::synth::XorShift64Star;
+use ipra_workloads::synth::{shaped_source, ShapeClass, ShapeConfig, XorShift64Star};
 
 const CASES: u64 = 200;
 
@@ -179,6 +182,151 @@ fn parallel_moves_have_parallel_semantics() {
     }
 }
 
+/// Shaped programs per class the interference check covers.
+const SHAPED_SEEDS: u64 = 8;
+
+/// Scans `block` backward from the values live at its exit, calling
+/// `on_def(d, live)` at each definition `d` with the values live just
+/// after it; returns the values live at its entry.
+fn scan_block(
+    block: &ipra_ir::Block,
+    mut live: BTreeSet<usize>,
+    mut on_def: impl FnMut(usize, &BTreeSet<usize>),
+) -> BTreeSet<usize> {
+    block.term.for_each_use(|v| {
+        live.insert(v.index());
+    });
+    for inst in block.insts.iter().rev() {
+        if let Some(d) = inst.def() {
+            on_def(d.index(), &live);
+            live.remove(&d.index());
+        }
+        inst.for_each_use(|v| {
+            live.insert(v.index());
+        });
+    }
+    live
+}
+
+/// Interference by definition, from per-instruction live sets solved
+/// here by round-robin iteration over the reachable blocks: each
+/// definition interferes with every other value live just after it, and
+/// the parameters live at entry interfere pairwise.
+fn reference_interference(f: &Function, cfg: &Cfg) -> Vec<BTreeSet<usize>> {
+    let mut live_in = vec![BTreeSet::new(); f.num_blocks()];
+    let live_out = |live_in: &[BTreeSet<usize>], b: BlockId| -> BTreeSet<usize> {
+        cfg.succs(b)
+            .iter()
+            .flat_map(|s| live_in[s.index()].iter().copied())
+            .collect()
+    };
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &cfg.rpo {
+            let inn = scan_block(&f.blocks[b], live_out(&live_in, b), |_, _| {});
+            changed |= inn != live_in[b.index()];
+            live_in[b.index()] = inn;
+        }
+    }
+    let mut adj = vec![BTreeSet::new(); f.num_vregs()];
+    let mut add = |a: usize, b: usize| {
+        if a != b {
+            adj[a].insert(b);
+            adj[b].insert(a);
+        }
+    };
+    for &b in &cfg.rpo {
+        scan_block(&f.blocks[b], live_out(&live_in, b), |d, live| {
+            for &v in live {
+                add(d, v);
+            }
+        });
+    }
+    let at_entry: Vec<usize> = f
+        .params
+        .iter()
+        .map(|p| p.index())
+        .filter(|p| live_in[f.entry.index()].contains(p))
+        .collect();
+    for &p in &at_entry {
+        for &q in &at_entry {
+            add(p, q);
+        }
+    }
+    adj
+}
+
+/// Every function of the corpus and of seeded shaped programs, after the
+/// driver's entry normalization and global promotion, named for failure
+/// messages.
+fn interference_cases() -> Vec<(String, Module)> {
+    let mut cases = Vec::new();
+    for w in ipra_workloads::all() {
+        let m = ipra_workloads::compile_workload(w).expect("corpus compiles");
+        cases.push((format!("workload {}", w.name), m));
+    }
+    for class in ShapeClass::ALL {
+        for seed in 0..SHAPED_SEEDS {
+            let src = shaped_source(seed, &ShapeConfig::new(class));
+            let m = ipra_frontend::compile(&src).expect("shaped programs compile");
+            cases.push((format!("{} seed {seed}", class.name()), m));
+        }
+    }
+    for (_, m) in &mut cases {
+        normalize_entries(m);
+        promote_globals(m);
+    }
+    cases
+}
+
+/// The interference rows are exact: equal to a dense reference built
+/// from per-instruction live sets, ascending, duplicate-free, symmetric
+/// and irreflexive, and `interferes` agrees with them both ways.
+#[test]
+fn interference_is_exact() {
+    for (case, m) in interference_cases() {
+        for (_, f) in m.funcs.iter() {
+            let case = format!("{case}, fn {}", f.name);
+            let cfg = Cfg::new(f);
+            let dom = Dominators::compute(&cfg);
+            let loops = LoopInfo::compute(&cfg, &dom);
+            let live = Liveness::compute(f, &cfg);
+            let weights = BlockWeights::from_loops(&cfg, &loops);
+            let rd = RangeData::build(f, &cfg, &live, &weights);
+            let reference = reference_interference(f, &cfg);
+            for (v, want) in reference.iter().enumerate() {
+                let vr = Vreg(v as u32);
+                let row: Vec<usize> = rd.neighbors(vr).iter().map(|n| n.index()).collect();
+                assert!(
+                    row.windows(2).all(|w| w[0] < w[1]),
+                    "{case}: row of v{v} is not ascending and duplicate-free: {row:?}"
+                );
+                assert!(!row.contains(&v), "{case}: v{v} interferes with itself");
+                assert!(
+                    row.iter().eq(want.iter()),
+                    "{case}: neighbours of v{v} are {row:?}, per-instruction liveness gives {want:?}"
+                );
+                for &n in &row {
+                    assert!(
+                        rd.neighbors(Vreg(n as u32)).contains(&vr),
+                        "{case}: v{v} - v{n} is not symmetric"
+                    );
+                }
+                for u in 0..f.num_vregs() {
+                    let ur = Vreg(u as u32);
+                    let expect = want.contains(&u);
+                    assert_eq!(
+                        (rd.interferes(vr, ur), rd.interferes(ur, vr)),
+                        (expect, expect),
+                        "{case}: interferes(v{v}, v{u})"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Coloring respects interference: no two interfering candidate ranges
 /// share a register; split regions never collide block-wise.
 #[test]
@@ -207,7 +355,8 @@ fn coloring_respects_interference() {
         };
         let a = color(&ctx, &cfg, &live, true);
         for v in 0..f.num_vregs() {
-            for w in rd.adj[v].iter() {
+            for w in rd.neighbors(Vreg(v as u32)) {
+                let w = w.index();
                 if v >= w {
                     continue;
                 }
@@ -225,7 +374,7 @@ fn coloring_respects_interference() {
         for b in 0..f.num_blocks() {
             let mut taken: std::collections::HashMap<PReg, usize> = Default::default();
             for v in 0..f.num_vregs() {
-                if !rd.ranges[v].blocks.contains(b) {
+                if !rd.blocks(Vreg(v as u32)).contains(&BlockId(b as u32)) {
                     continue;
                 }
                 if let VregLoc::Reg(r) = a.loc(ipra_ir::Vreg(v as u32), ipra_ir::BlockId(b as u32))
@@ -234,7 +383,7 @@ fn coloring_respects_interference() {
                         // Permitted only if the two never interfere at all
                         // (they can time-share within the block).
                         assert!(
-                            !rd.adj[v].contains(other),
+                            !rd.interferes(Vreg(v as u32), Vreg(other as u32)),
                             "seed {seed}: block {b}: {v} and {other} both in {r:?} and interfering"
                         );
                     } else {

@@ -68,7 +68,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use ipra_core::config::AllocOptions;
+use ipra_core::config::{host_cores, AllocOptions};
 use ipra_core::Pipeline;
 use ipra_machine::Target;
 use ipra_obs::frame::{read_frame, read_frame_with_limit, write_frame, FrameError, MAX_FRAME_LEN};
@@ -372,8 +372,7 @@ impl Service {
         let resolved = CompileRequest::from_json(req).and_then(|mut spec| {
             // Output is jobs-independent, so the clamp is invisible to
             // clients.
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            spec.jobs = admitted_jobs(spec.jobs, self.config.jobs_cap, cores);
+            spec.jobs = admitted_jobs(spec.jobs, self.config.jobs_cap, host_cores());
             Ok((spec.source.text()?, spec.config()?, spec.run, spec.trace))
         });
         let (source, config, run, trace) = match resolved {

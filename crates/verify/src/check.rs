@@ -28,7 +28,7 @@
 
 use std::collections::VecDeque;
 
-use ipra_cfg::{Cfg, Dominators, LoopInfo};
+use ipra_cfg::{Cfg, Csr, Dominators, LoopInfo};
 use ipra_ir::{BlockId, FuncId};
 use ipra_machine::{
     FuncSummary, MAddress, MCallee, MFunction, MInst, MModule, MOperand, MTerminator, PReg,
@@ -162,22 +162,23 @@ pub(crate) fn verify_function(
 
 /// Rebuilds block structure from the machine terminators.
 fn machine_cfg(f: &MFunction) -> Cfg {
-    let n = f.blocks.len();
-    let mut succs = vec![Vec::new(); n];
-    let mut rets = Vec::new();
-    for (b, blk) in f.blocks.iter() {
-        match blk.term {
-            MTerminator::Ret => rets.push(b),
-            MTerminator::Br(t) => succs[b.index()].push(t),
-            MTerminator::CondBr {
-                then_to, else_to, ..
-            } => {
-                succs[b.index()].push(then_to);
-                succs[b.index()].push(else_to);
+    let succs = Csr::build(f.blocks.len(), f.entry, |emit| {
+        for (b, blk) in f.blocks.iter() {
+            match blk.term {
+                MTerminator::Ret => {}
+                MTerminator::Br(t) => emit(b.index(), t),
+                MTerminator::CondBr {
+                    then_to, else_to, ..
+                } => {
+                    emit(b.index(), then_to);
+                    emit(b.index(), else_to);
+                }
             }
         }
-    }
-    Cfg::from_succs(f.entry, succs, &rets)
+    });
+    Cfg::from_succs(f.entry, succs, |b| {
+        matches!(f.blocks[b].term, MTerminator::Ret)
+    })
 }
 
 struct Checker<'a> {

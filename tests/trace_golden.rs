@@ -10,8 +10,9 @@ use common::{corpus, DEMO};
 const PHASES: [&str; 5] = ["ranges", "priority", "color", "shrink_wrap", "lower"];
 
 /// Counters the compile records once per function, with a `func` label.
-const PER_FUNC: [&str; 3] = [
+const PER_FUNC: [&str; 4] = [
     "dataflow.liveness.iterations",
+    "ranges.interference_edges",
     "shrink_wrap.iterations",
     "shrink_wrap.antav.sweeps",
 ];
