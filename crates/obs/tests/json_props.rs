@@ -44,6 +44,45 @@ fn random_value(rng: &mut XorShift64Star, depth: u32) -> Json {
     }
 }
 
+/// The string escaper as a char-by-char reference: `"` and `\` are
+/// backslash-escaped, `\n`, `\r` and `\t` take their short forms, every
+/// other control character below U+0020 becomes `\u00xx`, and everything
+/// else is copied as is.
+fn reference_escape(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+#[test]
+fn rendered_strings_match_the_reference_escaper() {
+    let control: String = (0u32..0x20).filter_map(char::from_u32).collect();
+    for seed in 0..500 {
+        let mut rng = XorShift64Star::new(seed);
+        // One short string and one long enough to hold several unescaped
+        // runs between escapes.
+        let short = random_string(&mut rng);
+        let long: String = (0..8).map(|_| random_string(&mut rng)).collect();
+        for s in [short, long, control.clone()] {
+            let want = reference_escape(&s);
+            assert_eq!(Json::Str(s.clone()).render(), want, "seed {seed}: {s:?}");
+            let key = Json::Obj(vec![(s.clone(), Json::Null)]).render();
+            assert_eq!(key, format!("{{{want}:null}}"), "seed {seed}: key {s:?}");
+        }
+    }
+}
+
 #[test]
 fn random_values_round_trip_compact_and_pretty() {
     for seed in 0..500 {
