@@ -1,10 +1,11 @@
 //! Dense fixed-capacity bit sets and bit matrices.
 
-/// A bit set over indices `0..capacity`.
+/// A bit set over indices `0..capacity`: membership, removal and
+/// ascending iteration.
 ///
-/// Used for loop bodies, coloring's split regions and range
-/// construction's running live set. All binary operations require both
-/// operands to have the same capacity.
+/// Used for loop bodies, coloring's split regions, liveness's worklist
+/// and range construction's running live set, which is reloaded from a
+/// [`BitMatrix`] row with [`BitSet::copy_from_row`].
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
@@ -18,13 +19,6 @@ impl BitSet {
             words: vec![0; capacity.div_ceil(64)],
             capacity,
         }
-    }
-
-    /// Creates a full set over `0..capacity`.
-    pub fn full(capacity: usize) -> Self {
-        let mut s = Self::new(capacity);
-        s.insert_all();
-        s
     }
 
     /// The capacity this set was created with.
@@ -68,112 +62,15 @@ impl BitSet {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
-    /// Removes every element.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// Makes `self` an exact copy of `other`, reusing the existing word
-    /// buffer. Unlike `*self = other.clone()`, a set recycled across many
-    /// `copy_from` calls only allocates when it grows past its largest
-    /// capacity so far.
-    pub fn copy_from(&mut self, other: &BitSet) {
-        self.copy_from_row(other.capacity, &other.words);
-    }
-
     /// Makes `self` the set over `0..capacity` whose words are `words`
-    /// (one row of a [`BitMatrix`]), reusing the existing word buffer as
-    /// [`BitSet::copy_from`] does.
+    /// (one row of a [`BitMatrix`]), reusing the existing word buffer: a
+    /// set recycled across many rows only allocates when it grows past
+    /// its largest capacity so far.
     pub fn copy_from_row(&mut self, capacity: usize, words: &[u64]) {
         debug_assert_eq!(words.len(), capacity.div_ceil(64));
         self.words.resize(words.len(), 0);
         self.words.copy_from_slice(words);
         self.capacity = capacity;
-    }
-
-    /// Inserts every index in `0..capacity`.
-    pub fn insert_all(&mut self) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.words.iter_mut().for_each(|w| *w = u64::MAX);
-        let last_bits = self.capacity % 64;
-        if last_bits != 0 {
-            let n = self.words.len();
-            self.words[n - 1] = (1u64 << last_bits) - 1;
-        }
-    }
-
-    /// `self |= other`; returns whether `self` changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on capacity mismatch.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a | b;
-            changed |= new != *a;
-            *a = new;
-        }
-        changed
-    }
-
-    /// `self &= other`; returns whether `self` changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on capacity mismatch.
-    pub fn intersect_with(&mut self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a & b;
-            changed |= new != *a;
-            *a = new;
-        }
-        changed
-    }
-
-    /// `self -= other` (set difference).
-    ///
-    /// # Panics
-    ///
-    /// Panics on capacity mismatch.
-    pub fn subtract(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// Whether `self` and `other` share any element.
-    ///
-    /// # Panics
-    ///
-    /// Panics on capacity mismatch.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
-    /// Whether every element of `self` is in `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on capacity mismatch.
-    pub fn is_subset_of(&self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
-    }
-
-    /// Number of elements.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the set is empty.
@@ -235,19 +132,6 @@ impl<'a> IntoIterator for &'a BitSet {
 impl std::fmt::Debug for BitSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl FromIterator<usize> for BitSet {
-    /// Collects indices into a set sized to the maximum element + 1.
-    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
-        let items: Vec<usize> = iter.into_iter().collect();
-        let cap = items.iter().max().map_or(0, |m| m + 1);
-        let mut s = BitSet::new(cap);
-        for i in items {
-            s.insert(i);
-        }
-        s
     }
 }
 
@@ -326,46 +210,9 @@ mod tests {
         assert!(!s.insert(129), "second insert reports no change");
         assert!(s.contains(0) && s.contains(64) && s.contains(129));
         assert!(!s.contains(1));
-        assert_eq!(s.count(), 3);
         assert!(s.remove(64));
         assert!(!s.remove(64));
-        assert_eq!(s.count(), 2);
-    }
-
-    #[test]
-    fn full_respects_capacity() {
-        let s = BitSet::full(67);
-        assert_eq!(s.count(), 67);
-        assert!(s.contains(66));
-        assert!(!s.contains(67));
-    }
-
-    #[test]
-    fn union_and_intersection() {
-        let mut a = BitSet::new(10);
-        a.insert(1);
-        a.insert(3);
-        let mut b = BitSet::new(10);
-        b.insert(3);
-        b.insert(5);
-        assert!(a.union_with(&b));
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3, 5]);
-        assert!(!a.union_with(&b), "second union is a no-op");
-        assert!(a.intersect_with(&b));
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 5]);
-        assert!(a.intersects(&b));
-        assert!(a.is_subset_of(&b));
-    }
-
-    #[test]
-    fn subtract_removes_members() {
-        let mut a = BitSet::full(8);
-        let mut b = BitSet::new(8);
-        b.insert(2);
-        b.insert(7);
-        a.subtract(&b);
-        assert_eq!(a.count(), 6);
-        assert!(!a.contains(2) && !a.contains(7));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 129]);
     }
 
     #[test]
@@ -384,13 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn from_iterator() {
-        let s: BitSet = [5usize, 1, 9].into_iter().collect();
-        assert_eq!(s.capacity(), 10);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 5, 9]);
-    }
-
-    #[test]
     fn copy_from_matches_clone_across_capacities() {
         let mut scratch = BitSet::new(0);
         for cap in [3usize, 130, 64, 0, 65] {
@@ -398,14 +238,14 @@ mod tests {
             for i in (0..cap).step_by(3) {
                 src.insert(i);
             }
-            scratch.copy_from(&src);
+            scratch.copy_from_row(src.capacity, &src.words);
             assert_eq!(scratch, src, "cap {cap}");
             assert_eq!(scratch.capacity(), cap);
         }
         // The recycled set is fully functional after shrinking.
         let mut small = BitSet::new(2);
         small.insert(1);
-        scratch.copy_from(&small);
+        scratch.copy_from_row(small.capacity, &small.words);
         assert!(scratch.insert(0));
         assert_eq!(scratch.iter().collect::<Vec<_>>(), vec![0, 1]);
     }
@@ -430,11 +270,9 @@ mod tests {
 
     #[test]
     fn empty_set_behaviour() {
-        let s = BitSet::new(0);
+        let mut s = BitSet::new(0);
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
-        let mut f = BitSet::new(0);
-        f.insert_all();
-        assert!(f.is_empty());
+        assert!(!s.contains(0) && !s.remove(0));
     }
 }

@@ -159,7 +159,7 @@ mod tests {
         let li = LoopInfo::compute(&cfg, &dom);
         assert_eq!(li.loops.len(), 1);
         assert_eq!(li.loops[0].header, BlockId(1));
-        assert_eq!(li.loops[0].blocks.count(), 1);
+        assert_eq!(li.loops[0].blocks.iter().count(), 1);
         assert_eq!(li.depth(BlockId(1)), 1);
     }
 
@@ -190,6 +190,6 @@ mod tests {
             1,
             "back edges with one header form one loop"
         );
-        assert_eq!(li.loops[0].blocks.count(), 3);
+        assert_eq!(li.loops[0].blocks.iter().count(), 3);
     }
 }

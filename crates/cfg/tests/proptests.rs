@@ -1,11 +1,11 @@
-//! Property tests of the analysis substrate: bitset algebra, dominator
-//! laws, loop facts and liveness fixpoint properties on random graphs.
+//! Property tests of the analysis substrate: dominator laws, loop facts
+//! and liveness fixpoint properties on random graphs.
 //! Each property runs over `CASES` seeds of the workspace PRNG; a failure
 //! names its seed, and `XorShift64Star::new(seed)` replays that case.
 
 use std::collections::BTreeSet;
 
-use ipra_cfg::{BitSet, Cfg, Dominators, Liveness, LoopInfo};
+use ipra_cfg::{Cfg, Dominators, Liveness, LoopInfo};
 use ipra_ir::builder::FunctionBuilder;
 use ipra_ir::{BinOp, Function, Vreg};
 use ipra_workloads::synth::XorShift64Star;
@@ -60,56 +60,6 @@ fn random_function(rng: &mut XorShift64Star) -> Function {
         let v = b.bin(BinOp::Add, 1, 2);
         b.print(v);
     })
-}
-
-/// Bitset union/intersection/difference behave like sets.
-#[test]
-fn bitset_algebra() {
-    for seed in 0..CASES {
-        let rng = &mut XorShift64Star::new(seed);
-        let mut set = || -> BTreeSet<usize> {
-            vec_of(rng, 0, 40, |r| r.below(200) as usize)
-                .into_iter()
-                .collect()
-        };
-        let (sa, sb) = (set(), set());
-        let bits = |s: &BTreeSet<usize>| {
-            let mut b = BitSet::new(200);
-            for &x in s {
-                b.insert(x);
-            }
-            b
-        };
-        let (a, b) = (bits(&sa), bits(&sb));
-
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(
-            u.iter().collect::<BTreeSet<_>>(),
-            sa.union(&sb).copied().collect(),
-            "seed {seed}: union"
-        );
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(
-            i.iter().collect::<BTreeSet<_>>(),
-            sa.intersection(&sb).copied().collect(),
-            "seed {seed}: intersection"
-        );
-        let mut d = a.clone();
-        d.subtract(&b);
-        assert_eq!(
-            d.iter().collect::<BTreeSet<_>>(),
-            sa.difference(&sb).copied().collect(),
-            "seed {seed}: difference"
-        );
-        assert_eq!(
-            a.intersects(&b),
-            !sa.is_disjoint(&sb),
-            "seed {seed}: intersects"
-        );
-        assert_eq!(a.count(), sa.len(), "seed {seed}: count");
-    }
 }
 
 /// The entry dominates every reachable block; idom is a strict

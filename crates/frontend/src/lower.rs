@@ -22,13 +22,13 @@ pub fn lower(prog: &Program) -> Result<Module, CompileError> {
 
     // Globals.
     //
-    // Determinism: the name tables here (and the scope stack below) are
-    // HashMaps read only by keyed lookup; entity ids are assigned in source
-    // order by the `prog` iteration, so map iteration order never shapes
-    // the module.
-    let mut globals: HashMap<String, (GlobalId, Ty)> = HashMap::new();
+    // Determinism: the name tables here are HashMaps read only by keyed
+    // lookup; entity ids are assigned in source order by the `prog`
+    // iteration, so map iteration order never shapes the module. Their
+    // keys borrow the AST's names.
+    let mut globals: HashMap<&str, (GlobalId, Ty)> = HashMap::new();
     for g in &prog.globals {
-        if globals.contains_key(&g.name) {
+        if globals.contains_key(g.name.as_str()) {
             return Err(CompileError::new(
                 g.pos,
                 format!("duplicate global `{}`", g.name),
@@ -44,51 +44,54 @@ pub fn lower(prog: &Program) -> Result<Module, CompileError> {
             size,
             init: g.init.clone(),
         });
-        globals.insert(g.name.clone(), (id, g.ty));
+        globals.insert(&g.name, (id, g.ty));
     }
 
     // Function signatures.
-    let mut funcs: HashMap<String, (FuncId, usize, bool)> = HashMap::new();
+    let mut funcs: HashMap<&str, (FuncId, usize, bool)> = HashMap::new();
     for f in &prog.funcs {
-        if funcs.contains_key(&f.name) {
+        if funcs.contains_key(f.name.as_str()) {
             return Err(CompileError::new(
                 f.pos,
                 format!("duplicate function `{}`", f.name),
             ));
         }
-        if globals.contains_key(&f.name) {
+        if globals.contains_key(f.name.as_str()) {
             return Err(CompileError::new(
                 f.pos,
                 format!("`{}` is already a global", f.name),
             ));
         }
         let id = module.declare_func(f.name.clone());
-        funcs.insert(f.name.clone(), (id, f.params.len(), f.returns_value));
+        funcs.insert(&f.name, (id, f.params.len(), f.returns_value));
     }
 
     // Bodies.
     for f in &prog.funcs {
-        let (fid, _, _) = funcs[&f.name];
+        let (fid, _, _) = funcs[f.name.as_str()];
         let mut ctx = FnCtx {
             globals: &globals,
             funcs: &funcs,
             decl: f,
             b: FunctionBuilder::new(f.name.clone()),
-            scopes: vec![HashMap::new()],
+            scopes: Vec::new(),
+            block_start: 0,
             loop_stack: Vec::new(),
         };
         if f.is_extern {
             ctx.b.set_external_visible();
         }
+        // Parameters form the outermost block, below the body's, so a
+        // `var` in the body may shadow one.
         for (pname, pty) in &f.params {
-            if ctx.scopes[0].contains_key(pname) {
+            if ctx.declared_in_block(pname) {
                 return Err(CompileError::new(
                     f.pos,
                     format!("duplicate parameter `{pname}`"),
                 ));
             }
             let v = ctx.b.param(pname.clone());
-            ctx.scopes[0].insert(pname.clone(), Binding::Scalar(v, *pty));
+            ctx.scopes.push((pname, Binding::Scalar(v, *pty)));
         }
         let reachable = ctx.stmts(&f.body)?;
         if reachable {
@@ -129,23 +132,38 @@ enum Binding {
 }
 
 struct FnCtx<'a> {
-    globals: &'a HashMap<String, (GlobalId, Ty)>,
-    funcs: &'a HashMap<String, (FuncId, usize, bool)>,
+    globals: &'a HashMap<&'a str, (GlobalId, Ty)>,
+    funcs: &'a HashMap<&'a str, (FuncId, usize, bool)>,
     decl: &'a FuncDecl,
     b: FunctionBuilder,
-    scopes: Vec<HashMap<String, Binding>>,
+    /// Every binding in scope, outermost first; names borrow the AST.
+    scopes: Vec<(&'a str, Binding)>,
+    /// Where the innermost block's bindings start in `scopes`.
+    block_start: usize,
     /// (continue target, break target)
     loop_stack: Vec<(ipra_ir::BlockId, ipra_ir::BlockId)>,
 }
 
-impl FnCtx<'_> {
+impl<'a> FnCtx<'a> {
+    /// The innermost binding of `name`.
     fn lookup(&self, name: &str) -> Option<Binding> {
-        self.scopes.iter().rev().find_map(|s| s.get(name).copied())
+        self.scopes
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, b)| b)
+    }
+
+    /// Whether the innermost block already binds `name`.
+    fn declared_in_block(&self, name: &str) -> bool {
+        self.scopes[self.block_start..]
+            .iter()
+            .any(|(n, _)| *n == name)
     }
 
     /// Lowers statements; returns whether control can reach the end.
-    fn stmts(&mut self, stmts: &[Stmt]) -> Result<bool, CompileError> {
-        self.scopes.push(HashMap::new());
+    fn stmts(&mut self, stmts: &'a [Stmt]) -> Result<bool, CompileError> {
+        let outer = std::mem::replace(&mut self.block_start, self.scopes.len());
         let mut reachable = true;
         for s in stmts {
             if !reachable {
@@ -155,11 +173,12 @@ impl FnCtx<'_> {
             }
             reachable = self.stmt(s)?;
         }
-        self.scopes.pop();
+        self.scopes.truncate(self.block_start);
+        self.block_start = outer;
         Ok(reachable)
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<bool, CompileError> {
+    fn stmt(&mut self, s: &'a Stmt) -> Result<bool, CompileError> {
         match s {
             Stmt::Var {
                 name,
@@ -167,7 +186,7 @@ impl FnCtx<'_> {
                 init,
                 pos,
             } => {
-                if self.scopes.last().unwrap().contains_key(name) {
+                if self.declared_in_block(name) {
                     return Err(CompileError::new(
                         *pos,
                         format!("duplicate variable `{name}`"),
@@ -188,10 +207,7 @@ impl FnCtx<'_> {
                         Binding::Array(slot, *n)
                     }
                 };
-                self.scopes
-                    .last_mut()
-                    .unwrap()
-                    .insert(name.clone(), binding);
+                self.scopes.push((name, binding));
                 Ok(true)
             }
             Stmt::Assign { target, value, pos } => {
@@ -206,7 +222,7 @@ impl FnCtx<'_> {
                             *pos,
                             format!("cannot assign to array `{name}`"),
                         )),
-                        None => match self.globals.get(name) {
+                        None => match self.globals.get(name.as_str()) {
                             Some(&(g, Ty::Int)) => {
                                 self.b.store(val, Address::global_scalar(g));
                                 Ok(true)
@@ -456,7 +472,7 @@ impl FnCtx<'_> {
                     *pos,
                     format!("array `{name}` used as a value"),
                 )),
-                None => match self.globals.get(name) {
+                None => match self.globals.get(name.as_str()) {
                     Some(&(g, Ty::Int)) => Ok(Operand::Reg(self.b.load(Address::global_scalar(g)))),
                     Some(_) => Err(CompileError::new(
                         *pos,
@@ -470,7 +486,7 @@ impl FnCtx<'_> {
                 let addr = self.element_addr(name, i, *pos)?;
                 Ok(Operand::Reg(self.b.load(addr)))
             }
-            Expr::FuncAddr(name, pos) => match self.funcs.get(name) {
+            Expr::FuncAddr(name, pos) => match self.funcs.get(name.as_str()) {
                 Some(&(fid, _, _)) => Ok(Operand::Reg(self.b.func_addr(fid))),
                 None => Err(CompileError::new(
                     *pos,

@@ -30,8 +30,11 @@ impl Parser {
         self.toks[self.i].pos
     }
 
+    /// Moves the current token out of the vector and advances. Nothing
+    /// reads a token behind the cursor, and the final `Eof` is only ever
+    /// replaced by itself, so no token is copied.
     fn next(&mut self) -> Tok {
-        let t = self.toks[self.i].tok.clone();
+        let t = std::mem::replace(&mut self.toks[self.i].tok, Tok::Eof);
         if self.i + 1 < self.toks.len() {
             self.i += 1;
         }
@@ -51,15 +54,21 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String, CompileError> {
-        match self.peek().clone() {
-            Tok::Ident(n) => {
-                self.next();
-                Ok(n)
-            }
+        match self.peek() {
+            Tok::Ident(_) => Ok(self.take_ident()),
             other => Err(CompileError::new(
                 self.pos(),
                 format!("expected identifier, found {other}"),
             )),
+        }
+    }
+
+    /// Moves out the identifier under the cursor, which the caller has
+    /// peeked.
+    fn take_ident(&mut self) -> String {
+        match self.next() {
+            Tok::Ident(n) => n,
+            other => unreachable!("peeked an identifier, took {other}"),
         }
     }
 
@@ -71,8 +80,8 @@ impl Parser {
         } else {
             false
         };
-        match self.peek().clone() {
-            Tok::Int(v) => {
+        match self.peek() {
+            &Tok::Int(v) => {
                 self.next();
                 Ok(if neg { -v } else { v })
             }
@@ -102,7 +111,7 @@ impl Parser {
     }
 
     fn ty(&mut self) -> Result<Ty, CompileError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::IntTy => {
                 self.next();
                 Ok(Ty::Int)
@@ -234,7 +243,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Var => {
                 self.next();
                 let name = self.ident()?;
@@ -314,10 +323,10 @@ impl Parser {
                 self.eat(Tok::Semi)?;
                 Ok(Stmt::Continue(pos))
             }
-            Tok::Ident(name) => {
+            Tok::Ident(_) => {
                 // assignment or expression statement.
-                self.next();
-                match self.peek().clone() {
+                let name = self.take_ident();
+                match self.peek() {
                     Tok::Assign => {
                         self.next();
                         let value = self.expr()?;
@@ -425,7 +434,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, CompileError> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Minus => {
                 self.next();
                 Ok(Expr::Neg(Box::new(self.unary()?), pos))
@@ -445,8 +454,8 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr, CompileError> {
         let pos = self.pos();
-        match self.peek().clone() {
-            Tok::Int(v) => {
+        match self.peek() {
+            &Tok::Int(v) => {
                 self.next();
                 Ok(Expr::Int(v, pos))
             }
@@ -456,9 +465,9 @@ impl Parser {
                 self.eat(Tok::RParen)?;
                 Ok(e)
             }
-            Tok::Ident(name) => {
-                self.next();
-                match self.peek().clone() {
+            Tok::Ident(_) => {
+                let name = self.take_ident();
+                match self.peek() {
                     Tok::LParen => {
                         self.next();
                         let args = self.call_args()?;

@@ -137,11 +137,7 @@ impl Checker<'_> {
                 if let Some(d) = inst.def() {
                     self.check_vreg(d, "definition", Some(loc));
                 }
-                let mut used = Vec::new();
-                inst.for_each_use(|v| used.push(v));
-                for v in used {
-                    self.check_vreg(v, "use", Some(loc));
-                }
+                inst.for_each_use(|v| self.check_vreg(v, "use", Some(loc)));
                 match inst {
                     Inst::Load { addr, .. } | Inst::Store { addr, .. } => {
                         self.check_address(*addr, loc)
@@ -211,7 +207,7 @@ pub fn verify_module(module: &Module) -> Result<(), Vec<VerifyError>> {
     }
     let mut names = std::collections::HashMap::new();
     for (id, f) in module.funcs.iter() {
-        if let Some(prev) = names.insert(f.name.clone(), id) {
+        if let Some(prev) = names.insert(f.name.as_str(), id) {
             errors.push(VerifyError {
                 func: Some(id),
                 message: format!("duplicate function name `{}` (also {prev})", f.name),

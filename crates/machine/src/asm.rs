@@ -47,21 +47,41 @@ impl MModule {
     }
 }
 
-impl AsmDisplay<'_> {
-    fn op(&self, o: MOperand) -> String {
-        match o {
-            MOperand::Reg(r) => self.regs.name(r).to_string(),
-            MOperand::Imm(i) => i.to_string(),
+/// An operand with its register named, written straight into the
+/// formatter.
+struct Op<'a>(&'a RegFile, MOperand);
+
+impl fmt::Display for Op<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            MOperand::Reg(r) => f.write_str(self.0.name(r)),
+            MOperand::Imm(i) => write!(f, "{i}"),
         }
     }
+}
 
-    fn addr(&self, a: MAddress) -> String {
-        match a {
-            MAddress::Global { global, index } => format!("{global}[{}]", self.op(index)),
-            MAddress::Frame { slot, index } => format!("{slot}[{}]", self.op(index)),
-            MAddress::Incoming(i) => format!("incoming[{i}]"),
-            MAddress::Outgoing(i) => format!("outgoing[{i}]"),
+/// An address with its index operand named, written straight into the
+/// formatter.
+struct Addr<'a>(&'a RegFile, MAddress);
+
+impl fmt::Display for Addr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            MAddress::Global { global, index } => write!(f, "{global}[{}]", Op(self.0, index)),
+            MAddress::Frame { slot, index } => write!(f, "{slot}[{}]", Op(self.0, index)),
+            MAddress::Incoming(i) => write!(f, "incoming[{i}]"),
+            MAddress::Outgoing(i) => write!(f, "outgoing[{i}]"),
         }
+    }
+}
+
+impl AsmDisplay<'_> {
+    fn op(&self, o: MOperand) -> Op<'_> {
+        Op(self.regs, o)
+    }
+
+    fn addr(&self, a: MAddress) -> Addr<'_> {
+        Addr(self.regs, a)
     }
 
     fn fmt_block(&self, f: &mut fmt::Formatter<'_>, b: &MBlock) -> fmt::Result {

@@ -77,17 +77,21 @@ impl FrameError {
 }
 
 /// Writes one frame: 4-byte big-endian length, then the compact JSON
-/// rendering of `payload`.
+/// rendering of `payload`. The payload is rendered behind a placeholder
+/// header in one buffer, so the frame leaves in a single `write_all` and
+/// the peer never wakes on a header alone.
 ///
 /// # Errors
 ///
 /// Propagates transport errors.
 pub fn write_frame(w: &mut impl Write, payload: &Json) -> std::io::Result<()> {
-    let body = payload.render();
-    let len = body.len() as u64;
+    let mut frame = String::from("\0\0\0\0");
+    payload.write(&mut frame);
+    let mut frame = frame.into_bytes();
+    let len = frame.len() as u64 - 4;
     debug_assert!(len <= u32::MAX as u64, "frame payload over 4 GiB");
-    w.write_all(&(len as u32).to_be_bytes())?;
-    w.write_all(body.as_bytes())?;
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 

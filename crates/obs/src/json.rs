@@ -96,7 +96,8 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact rendering to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -175,21 +176,31 @@ fn write_f64(out: &mut String, f: f64) {
     }
 }
 
+/// Appends `s` as a JSON string literal. Every character that needs an
+/// escape is ASCII, so each run of text between two of them is copied
+/// with one `push_str`, cut at byte offsets that are char boundaries.
 fn write_escaped(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -200,6 +211,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// Returns a message with the byte offset of the first syntax error.
 pub fn parse(s: &str) -> Result<Json, String> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -230,6 +242,9 @@ pub fn parse_bytes(bytes: &[u8]) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    /// The document, valid UTF-8 as a whole; string runs and numbers are
+    /// sliced from it without validating again.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -349,15 +364,28 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate directly followed by an
+                            // escaped low one is a pair (RFC 8259 §7); any
+                            // other surrogate stays U+FFFD.
+                            let low = if (0xd800..0xdc00).contains(&code)
+                                && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                            {
+                                self.hex4(self.pos + 3)
+                                    .ok()
+                                    .filter(|low| (0xdc00..0xe000).contains(low))
+                            } else {
+                                None
+                            };
+                            let c = match low {
+                                Some(low) => {
+                                    self.pos += 6;
+                                    0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                                }
+                                None => code,
+                            };
+                            out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
@@ -365,20 +393,26 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     // Consume the maximal run of unescaped characters in one
-                    // step, validating UTF-8 for that run only. (Validating
-                    // from here to the end of the *input* per character made
-                    // parsing quadratic — 5 ms for a 20 KB document.)
+                    // step. It starts and ends next to an ASCII byte or at
+                    // the end of the input, so it is a slice of the
+                    // document on char boundaries.
                     let rest = &self.bytes[self.pos..];
                     let end = rest
                         .iter()
                         .position(|&b| b == b'"' || b == b'\\')
                         .unwrap_or(rest.len());
-                    let s = std::str::from_utf8(&rest[..end]).map_err(|_| "invalid utf-8")?;
-                    out.push_str(s);
+                    out.push_str(&self.src[self.pos..self.pos + end]);
                     self.pos += end;
                 }
             }
         }
+    }
+
+    /// The value of the four hex digits of a `\u` escape starting at `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -397,7 +431,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)

@@ -118,6 +118,25 @@ fn unicode_escapes_parse_including_replacement_for_lone_surrogates() {
     // A lone surrogate is not a scalar value; the parser substitutes
     // U+FFFD rather than producing invalid UTF-8.
     assert_eq!(parse(r#""\ud800""#).unwrap(), Json::Str("\u{fffd}".into()));
+    // A high surrogate followed by an escaped low one is one non-BMP
+    // character, as RFC 8259 §7 and Python's `json.dumps` write it.
+    assert_eq!(
+        parse(r#""\ud834\udd1e""#).unwrap(),
+        Json::Str("\u{1d11e}".into())
+    );
+    // Reversed, or followed by a non-surrogate, each half stays lone.
+    assert_eq!(
+        parse(r#""\udd1e\ud834""#).unwrap(),
+        Json::Str("\u{fffd}\u{fffd}".into())
+    );
+    assert_eq!(
+        parse(r#""\ud834\u0041""#).unwrap(),
+        Json::Str("\u{fffd}A".into())
+    );
+    assert!(
+        parse(r#""\ud834\uzzzz""#).is_err(),
+        "a malformed escape after a high surrogate"
+    );
     assert!(parse(r#""\u12"#).is_err(), "truncated escape");
     assert!(parse(r#""\uzzzz""#).is_err(), "non-hex escape");
     assert!(parse(r#""\x41""#).is_err(), "unknown escape letter");
