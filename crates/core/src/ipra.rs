@@ -16,14 +16,19 @@
 //! compile keeps one worker crew for its whole length: a single thread
 //! scope whose `min(jobs, widest wave) − 1` helper threads, with `jobs`
 //! resolved from [`AllocOptions::jobs`], are spawned at the first wave
-//! with two or more tasks and live until the compile ends. Each wide wave
+//! that pays for a hand-off and live until the compile ends. Such a wave
 //! goes once to the helpers, and the driver thread draws tasks from the
-//! same counter as they do. With one worker, or in a wave with fewer than
-//! two tasks, the driver runs the tasks itself: no spawn, no channel.
-//! Every compile takes this one path. The unit of work is the
-//! *component*, not the function: members of a multi-node SCC see each
-//! other's whole-tree usage in their processing order, so a task replays
-//! that order against a private copy of the environment.
+//! same counter as they do. A wave pays for a hand-off when its *spare
+//! work* reaches `HANDOFF_MIN_WORK`: the weight of its tasks (each
+//! member's instructions plus block terminators) minus its heaviest
+//! task, which bounds what other workers can take off the driver. With
+//! one worker, or in a wave below the gate, the driver runs the tasks
+//! itself: no spawn, no channel. The gate reads only the prepared module,
+//! so every worker count still produces the same bytes. Every compile
+//! takes this one path. The unit of work is the *component*, not the
+//! function: members of a multi-node SCC see each other's whole-tree
+//! usage in their processing order, so a task replays that order against
+//! a private copy of the environment.
 //!
 //! Tasks only read the summary environment, behind a lock; the driver
 //! writes it between waves, when no task runs.
@@ -143,6 +148,42 @@ impl FuncRecord {
 /// What a wave task adds to each fresh record: whether the analyses came
 /// from the memo, and the function's trace shard.
 type FreshExtras = (bool, ipra_obs::Trace);
+
+/// Least spare work, in weight units (see [`component_weight`]), a wave
+/// must have before the driver hands it to the helpers.
+///
+/// Derived from three costs measured on a 2-core KVM guest (medians of
+/// 2,000, quartiles in brackets): a scoped spawn plus join of one helper,
+/// J = 51 [47, 55] µs; the round trip of handing a wave to a helper that
+/// idled 500 µs and taking its report back, R = 42 [36, 55] µs; and the
+/// serial compile cost per weight unit of the wave tasks, c = 1.22–1.96
+/// µs across the corpus under C at `jobs = 1`. Timed the same way at
+/// `jobs = 2`, the driver's tasks cost 1.24–2.15 µs per unit and the
+/// helper's 1.32–5.28, so two workers finish 1.29–1.91 times the serial
+/// rate, and handing off a wave of similar tasks saves `1 − 1/rate` of
+/// its serial time. A wave pays for the first hand-off when
+/// `spare · c · (1 − 1/rate) ≥ J + R`: 154 units with every cost at its
+/// median, 402 with J and R at their upper quartiles, the cheapest c and
+/// the lowest rate. The constant is the next power of two above 402.
+const HANDOFF_MIN_WORK: usize = 512;
+
+/// A component's weight: the instructions plus block terminators of its
+/// members' prepared bodies.
+fn component_weight(module: &Module, comp: &[FuncId]) -> usize {
+    comp.iter()
+        .map(|&fid| module.funcs[fid].num_insts() + module.funcs[fid].num_blocks())
+        .sum()
+}
+
+/// Whether a wave whose tasks weigh `weights` pays for handing it to the
+/// helpers: its spare work, the total weight minus the heaviest task,
+/// reaches [`HANDOFF_MIN_WORK`]. A one-task wave has no spare work.
+fn pays_for_handoff(weights: impl IntoIterator<Item = usize>) -> bool {
+    let (total, heaviest) = weights
+        .into_iter()
+        .fold((0, 0), |(total, heaviest), w| (total + w, heaviest.max(w)));
+    total - heaviest >= HANDOFF_MIN_WORK
+}
 
 /// Compiles a module under the given options.
 pub fn compile_module(module: &Module, target: &Target, opts: &AllocOptions) -> CompiledModule {
@@ -375,12 +416,13 @@ pub(crate) fn compile_module_impl(
             }
 
             // The crew returns the misses in wave order; the queued
-            // stores fix the entry memo's FIFO eviction order.
+            // stores fix the entry memo's FIFO eviction order. Only the
+            // misses' weights decide whether the wave is handed off.
             let misses: Vec<(usize, &[FuncId])> = (0..comps.len())
                 .filter(|&i| hits[i].is_none())
                 .map(|i| (i, comps[i]))
                 .collect();
-            let fresh = crew.run(&misses);
+            let fresh = crew.run(&misses, |&(_, comp)| component_weight(module, comp));
 
             // One list per wave. With a cache, a fresh component becomes
             // the very entry a later compile replays, queued under its
@@ -494,7 +536,7 @@ pub(crate) fn compile_module_impl(
     }
 }
 
-/// One wide wave as the crew shares it: the task list and the counter
+/// One handed-off wave as the crew shares it: the task list and the counter
 /// every worker draws its next task from.
 struct Wave<I> {
     tasks: Vec<I>,
@@ -533,10 +575,12 @@ struct Helpers<I, T> {
     done: Receiver<Share<T>>,
 }
 
-/// One compile's workers: the driver thread and, from the first wave with
-/// two or more tasks on, `workers − 1` helper threads in the compile's
-/// thread scope. Dropping the crew closes the helpers' wave channels, so
-/// they exit and the scope joins them — also when the driver unwinds.
+/// One compile's workers: the driver thread and `workers − 1` helper
+/// threads in the compile's thread scope, spawned at the first wave that
+/// pays for a hand-off ([`pays_for_handoff`]). A compile with no such
+/// wave spawns no thread and opens no channel. Dropping the crew closes
+/// the helpers' wave channels, so they exit and the scope joins them —
+/// also when the driver unwinds.
 struct Crew<'scope, 'env, I, T, F> {
     scope: &'scope Scope<'scope, 'env>,
     workers: usize,
@@ -570,13 +614,14 @@ where
     }
 
     /// Runs one wave's tasks and returns their results in task order.
-    /// With one worker, or fewer than two tasks, the driver runs them in
-    /// order. Otherwise the wave goes once to each helper that can get a
-    /// task, the driver drains it alongside them, and then takes exactly
-    /// one report from each of those helpers; a helper's panic is resumed
-    /// here.
-    fn run(&mut self, tasks: &[I]) -> Vec<T> {
-        if self.workers < 2 || tasks.len() < 2 {
+    /// With one worker, or when the tasks' weights do not pay for a
+    /// hand-off, the driver runs them in order; `weight` is not called
+    /// with one worker. Otherwise the wave goes once to each helper that
+    /// can get a task, the driver drains it alongside them, and then takes
+    /// exactly one report from each of those helpers; a helper's panic is
+    /// resumed here.
+    fn run(&mut self, tasks: &[I], weight: impl Fn(&I) -> usize) -> Vec<T> {
+        if self.workers < 2 || !pays_for_handoff(tasks.iter().map(weight)) {
             return tasks
                 .iter()
                 .map(|t| (self.work)(&mut self.scratch, t))
@@ -590,6 +635,8 @@ where
             tasks: tasks.to_vec(),
             next: AtomicUsize::new(0),
         });
+        // A lone task has no spare work, so a wave past the gate has two
+        // or more and the driver keeps at least one.
         let sent = helpers.waves.len().min(wave.tasks.len() - 1);
         for tx in &helpers.waves[..sent] {
             tx.send(Arc::clone(&wave))
@@ -663,7 +710,9 @@ where
 }
 
 /// Compiles one SCC as a wave task: allocates each member, lowers it at
-/// once, and returns the members' records with their fresh extras.
+/// once, and returns the members' records with their fresh extras. Runs
+/// on a helper only when its wave passed the hand-off gate, otherwise on
+/// the driver thread; either way its records are the same.
 /// Members of a multi-node SCC observe each other's whole-tree register
 /// usage in serial order, so the component replays that order against a
 /// private copy of the environment (multi-node SCCs are rare; singletons
@@ -691,9 +740,9 @@ fn compile_component(
         let func = &module.funcs[fid];
         // On a helper thread there is no sink: install one and return
         // its records as a shard. When the driver thread runs the task
-        // (its share of a wide wave, or every task of a narrow one), the
-        // driver's own sink is already installed and records flow into it
-        // directly — enabling here would wipe it.
+        // (its share of a handed-off wave, or every task of any other),
+        // the driver's own sink is already installed and records flow into
+        // it directly — enabling here would wipe it.
         let capture = tracing && !ipra_obs::is_enabled();
         if capture {
             ipra_obs::enable();
@@ -741,42 +790,123 @@ mod tests {
     use std::sync::{Condvar, Mutex};
     use std::thread;
 
-    use super::Crew;
+    use ipra_ir::Module;
+    use ipra_workloads::synth;
+
+    use super::{component_weight, pays_for_handoff, prepare_module, Crew, HANDOFF_MIN_WORK};
+    use crate::config::AllocOptions;
     use crate::scratch::{CompileScratch, ScratchPool};
 
-    /// Runs one wave of `n` tasks per entry of `waves` through a single
-    /// crew of `workers`, as one compile does, and returns each wave's
-    /// results.
-    fn run_waves(
+    /// Task weights for the crew tests: any wave of two or more `HEAVY`
+    /// tasks passes the hand-off gate, and a wave of `LIGHT` tasks passes
+    /// only with more than `HANDOFF_MIN_WORK` of them.
+    const HEAVY: usize = HANDOFF_MIN_WORK;
+    const LIGHT: usize = 1;
+
+    /// Runs one wave of `n` tasks of weight `w` per `(n, w)` entry of
+    /// `waves` through a single crew of `workers`, as one compile does, and
+    /// returns each wave's results and whether the crew spawned helpers.
+    fn run_waves<T: Send>(
         workers: usize,
-        waves: &[usize],
-        work: impl Fn(&mut CompileScratch, &usize) -> usize + Sync,
-    ) -> Vec<Vec<usize>> {
+        waves: &[(usize, usize)],
+        work: impl Fn(&mut CompileScratch, &usize) -> T + Sync,
+    ) -> (Vec<Vec<T>>, bool) {
         let pool = ScratchPool::default();
         thread::scope(|s| {
             let mut crew = Crew::new(s, workers, &pool, &work);
             let out = waves
                 .iter()
-                .map(|&n| crew.run(&(0..n).collect::<Vec<_>>()))
+                .map(|&(n, w)| crew.run(&(0..n).collect::<Vec<_>>(), |_| w))
                 .collect();
+            let spawned = crew.helpers.is_some();
             crew.finish();
-            out
+            (out, spawned)
         })
     }
 
     #[test]
     fn crew_returns_every_task_exactly_once_in_task_order() {
-        let counts = [0, 1, 2, 7];
+        let driver = thread::current().id();
+        let heavy = [(0, HEAVY), (1, HEAVY), (2, HEAVY), (7, HEAVY)];
+        let light = [(2, LIGHT), (7, LIGHT), (HANDOFF_MIN_WORK, LIGHT)];
+        let mixed = [
+            (2, LIGHT),
+            (0, HEAVY),
+            (7, LIGHT),
+            (1, HEAVY),
+            (2, HEAVY),
+            (HANDOFF_MIN_WORK, LIGHT),
+            (7, HEAVY),
+        ];
         for workers in [1, 2, 4] {
-            let got = run_waves(workers, &counts, |_, &t| t);
-            for (&n, wave) in counts.iter().zip(&got) {
-                assert_eq!(
-                    *wave,
-                    (0..n).collect::<Vec<_>>(),
-                    "{workers} workers, {n} tasks"
-                );
+            for (waves, all_light) in [(&heavy[..], false), (&light, true), (&mixed, false)] {
+                let (got, spawned) = run_waves(workers, waves, |_, &t| {
+                    (t, thread::current().id() == driver)
+                });
+                for (&(n, w), wave) in waves.iter().zip(&got) {
+                    let order: Vec<usize> = wave.iter().map(|&(t, _)| t).collect();
+                    assert_eq!(
+                        order,
+                        (0..n).collect::<Vec<_>>(),
+                        "{workers} workers, {n} tasks of weight {w}"
+                    );
+                }
+                if all_light {
+                    assert!(!spawned, "{workers} workers spawned a helper");
+                    let on_driver = got.iter().flatten().all(|&(_, d)| d);
+                    assert!(on_driver, "{workers} workers: a light task left the driver");
+                }
             }
         }
+    }
+
+    /// Whether each wave of `module`, prepared under `opts`, pays for a
+    /// hand-off, with the wave's width.
+    fn wave_gates(module: &Module, opts: &AllocOptions) -> Vec<(usize, bool)> {
+        let prep = prepare_module(module, opts, None);
+        prep.scc
+            .levels(&prep.cg)
+            .iter()
+            .map(|wave| {
+                let weights = wave
+                    .iter()
+                    .map(|&ci| component_weight(&prep.module, &prep.scc.components[ci]));
+                (wave.len(), pays_for_handoff(weights))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn no_corpus_wave_pays_for_a_handoff() {
+        let configs = [
+            ("base", AllocOptions::o2_base()),
+            ("A", AllocOptions::o2_shrink_wrap()),
+            ("B", AllocOptions::o3_no_shrink_wrap()),
+            ("C", AllocOptions::o3()),
+            ("inline/C", AllocOptions::o3().with_inline(true)),
+        ];
+        for w in ipra_workloads::all() {
+            let module = ipra_workloads::compile_workload(w).expect("workload compiles");
+            for (config, opts) in &configs {
+                for (width, pays) in wave_gates(&module, opts) {
+                    assert!(!pays, "{}/{config}: a {width}-wide wave passed", w.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_widest_waves_of_a_call_tree_pay_for_a_handoff() {
+        let tree = synth::call_tree_program(7, 2, 8, 1);
+        let gates = wave_gates(&tree, &AllocOptions::o3());
+        let widths: Vec<usize> = gates.iter().map(|&(width, _)| width).collect();
+        assert_eq!(widths, [128, 64, 32, 16, 8, 4, 2, 1, 1]);
+        let passing: Vec<usize> = gates
+            .iter()
+            .filter(|&&(_, pays)| pays)
+            .map(|&(width, _)| width)
+            .collect();
+        assert_eq!(passing, [128, 64, 32]);
     }
 
     /// A latch that forces a task onto each side of the crew: one side
@@ -798,7 +928,7 @@ mod tests {
         }
     }
 
-    /// Runs one seven-task wave whose tasks call `on_driver` on the
+    /// Runs one seven-task heavy wave whose tasks call `on_driver` on the
     /// driver thread and `on_helper` on a helper, and reports whether the
     /// call panicked.
     fn wave_panics(
@@ -809,7 +939,7 @@ mod tests {
         let driver = thread::current().id();
         let gate = Gate::default();
         let run = || {
-            run_waves(workers, &[7], |_, &t| {
+            run_waves(workers, &[(7, HEAVY)], |_, &t| {
                 if thread::current().id() == driver {
                     on_driver(&gate);
                 } else {

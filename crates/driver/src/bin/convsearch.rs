@@ -34,7 +34,8 @@ fn usage() -> ! {
          penalty surface.\n\
          \n\
          --small        sparse grid + 3-workload corpus (CI smoke)\n\
-         --jobs N       wave-scheduler workers per compile (0 = auto)\n\
+         --jobs N       wave-scheduler workers per compile (0 = auto); waves\n\
+         \x20              too small to pay for a hand-off run on the calling thread\n\
          --cache-dir D  incremental-cache directory shared across points\n\
          --out FILE     write the JSON report (default: stdout)\n\
          --md FILE      also write the markdown table"

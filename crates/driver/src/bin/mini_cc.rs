@@ -14,7 +14,9 @@
 //!   --trace                print the compile/execution trace to stderr
 //!   --trace-json <path>    write the trace as JSON to <path>
 //!   --trace-chrome <path>  write a Chrome/Perfetto trace-event file to <path>
-//!   --jobs <n>             wave-scheduler worker threads (0 = auto)
+//!   --jobs <n>             wave-scheduler worker threads (0 = auto);
+//!                          waves too small to pay for a hand-off run on
+//!                          the calling thread
 //!   --cache-dir <dir>      incremental allocation cache directory
 //!   --verify-mc            statically verify register contracts of the
 //!                          lowered code (default on in debug builds)

@@ -81,25 +81,30 @@ fn trace_reports_analysis_memo_counters() {
 
 /// Scratch reuse must be invisible in the output: recompiling through
 /// one pipeline (serial and parallel, cold and warm memo) renders the
-/// same bytes as a fresh one-shot compile every time.
+/// same bytes as a fresh one-shot compile every time. No nim wave pays
+/// for a hand-off, so `tree-8x2`, whose widest waves do, also runs the
+/// helpers' scratch.
 #[test]
 fn reused_scratch_is_bit_identical_across_jobs() {
     let workload = ipra_workloads::by_name("nim").unwrap();
-    let module = ipra_workloads::compile_workload(workload).unwrap();
+    let nim = ipra_workloads::compile_workload(workload).unwrap();
+    let tree = ipra_workloads::synth::call_tree_program(7, 2, 8, 1);
 
-    for jobs in [1usize, 2, 4] {
-        let mut cfg = Config::c();
-        cfg.opts.jobs = jobs;
-        let want = compile_only(&module, &cfg).mmodule.asm(&cfg.target.regs);
+    for (name, module) in [("nim", nim), ("tree-8x2", tree)] {
+        for jobs in [1usize, 2, 4] {
+            let mut cfg = Config::c();
+            cfg.opts.jobs = jobs;
+            let want = compile_only(&module, &cfg).mmodule.asm(&cfg.target.regs);
 
-        let pipe = Pipeline::new();
-        for round in 0..3 {
-            let got = pipe.compile(&module, &cfg.target, &cfg.opts);
-            assert_eq!(
-                got.mmodule.asm(&cfg.target.regs),
-                want,
-                "jobs={jobs} round={round}: reused scratch changed the output"
-            );
+            let pipe = Pipeline::new();
+            for round in 0..3 {
+                let got = pipe.compile(&module, &cfg.target, &cfg.opts);
+                assert_eq!(
+                    got.mmodule.asm(&cfg.target.regs),
+                    want,
+                    "{name} jobs={jobs} round={round}: reused scratch changed the output"
+                );
+            }
         }
     }
 }

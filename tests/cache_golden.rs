@@ -8,6 +8,7 @@ use ipra_callgraph::{CallGraph, SccInfo};
 use ipra_core::ipra::CompiledModule;
 use ipra_core::Pipeline;
 use ipra_driver::{compile_only, run_compiled, Config};
+use ipra_workloads::synth;
 
 mod common;
 use common::{corpus, DEMO};
@@ -38,12 +39,15 @@ fn observe(compiled: &CompiledModule, config: &Config) -> String {
 /// Warm compiles must replay every function from the cache and still be
 /// bit-identical to the cold compile — machine code, summaries, clobber
 /// masks, reports, output and stats — at `jobs = 1`, `2` (the driver
-/// plus one helper) and `4`.
+/// plus one helper) and `4`. `tree-8x2` joins the corpus here because
+/// only its widest waves pay for handing tasks to the helpers.
 #[test]
 fn warm_compile_is_bit_identical_to_cold_across_corpus() {
+    let tree = ("tree-8x2".to_string(), synth::call_tree_program(7, 2, 8, 1));
+    let programs: Vec<_> = corpus().into_iter().chain([tree]).collect();
     for jobs in [1usize, 2, 4] {
         let dir = cache_dir(&format!("warm-{jobs}"));
-        for (name, module) in &corpus() {
+        for (name, module) in &programs {
             let mut cfg = Config::c();
             cfg.opts.jobs = jobs;
             let baseline = compile_only(module, &cfg);

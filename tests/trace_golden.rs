@@ -3,6 +3,7 @@
 
 use ipra_driver::{compile_and_run, compile_and_run_traced, compile_only, Config};
 use ipra_obs::json::{parse, Json};
+use ipra_workloads::synth;
 
 mod common;
 use common::{corpus, DEMO};
@@ -219,16 +220,18 @@ fn normalize_times(j: &Json) -> Json {
 /// `jobs = 2` (the driver plus one helper) or `jobs = 4` has to produce
 /// the same machine code, summaries, clobber masks, reports and (timing
 /// aside) the same trace JSON as `jobs = 1`, across a corpus that covers
-/// deep call DAGs, mutual recursion and generator-produced programs. The
-/// library reads no environment, so the sides always run with different
-/// worker counts.
+/// deep call DAGs, mutual recursion and generator-produced programs. No
+/// corpus wave pays for a hand-off, so `tree-8x2`, whose three widest
+/// waves do, takes the helpers' path. The library reads no environment,
+/// so the sides always run with different worker counts.
 #[test]
 fn wave_scheduler_output_is_identical_to_serial() {
     let mut serial_cfg = Config::c();
     serial_cfg.opts.jobs = 1;
     let regs = &serial_cfg.target.regs;
 
-    for (name, module) in &corpus() {
+    let tree = ("tree-8x2".to_string(), synth::call_tree_program(7, 2, 8, 1));
+    for (name, module) in &corpus().into_iter().chain([tree]).collect::<Vec<_>>() {
         let serial = compile_and_run_traced(module, &serial_cfg)
             .unwrap_or_else(|t| panic!("[{name}] serial trapped: {t}"));
         let sc = compile_only(module, &serial_cfg);
