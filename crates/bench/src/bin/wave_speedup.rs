@@ -6,7 +6,7 @@
 //! ```text
 //! wave_speedup [--jobs <n>] [--reps <r>] [--small] [--out <path>]
 //!   --jobs <n>      parallel worker count to compare against serial
-//!                   (default: available parallelism)
+//!                   (default: the host's core count)
 //!   --reps <r>      timed repetitions per configuration (default 5; the
 //!                   minimum over reps is reported to suppress scheduling
 //!                   noise)
@@ -23,6 +23,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use ipra_callgraph::{scc::SccInfo, CallGraph};
+use ipra_core::host_cores;
 use ipra_core::ipra::compile_module;
 use ipra_driver::Config;
 use ipra_ir::Module;
@@ -70,7 +71,8 @@ fn best_of_alternating(reps: usize, a: impl Fn(), b: impl Fn()) -> (u128, u128) 
 }
 
 fn main() -> ExitCode {
-    let mut jobs = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let cores = host_cores();
+    let mut jobs = cores;
     let mut reps = 5usize;
     let mut small = false;
     let mut out_path = "BENCH_waves.json".to_string();
@@ -124,8 +126,7 @@ fn main() -> ExitCode {
 
     let base = Config::c();
     println!(
-        "wave scheduler speedup — jobs=1 vs jobs={jobs}, best of {reps} reps, host parallelism {}",
-        std::thread::available_parallelism().map_or(0, |n| n.get())
+        "wave scheduler speedup — jobs=1 vs jobs={jobs}, best of {reps} reps, host parallelism {cores}"
     );
     println!(
         "{:<10} {:>6} {:>6} {:>7} | {:>11} {:>11} {:>8}",

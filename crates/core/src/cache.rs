@@ -281,7 +281,8 @@ fn hash_callee_inputs(h: &mut Fnv64, inter: bool, env: &SummaryEnv, callee: Func
 pub struct AllocCache {
     dir: PathBuf,
     /// Entries inserted by this compile, pending [`AllocCache::save`].
-    /// Lookups consult these first, then the per-entry files.
+    /// Lookups read only the shard files: a compile inserts after its
+    /// last lookup.
     dirty: BTreeMap<u64, Json>,
 }
 
@@ -324,24 +325,18 @@ impl AllocCache {
         self.len() == 0
     }
 
-    /// Decodes the entry under `key` against the current module. Returns
-    /// `None` — a plain miss — when the key is absent, its file is
+    /// Reads the shard file under `key` and decodes its entry against the
+    /// current module; an entry inserted but not yet saved is not seen.
+    /// Returns `None` — a plain miss — when the key is absent, its file is
     /// unreadable, unparsable or version-skewed, or the entry is stale
     /// (names a function or global the module no longer has).
     pub fn lookup(&self, key: u64, module: &Module) -> Option<Vec<CachedFunc>> {
-        let from_disk;
-        let arr = match self.dirty.get(&key) {
-            Some(v) => v.as_arr()?,
-            None => {
-                let text = std::fs::read_to_string(self.dir.join(shard_name(key))).ok()?;
-                let doc = json::parse(&text).ok()?;
-                if doc.get("version").and_then(Json::as_i64) != Some(CACHE_FORMAT_VERSION) {
-                    return None;
-                }
-                from_disk = doc;
-                from_disk.get("funcs")?.as_arr()?
-            }
-        };
+        let text = std::fs::read_to_string(self.dir.join(shard_name(key))).ok()?;
+        let doc = json::parse(&text).ok()?;
+        if doc.get("version").and_then(Json::as_i64) != Some(CACHE_FORMAT_VERSION) {
+            return None;
+        }
+        let arr = doc.get("funcs")?.as_arr()?;
         let mut out = Vec::with_capacity(arr.len());
         for v in arr {
             out.push(dec_cached(v, module)?);
@@ -1042,6 +1037,12 @@ mod tests {
         let dir = test_dir("stale");
         let mut cache = AllocCache::load(&dir);
         cache.insert(7, &funcs, &module);
+        cache.save();
+        let cache = AllocCache::load(&dir);
+        assert!(
+            cache.lookup(7, &module).is_some(),
+            "the saved entry decodes"
+        );
 
         // A module without `leaf` cannot replay code that calls it.
         let mut other = Module::new();

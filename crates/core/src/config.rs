@@ -47,9 +47,10 @@ pub struct AllocOptions {
     /// consulted when inlining is on.
     pub inline_budget: u32,
     /// Worker threads for the wave scheduler: `0` picks [`host_cores`].
-    /// Helpers are spawned only for waves with enough work to pay for
-    /// the hand-off; smaller waves run on the calling thread (see
-    /// [`crate::ipra`]). Results are bit-identical for every value.
+    /// A wave with enough work to pay for the hand-off spawns up to
+    /// `jobs − 1` helpers that live as long as the wave; smaller waves
+    /// run on the calling thread (see [`crate::ipra`]). Results are
+    /// bit-identical for every value.
     pub jobs: usize,
     /// Directory for the incremental allocation cache (one
     /// `<key:016x>.ce.json` shard per SCC component inside it). `None`

@@ -12,23 +12,21 @@
 //! The bottom-up invariant only orders a function after its callees;
 //! functions whose callees are all summarized are mutually independent.
 //! The driver therefore partitions the SCC condensation into levels
-//! ([`SccInfo::levels`]) and runs each level as one wave of tasks. A
-//! compile keeps one worker crew for its whole length: a single thread
-//! scope whose `min(jobs, widest wave) − 1` helper threads, with `jobs`
-//! resolved from [`AllocOptions::jobs`], are spawned at the first wave
-//! that pays for a hand-off and live until the compile ends. Such a wave
-//! goes once to the helpers, and the driver thread draws tasks from the
-//! same counter as they do. A wave pays for a hand-off when its *spare
-//! work* reaches `HANDOFF_MIN_WORK`: the weight of its tasks (each
-//! member's instructions plus block terminators) minus its heaviest
-//! task, which bounds what other workers can take off the driver. With
-//! one worker, or in a wave below the gate, the driver runs the tasks
-//! itself: no spawn, no channel. The gate reads only the prepared module,
-//! so every worker count still produces the same bytes. Every compile
-//! takes this one path. The unit of work is the *component*, not the
-//! function: members of a multi-node SCC see each other's whole-tree
-//! usage in their processing order, so a task replays that order against
-//! a private copy of the environment.
+//! ([`SccInfo::levels`]) and runs each level as one wave of tasks. A wave
+//! is handed off only when its *spare work* reaches `HANDOFF_MIN_WORK`:
+//! the weight of its tasks (each member's instructions plus block
+//! terminators) minus its heaviest task, which bounds what other workers
+//! can take off the driver. Such a wave opens its own thread scope with
+//! `min(jobs, tasks) − 1` helper threads, `jobs` resolved from
+//! [`AllocOptions::jobs`], and the driver thread draws tasks from the
+//! same counter as they do, then joins them. With one worker, or in a
+//! wave below the gate, the driver runs the tasks itself and opens no
+//! scope. The gate reads only the prepared module, so every worker count
+//! still produces the same bytes. Every compile takes this one path. The
+//! unit of work is the *component*, not the function: members of a
+//! multi-node SCC see each other's whole-tree usage in their processing
+//! order, so a task replays that order against a private copy of the
+//! environment.
 //!
 //! Tasks only read the summary environment, behind a lock; the driver
 //! writes it between waves, when no task runs.
@@ -42,11 +40,9 @@
 //! order, making output, reports, and traces independent of thread
 //! scheduling and of the worker count.
 
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, RwLock};
-use std::thread::Scope;
 
 use ipra_callgraph::{CallGraph, OpenReason, Openness, SccInfo};
 use ipra_ir::{hash_all_functions, EntityVec, FuncId, Module};
@@ -150,21 +146,26 @@ impl FuncRecord {
 type FreshExtras = (bool, ipra_obs::Trace);
 
 /// Least spare work, in weight units (see [`component_weight`]), a wave
-/// must have before the driver hands it to the helpers.
+/// must have before the driver hands it to helpers.
 ///
-/// Derived from three costs measured on a 2-core KVM guest (medians of
-/// 2,000, quartiles in brackets): a scoped spawn plus join of one helper,
-/// J = 51 [47, 55] µs; the round trip of handing a wave to a helper that
-/// idled 500 µs and taking its report back, R = 42 [36, 55] µs; and the
-/// serial compile cost per weight unit of the wave tasks, c = 1.22–1.96
-/// µs across the corpus under C at `jobs = 1`. Timed the same way at
-/// `jobs = 2`, the driver's tasks cost 1.24–2.15 µs per unit and the
-/// helper's 1.32–5.28, so two workers finish 1.29–1.91 times the serial
-/// rate, and handing off a wave of similar tasks saves `1 − 1/rate` of
-/// its serial time. A wave pays for the first hand-off when
-/// `spare · c · (1 − 1/rate) ≥ J + R`: 154 units with every cost at its
-/// median, 402 with J and R at their upper quartiles, the cheapest c and
-/// the lowest rate. The constant is the next power of two above 402.
+/// Derived from costs measured on a 2-core KVM guest (medians of 2,000,
+/// quartiles in brackets). A handed-off wave opens a fresh thread scope
+/// and spawns and joins its helpers; for one helper that costs J = 47.7
+/// [45.8, 50.0] µs back to back (44.2 [40.1, 51.0] in a second run), as
+/// much as a spawn plus join inside an already open scope, and up to
+/// 80.2 [72.3, 90.2] µs when 200 µs of driver work separate the samples.
+/// The serial compile cost per weight unit of the wave tasks is c =
+/// 1.22–1.96 µs across the corpus under C at `jobs = 1`. Timed the same
+/// way at `jobs = 2`, the driver's tasks cost 1.24–2.15 µs per unit and
+/// the helper's 1.32–5.28, so two workers finish 1.29–1.91 times the
+/// serial rate, and handing off a wave of similar tasks saves
+/// `1 − 1/rate` of its serial time. A wave pays for its hand-off when
+/// `spare · c · (1 − 1/rate) ≥ J`: 79 units with every cost at its
+/// median, 186 with J at its back-to-back upper quartile, the cheapest c
+/// and the lowest rate, and 329 with J at 90.2 µs. Between these and the
+/// constant lie the largest corpus and seeded `cold-compile` waves
+/// (324–423 units, under inline/C); a lower constant would hand those
+/// off, and their timing at two workers has not been measured.
 const HANDOFF_MIN_WORK: usize = 512;
 
 /// A component's weight: the instructions plus block terminators of its
@@ -351,144 +352,148 @@ pub(crate) fn compile_module_impl(
             scratch,
         )
     };
-    let widest = waves.iter().map(Vec::len).max().unwrap_or(0);
-    let workers = opts.effective_jobs().min(widest);
+    let workers = opts.effective_jobs();
+    // The driver's scratch, held for the whole compile.
+    let mut scratch = pipe.scratch.acquire();
 
     // Wave scheduler: every component of a level has all its callees
     // summarized, so a whole level runs at once. The environment is
     // frozen while a wave runs and updated between waves in FuncId
     // order, so results are independent of the worker count.
-    std::thread::scope(|s| {
-        let mut crew = Crew::new(s, workers, &pipe.scratch, &task);
-        for wave in &waves {
-            let comps: Vec<&[FuncId]> = wave
-                .iter()
-                .map(|&ci| scc.components[ci].as_slice())
-                .collect();
+    for wave in &waves {
+        let comps: Vec<&[FuncId]> = wave
+            .iter()
+            .map(|&ci| scc.components[ci].as_slice())
+            .collect();
 
-            // Cache lookup, serial and deterministic, against the frozen
-            // environment (every external callee lives in a lower wave).
-            // The pipeline's in-memory entry image is consulted first; a
-            // disk hit is decoded once and promoted into it, so a warm
-            // recompile through a persistent [`Pipeline`] never rereads
-            // or reparses the cache directory.
-            let mut comp_keys = vec![0u64; comps.len()];
-            let mut hits: Vec<Option<Arc<Vec<CachedFunc>>>> =
-                (0..comps.len()).map(|_| None).collect();
-            if let Some(c) = &cache {
-                let env = env.read().expect("no task runs during the lookup");
-                for (i, comp) in comps.iter().enumerate() {
-                    let key = component_key(
-                        module,
-                        body_hashes,
-                        comp,
-                        treated_open,
-                        fingerprint,
-                        inter,
-                        &env,
-                        profile,
-                    );
-                    comp_keys[i] = key;
-                    // The names guard against FNV collisions and stale
-                    // entries; a mismatch is just a miss.
-                    let matches = |funcs: &[CachedFunc]| {
-                        funcs.len() == comp.len()
-                            && funcs
-                                .iter()
-                                .zip(comp.iter())
-                                .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
-                    };
-                    let memo = pipe.entries.lock().unwrap().get(&(key, numbering)).cloned();
-                    if let Some(funcs) = memo {
-                        if matches(&funcs) {
-                            hits[i] = Some(funcs);
-                            continue;
-                        }
-                    }
-                    if let Some(funcs) = c.lookup(key, module) {
-                        if matches(&funcs) {
-                            let funcs = Arc::new(funcs);
-                            pipe.remember_entry((key, numbering), Arc::clone(&funcs));
-                            hits[i] = Some(funcs);
-                        }
+        // Cache lookup, serial and deterministic, against the frozen
+        // environment (every external callee lives in a lower wave).
+        // The pipeline's in-memory entry image is consulted first; a
+        // disk hit is decoded once and promoted into it, so a warm
+        // recompile through a persistent [`Pipeline`] never rereads
+        // or reparses the cache directory.
+        let mut comp_keys = vec![0u64; comps.len()];
+        let mut hits: Vec<Option<Arc<Vec<CachedFunc>>>> = (0..comps.len()).map(|_| None).collect();
+        if let Some(c) = &cache {
+            let env = env.read().expect("no task runs during the lookup");
+            for (i, comp) in comps.iter().enumerate() {
+                let key = component_key(
+                    module,
+                    body_hashes,
+                    comp,
+                    treated_open,
+                    fingerprint,
+                    inter,
+                    &env,
+                    profile,
+                );
+                comp_keys[i] = key;
+                // The names guard against FNV collisions and stale
+                // entries; a mismatch is just a miss.
+                let matches = |funcs: &[CachedFunc]| {
+                    funcs.len() == comp.len()
+                        && funcs
+                            .iter()
+                            .zip(comp.iter())
+                            .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
+                };
+                let memo = pipe.entries.lock().unwrap().get(&(key, numbering)).cloned();
+                if let Some(funcs) = memo {
+                    if matches(&funcs) {
+                        hits[i] = Some(funcs);
+                        continue;
                     }
                 }
-            }
-
-            // The crew returns the misses in wave order; the queued
-            // stores fix the entry memo's FIFO eviction order. Only the
-            // misses' weights decide whether the wave is handed off.
-            let misses: Vec<(usize, &[FuncId])> = (0..comps.len())
-                .filter(|&i| hits[i].is_none())
-                .map(|i| (i, comps[i]))
-                .collect();
-            let fresh = crew.run(&misses, |&(_, comp)| component_weight(module, comp));
-
-            // One list per wave. With a cache, a fresh component becomes
-            // the very entry a later compile replays, queued under its
-            // lookup-time key; without one, its records stay owned.
-            let mut merged: Vec<(FuncId, FuncRecord, Option<FreshExtras>)> =
-                Vec::with_capacity(comps.iter().map(|c| c.len()).sum());
-            for (i, entry) in hits.into_iter().enumerate() {
-                if let Some(entry) = entry {
-                    for (m, &fid) in comps[i].iter().enumerate() {
-                        merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), None));
+                if let Some(funcs) = c.lookup(key, module) {
+                    if matches(&funcs) {
+                        let funcs = Arc::new(funcs);
+                        pipe.remember_entry((key, numbering), Arc::clone(&funcs));
+                        hits[i] = Some(funcs);
                     }
                 }
-            }
-            for (&(i, _), (funcs, extras)) in misses.iter().zip(fresh) {
-                let members = comps[i].iter().copied().zip(extras);
-                if cache.is_some() {
-                    let entry = Arc::new(funcs);
-                    for (m, (fid, x)) in members.enumerate() {
-                        merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), Some(x)));
-                    }
-                    stores.push((comp_keys[i], entry));
-                } else {
-                    for ((fid, x), cf) in members.zip(funcs) {
-                        merged.push((fid, FuncRecord::Owned(cf), Some(x)));
-                    }
-                }
-            }
-
-            // Deterministic merge in FuncId order, so the environment,
-            // observability records and counters come out independent of
-            // thread scheduling.
-            merged.sort_by_key(|(fid, _, _)| fid.index());
-            let mut env = env.write().expect("no task runs between waves");
-            for (fid, record, fresh) in merged {
-                let cf = record.get();
-                env.publish(fid, &cf.summary, cf.tree_used);
-                if let Some((analysis_hit, shard)) = fresh {
-                    ipra_obs::absorb(shard);
-                    if analysis_hit {
-                        analysis.hits += 1;
-                    } else {
-                        analysis.misses += 1;
-                    }
-                    recompiled[fid.index()] = true;
-                    if cache.is_some() {
-                        cache_stats.misses += 1;
-                        cache_stats.recompiled.push(cf.name.clone());
-                    }
-                } else {
-                    cache_stats.hits += 1;
-                    // A hit whose direct callee was recompiled is an early
-                    // cutoff: the callee changed but its summary bytes did
-                    // not, so invalidation stopped here.
-                    if cg.callees(fid).iter().any(|c| recompiled[c.index()]) {
-                        cache_stats.cutoffs += 1;
-                    }
-                    // The replay shows as a `cache.hit` phase of the
-                    // function's trace.
-                    let _obs = ipra_obs::scope(&cf.name);
-                    let _t = ipra_obs::span("cache.hit");
-                }
-                records[fid.index()] = Some(record);
             }
         }
-        crew.finish();
-    });
+
+        // The misses come back in wave order; the queued stores fix
+        // the entry memo's FIFO eviction order. Only the misses'
+        // weights decide whether the wave is handed off.
+        let misses: Vec<(usize, &[FuncId])> = (0..comps.len())
+            .filter(|&i| hits[i].is_none())
+            .map(|i| (i, comps[i]))
+            .collect();
+        let fresh = run_wave(
+            &misses,
+            workers,
+            |&(_, comp)| component_weight(module, comp),
+            &task,
+            &pipe.scratch,
+            &mut scratch,
+        );
+
+        // One list per wave. With a cache, a fresh component becomes
+        // the very entry a later compile replays, queued under its
+        // lookup-time key; without one, its records stay owned.
+        let mut merged: Vec<(FuncId, FuncRecord, Option<FreshExtras>)> =
+            Vec::with_capacity(comps.iter().map(|c| c.len()).sum());
+        for (i, entry) in hits.into_iter().enumerate() {
+            if let Some(entry) = entry {
+                for (m, &fid) in comps[i].iter().enumerate() {
+                    merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), None));
+                }
+            }
+        }
+        for (&(i, _), (funcs, extras)) in misses.iter().zip(fresh) {
+            let members = comps[i].iter().copied().zip(extras);
+            if cache.is_some() {
+                let entry = Arc::new(funcs);
+                for (m, (fid, x)) in members.enumerate() {
+                    merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), Some(x)));
+                }
+                stores.push((comp_keys[i], entry));
+            } else {
+                for ((fid, x), cf) in members.zip(funcs) {
+                    merged.push((fid, FuncRecord::Owned(cf), Some(x)));
+                }
+            }
+        }
+
+        // Deterministic merge in FuncId order, so the environment,
+        // observability records and counters come out independent of
+        // thread scheduling.
+        merged.sort_by_key(|(fid, _, _)| fid.index());
+        let mut env = env.write().expect("no task runs between waves");
+        for (fid, record, fresh) in merged {
+            let cf = record.get();
+            env.publish(fid, &cf.summary, cf.tree_used);
+            if let Some((analysis_hit, shard)) = fresh {
+                ipra_obs::absorb(shard);
+                if analysis_hit {
+                    analysis.hits += 1;
+                } else {
+                    analysis.misses += 1;
+                }
+                recompiled[fid.index()] = true;
+                if cache.is_some() {
+                    cache_stats.misses += 1;
+                    cache_stats.recompiled.push(cf.name.clone());
+                }
+            } else {
+                cache_stats.hits += 1;
+                // A hit whose direct callee was recompiled is an early
+                // cutoff: the callee changed but its summary bytes did
+                // not, so invalidation stopped here.
+                if cg.callees(fid).iter().any(|c| recompiled[c.index()]) {
+                    cache_stats.cutoffs += 1;
+                }
+                // The replay shows as a `cache.hit` phase of the
+                // function's trace.
+                let _obs = ipra_obs::scope(&cf.name);
+                let _t = ipra_obs::span("cache.hit");
+            }
+            records[fid.index()] = Some(record);
+        }
+    }
+    pipe.scratch.release(scratch);
 
     // Store every miss, and mirror the store into the pipeline's entry
     // image so the next recompile through the same pipeline hits in memory.
@@ -536,183 +541,69 @@ pub(crate) fn compile_module_impl(
     }
 }
 
-/// One handed-off wave as the crew shares it: the task list and the counter
-/// every worker draws its next task from.
-struct Wave<I> {
-    tasks: Vec<I>,
-    /// Next task index. Only hands out tickets: the tasks reach the
-    /// helpers through their channels, and results come back the same way.
-    next: AtomicUsize,
-}
-
-impl<I> Wave<I> {
-    /// Runs tasks until the counter passes the end, tagging each result
-    /// with its task index.
-    fn drain<T>(
-        &self,
-        work: &impl Fn(&mut CompileScratch, &I) -> T,
-        scratch: &mut CompileScratch,
-    ) -> Vec<(usize, T)> {
+/// Runs one wave's tasks and returns their results in task order. With
+/// one worker, or when the tasks' weights do not pay for a hand-off
+/// ([`pays_for_handoff`]), the driver runs them in order on `scratch`;
+/// `weight` is not called with one worker. Otherwise the wave opens its
+/// own thread scope: `min(workers, tasks) − 1` helpers, each with a
+/// scratch from `pool`, draw tasks from one counter alongside the driver,
+/// which then joins them and resumes a helper's panic with its payload.
+/// A helper that panics drops its scratch rather than pool one a task
+/// may have left half-used.
+fn run_wave<I: Sync, T: Send>(
+    tasks: &[I],
+    workers: usize,
+    weight: impl Fn(&I) -> usize,
+    work: &(impl Fn(&mut CompileScratch, &I) -> T + Sync),
+    pool: &ScratchPool,
+    scratch: &mut CompileScratch,
+) -> Vec<T> {
+    if workers < 2 || !pays_for_handoff(tasks.iter().map(weight)) {
+        return tasks.iter().map(|t| work(scratch, t)).collect();
+    }
+    // Only hands out task indices; results come back through the joins.
+    let next = AtomicUsize::new(0);
+    let drain = |scratch: &mut CompileScratch| {
         let mut out = Vec::new();
         loop {
-            let t = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(task) = self.tasks.get(t) else {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            let Some(task) = tasks.get(t) else {
                 return out;
             };
             out.push((t, work(scratch, task)));
         }
-    }
-}
-
-/// What a helper reports for one wave: its results, or the payload of the
-/// panic one of its tasks raised.
-type Share<T> = std::thread::Result<Vec<(usize, T)>>;
-
-/// The helpers of a running crew: one wave channel each, and the channel
-/// they all report on.
-struct Helpers<I, T> {
-    waves: Vec<Sender<Arc<Wave<I>>>>,
-    done: Receiver<Share<T>>,
-}
-
-/// One compile's workers: the driver thread and `workers − 1` helper
-/// threads in the compile's thread scope, spawned at the first wave that
-/// pays for a hand-off ([`pays_for_handoff`]). A compile with no such
-/// wave spawns no thread and opens no channel. Dropping the crew closes
-/// the helpers' wave channels, so they exit and the scope joins them —
-/// also when the driver unwinds.
-struct Crew<'scope, 'env, I, T, F> {
-    scope: &'scope Scope<'scope, 'env>,
-    workers: usize,
-    pool: &'scope ScratchPool,
-    work: &'scope F,
-    /// The driver's scratch, held for the whole compile.
-    scratch: CompileScratch,
-    helpers: Option<Helpers<I, T>>,
-}
-
-impl<'scope, 'env, I, T, F> Crew<'scope, 'env, I, T, F>
-where
-    I: Clone + Send + Sync + 'scope,
-    T: Send + 'scope,
-    F: Fn(&mut CompileScratch, &I) -> T + Sync,
-{
-    fn new(
-        scope: &'scope Scope<'scope, 'env>,
-        workers: usize,
-        pool: &'scope ScratchPool,
-        work: &'scope F,
-    ) -> Self {
-        Crew {
-            scope,
-            workers,
-            pool,
-            work,
-            scratch: pool.acquire(),
-            helpers: None,
-        }
-    }
-
-    /// Runs one wave's tasks and returns their results in task order.
-    /// With one worker, or when the tasks' weights do not pay for a
-    /// hand-off, the driver runs them in order; `weight` is not called
-    /// with one worker. Otherwise the wave goes once to each helper that
-    /// can get a task, the driver drains it alongside them, and then takes
-    /// exactly one report from each of those helpers; a helper's panic is
-    /// resumed here.
-    fn run(&mut self, tasks: &[I], weight: impl Fn(&I) -> usize) -> Vec<T> {
-        if self.workers < 2 || !pays_for_handoff(tasks.iter().map(weight)) {
-            return tasks
-                .iter()
-                .map(|t| (self.work)(&mut self.scratch, t))
-                .collect();
-        }
-        let (scope, workers, pool, work) = (self.scope, self.workers, self.pool, self.work);
-        let helpers = self
-            .helpers
-            .get_or_insert_with(|| spawn_helpers(scope, workers - 1, pool, work));
-        let wave = Arc::new(Wave {
-            tasks: tasks.to_vec(),
-            next: AtomicUsize::new(0),
-        });
+    };
+    let mut out = std::thread::scope(|s| {
         // A lone task has no spare work, so a wave past the gate has two
         // or more and the driver keeps at least one.
-        let sent = helpers.waves.len().min(wave.tasks.len() - 1);
-        for tx in &helpers.waves[..sent] {
-            tx.send(Arc::clone(&wave))
-                .expect("a helper serves until the crew drops");
-        }
-        let mut out = wave.drain(work, &mut self.scratch);
-        for _ in 0..sent {
-            match helpers
-                .done
-                .recv()
-                .expect("a helper reports every wave it gets")
-            {
+        let helpers: Vec<_> = (1..workers.min(tasks.len()))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut scratch = pool.acquire();
+                    let part = drain(&mut scratch);
+                    pool.release(scratch);
+                    part
+                })
+            })
+            .collect();
+        let mut out = drain(scratch);
+        for helper in helpers {
+            match helper.join() {
                 Ok(part) => out.extend(part),
                 Err(payload) => panic::resume_unwind(payload),
             }
         }
-        out.sort_by_key(|&(t, _)| t);
-        out.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Returns the driver's scratch to the pool; each helper returns its
-    /// own as it exits.
-    fn finish(self) {
-        self.pool.release(self.scratch);
-    }
-}
-
-/// Spawns `count` helpers that each hold one scratch from `pool` and run
-/// every wave they are sent until their channel closes. A helper catches
-/// a task's panic, reports its payload and exits without pooling the
-/// scratch the task may have left half-used.
-fn spawn_helpers<'scope, I, T, F>(
-    scope: &'scope Scope<'scope, '_>,
-    count: usize,
-    pool: &'scope ScratchPool,
-    work: &'scope F,
-) -> Helpers<I, T>
-where
-    I: Send + Sync + 'scope,
-    T: Send + 'scope,
-    F: Fn(&mut CompileScratch, &I) -> T + Sync,
-{
-    let (report, done) = mpsc::channel();
-    let waves = (0..count)
-        .map(|_| {
-            let (tx, rx) = mpsc::channel::<Arc<Wave<I>>>();
-            let report = report.clone();
-            scope.spawn(move || {
-                let mut scratch = pool.acquire();
-                for wave in rx {
-                    match panic::catch_unwind(AssertUnwindSafe(|| wave.drain(work, &mut scratch))) {
-                        Ok(part) => {
-                            // A closed report channel means the driver
-                            // unwound: nothing more will be asked.
-                            if report.send(Ok(part)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(payload) => {
-                            let _ = report.send(Err(payload));
-                            return;
-                        }
-                    }
-                }
-                pool.release(scratch);
-            });
-            tx
-        })
-        .collect();
-    Helpers { waves, done }
+        out
+    });
+    out.sort_by_key(|&(t, _)| t);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Compiles one SCC as a wave task: allocates each member, lowers it at
 /// once, and returns the members' records with their fresh extras. Runs
-/// on a helper only when its wave passed the hand-off gate, otherwise on
-/// the driver thread; either way its records are the same.
+/// on one of its wave's helpers only when the wave passed the hand-off
+/// gate, otherwise on the driver thread; either way its records are the
+/// same.
 /// Members of a multi-node SCC observe each other's whole-tree register
 /// usage in serial order, so the component replays that order against a
 /// private copy of the environment (multi-node SCCs are rare; singletons
@@ -793,35 +684,33 @@ mod tests {
     use ipra_ir::Module;
     use ipra_workloads::synth;
 
-    use super::{component_weight, pays_for_handoff, prepare_module, Crew, HANDOFF_MIN_WORK};
+    use super::{component_weight, pays_for_handoff, prepare_module, run_wave, HANDOFF_MIN_WORK};
     use crate::config::AllocOptions;
     use crate::scratch::{CompileScratch, ScratchPool};
 
-    /// Task weights for the crew tests: any wave of two or more `HEAVY`
+    /// Task weights for the wave tests: any wave of two or more `HEAVY`
     /// tasks passes the hand-off gate, and a wave of `LIGHT` tasks passes
     /// only with more than `HANDOFF_MIN_WORK` of them.
     const HEAVY: usize = HANDOFF_MIN_WORK;
     const LIGHT: usize = 1;
 
     /// Runs one wave of `n` tasks of weight `w` per `(n, w)` entry of
-    /// `waves` through a single crew of `workers`, as one compile does, and
-    /// returns each wave's results and whether the crew spawned helpers.
+    /// `waves` with `workers`, on one pool and one driver scratch, as one
+    /// compile does, and returns each wave's results.
     fn run_waves<T: Send>(
         workers: usize,
         waves: &[(usize, usize)],
         work: impl Fn(&mut CompileScratch, &usize) -> T + Sync,
-    ) -> (Vec<Vec<T>>, bool) {
+    ) -> Vec<Vec<T>> {
         let pool = ScratchPool::default();
-        thread::scope(|s| {
-            let mut crew = Crew::new(s, workers, &pool, &work);
-            let out = waves
-                .iter()
-                .map(|&(n, w)| crew.run(&(0..n).collect::<Vec<_>>(), |_| w))
-                .collect();
-            let spawned = crew.helpers.is_some();
-            crew.finish();
-            (out, spawned)
-        })
+        let mut scratch = pool.acquire();
+        waves
+            .iter()
+            .map(|&(n, w)| {
+                let tasks: Vec<usize> = (0..n).collect();
+                run_wave(&tasks, workers, |_| w, &work, &pool, &mut scratch)
+            })
+            .collect()
     }
 
     #[test]
@@ -840,7 +729,7 @@ mod tests {
         ];
         for workers in [1, 2, 4] {
             for (waves, all_light) in [(&heavy[..], false), (&light, true), (&mixed, false)] {
-                let (got, spawned) = run_waves(workers, waves, |_, &t| {
+                let got = run_waves(workers, waves, |_, &t| {
                     (t, thread::current().id() == driver)
                 });
                 for (&(n, w), wave) in waves.iter().zip(&got) {
@@ -852,7 +741,6 @@ mod tests {
                     );
                 }
                 if all_light {
-                    assert!(!spawned, "{workers} workers spawned a helper");
                     let on_driver = got.iter().flatten().all(|&(_, d)| d);
                     assert!(on_driver, "{workers} workers: a light task left the driver");
                 }
@@ -909,7 +797,7 @@ mod tests {
         assert_eq!(passing, [128, 64, 32]);
     }
 
-    /// A latch that forces a task onto each side of the crew: one side
+    /// A latch that forces a task onto each side of a wave: one side
     /// waits in its first task until the other side opens it.
     #[derive(Default)]
     struct Gate(Mutex<bool>, Condvar);

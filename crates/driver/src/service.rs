@@ -89,11 +89,13 @@ pub struct ServiceConfig {
     pub jobs_cap: usize,
     /// Per-frame payload cap enforced before buffering.
     pub max_frame_len: u32,
-    /// FIFO bound on the pipeline's prepared-module memo.
-    pub prepared_cap: usize,
-    /// FIFO bound on the pipeline's decoded-cache-entry memo.
-    pub entries_cap: usize,
 }
+
+/// FIFO bound on the shared pipeline's prepared-module memo.
+const PREPARED_CAP: usize = 256;
+
+/// FIFO bound on the shared pipeline's decoded-cache-entry memo.
+const ENTRIES_CAP: usize = 4096;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -102,8 +104,6 @@ impl Default for ServiceConfig {
             max_queue: 64,
             jobs_cap: 4,
             max_frame_len: MAX_FRAME_LEN,
-            prepared_cap: 256,
-            entries_cap: 4096,
         }
     }
 }
@@ -207,7 +207,7 @@ impl Service {
     /// A service with the given knobs and a memo-bounded pipeline.
     pub fn new(config: ServiceConfig) -> Service {
         let admission = Admission::new(config.max_active, config.max_queue);
-        let pipeline = Pipeline::with_memo_caps(config.prepared_cap, config.entries_cap);
+        let pipeline = Pipeline::with_memo_caps(PREPARED_CAP, ENTRIES_CAP);
         Service {
             config,
             pipeline,

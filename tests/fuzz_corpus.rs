@@ -4,9 +4,14 @@
 //! stays fixed.
 //!
 //! Repros are plain Mini sources (`*.mini`), optionally with `//` header
-//! comments recording their provenance.
+//! comments recording their provenance. The synthetic call tree
+//! `tree-8x2` rides along: no repro has a wave with enough spare work to
+//! pass the hand-off gate, while its widest waves pass under every
+//! configuration, so the check's `jobs` comparison reaches the wave
+//! helpers.
 
-use ipra_driver::differential::{check_source, DiffOptions, DiffVerdict};
+use ipra_driver::differential::{check_module, check_source, DiffOptions, DiffVerdict};
+use ipra_workloads::synth;
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -36,5 +41,10 @@ fn every_checked_in_repro_passes_the_differential_check() {
             }
             Err(f) => panic!("{}: regressed: {f}", path.display()),
         }
+    }
+    let tree = synth::call_tree_program(7, 2, 8, 1);
+    match check_module(&tree, &opts) {
+        Ok(verdict) => assert_eq!(verdict, DiffVerdict::Pass, "tree-8x2"),
+        Err(f) => panic!("tree-8x2: regressed: {f}"),
     }
 }
