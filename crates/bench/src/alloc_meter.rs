@@ -5,7 +5,8 @@
 //! bytes, and the high-water mark of live bytes. Install it with
 //! `#[global_allocator]` in a binary or test target (the
 //! `recompile_allocs` test, perfbench), then wrap the region of interest
-//! in [`measure`] to get that region's deltas. When the allocator is
+//! in [`measure`] to get that region's deltas, or read [`live_bytes`]
+//! between regions to follow what stays allocated. When the allocator is
 //! *not* installed the counters simply never move and every delta reads
 //! as zero, so library code (and tests) can link this module
 //! unconditionally.
@@ -70,6 +71,13 @@ pub struct AllocDelta {
     pub peak_bytes: u64,
 }
 
+/// Bytes currently live on the heap, as booked since the counting
+/// started; 0 unless [`CountingAlloc`] is installed as the global
+/// allocator.
+pub fn live_bytes() -> u64 {
+    CURRENT.load(Ordering::Relaxed).max(0) as u64
+}
+
 /// Runs `f` and returns its result plus the region's allocation deltas.
 /// All zeros unless [`CountingAlloc`] is installed as the global
 /// allocator.
@@ -118,5 +126,12 @@ mod tests {
         assert_eq!(d2.allocs, 1);
         assert_eq!(d2.bytes, 10);
         assert_eq!(d2.peak_bytes, 10);
+
+        // The live reading follows allocations and frees alike.
+        let live = live_bytes();
+        record_alloc(40);
+        assert_eq!(live_bytes(), live + 40);
+        record_dealloc(40);
+        assert_eq!(live_bytes(), live);
     }
 }

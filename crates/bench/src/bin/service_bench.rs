@@ -6,7 +6,7 @@
 //! `BENCH_service.json` at the repository root.
 //!
 //! The schedule is deterministic: an untimed single-session pass first
-//! compiles every workload once, priming the shared analysis memo. Then
+//! compiles every workload once, priming the shared component memo. Then
 //! request `i` of the timed phase is a warm workload compile (cycling
 //! the primed corpus) unless `i % 3 == 0`, in which case it is a unique
 //! synthetic program no cache has ever seen (a forced cold compile).

@@ -62,14 +62,9 @@ pub struct FuncAllocation {
 /// Allocation plus the analyses lowering needs.
 #[derive(Clone, Debug)]
 pub struct FuncArtifacts {
-    /// The function's memoized analyses (shared with the
-    /// [`AnalysisCache`], so cloning artifacts never copies them).
+    /// The function's analyses (shared with the [`AnalysisCache`], so
+    /// cloning artifacts never copies them).
     pub analyses: Arc<FuncAnalyses>,
-    /// Whether [`FuncArtifacts::analyses`] came from the memo. Summed by
-    /// the driver into the compile's own hit/miss window — the shared
-    /// memo counters can't be diffed for that, since concurrent compiles
-    /// through one pipeline interleave on them.
-    pub analysis_hit: bool,
     /// Ranges and call sites.
     pub ranges: RangeData,
     /// The allocation.
@@ -143,11 +138,12 @@ pub fn allocate_function(
     )
 }
 
-/// [`allocate_function`] drawing the function's analyses from a shared
-/// [`AnalysisCache`] memo (keyed by `body_hash`, see
+/// [`allocate_function`] drawing the function's analyses from an
+/// [`AnalysisCache`] (keyed by `body_hash`, see
 /// [`ipra_ir::hash_function`]) and its transient buffers from the
-/// caller's [`CompileScratch`]. The pipeline driver threads both through
-/// every job; the plain entry point above supplies one-shot instances.
+/// caller's [`CompileScratch`]. The pipeline driver passes each compile's
+/// own cache and a pooled scratch; the plain entry point above supplies
+/// one-shot instances.
 #[allow(clippy::too_many_arguments)]
 pub fn allocate_function_with(
     module: &Module,
@@ -163,7 +159,7 @@ pub fn allocate_function_with(
 ) -> FuncArtifacts {
     let func = &module.funcs[fid];
     let ranges_span = ipra_obs::span("ranges");
-    let (analyses, memo_hit) = analyses.get_or_compute(body_hash, func);
+    let (analyses, _) = analyses.get_or_compute(body_hash, func);
     let cfg = &analyses.cfg;
     let loops = &analyses.loops;
     let liveness = &analyses.liveness;
@@ -536,7 +532,6 @@ pub fn allocate_function_with(
 
     FuncArtifacts {
         analyses: Arc::clone(&analyses),
-        analysis_hit: memo_hit,
         ranges,
         alloc: FuncAllocation {
             assignment,

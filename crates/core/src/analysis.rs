@@ -1,12 +1,14 @@
-//! Memoized per-function analyses.
+//! Per-function analyses, computed once per use and optionally memoized.
 //!
 //! Every allocator phase reads the same four analyses — CFG, dominators,
-//! loop nesting, liveness — and historically each compile rebuilt them from
-//! scratch for every function. [`FuncAnalyses`] bundles them into one
-//! immutable value computed once, and [`AnalysisCache`] memoizes that value
-//! across compiles keyed by the function's structural body hash
-//! ([`ipra_ir::hash_function`]): a recompile of an unedited function costs
-//! one hash lookup and an `Arc` clone instead of four dataflow solves.
+//! loop nesting, liveness. [`FuncAnalyses`] bundles them into one
+//! immutable value computed once, and [`AnalysisCache`] memoizes that
+//! value for as long as the cache lives, keyed by the function's
+//! structural body hash ([`ipra_ir::hash_function`]): a second lookup of
+//! an unedited function costs one hash lookup and an `Arc` clone instead
+//! of four dataflow solves. A compile uses one of its own, which keeps
+//! nothing: across compiles a [`crate::Pipeline`] replays whole compiled
+//! components, so an unchanged function needs no analyses at all.
 //!
 //! The hash is exactly the invalidation rule. It covers the function name,
 //! attributes, parameters, vreg table and every block, so any edit that
@@ -52,8 +54,8 @@ impl FuncAnalyses {
     }
 }
 
-/// Hit/miss totals of the analysis memo over some window (one compile, or
-/// a pipeline's lifetime).
+/// Hit/miss totals of an [`AnalysisCache`] over its lifetime (for a
+/// compile's own cache, that compile).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Lookups answered from the memo.

@@ -50,12 +50,15 @@ use crate::summary::{FuncSummary, ParamLoc};
 /// the per-function open bit, which the summary's default flag carries.
 pub const CACHE_FORMAT_VERSION: i64 = 5;
 
-/// Outcome counters of one compile with the cache enabled.
+/// Outcome counters of one compile's component lookups: in the
+/// component memo of a memoizing [`crate::Pipeline`], then in the cache
+/// directory. All zeros for a one-shot compile without a directory,
+/// which looks nothing up.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Whether a cache directory was configured for this compile.
     pub enabled: bool,
-    /// Functions replayed from the cache.
+    /// Functions replayed from the memo or the directory.
     pub hits: u64,
     /// Functions allocated and lowered from scratch.
     pub misses: u64,
@@ -300,29 +303,6 @@ impl AllocCache {
             dir: dir.to_path_buf(),
             dirty: BTreeMap::new(),
         }
-    }
-
-    /// Number of cached components on disk or pending save.
-    pub fn len(&self) -> usize {
-        let mut keys: std::collections::BTreeSet<u64> = self.dirty.keys().copied().collect();
-        if let Ok(rd) = std::fs::read_dir(&self.dir) {
-            for entry in rd.flatten() {
-                if let Some(key) = entry
-                    .file_name()
-                    .to_str()
-                    .and_then(|n| n.strip_suffix(".ce.json"))
-                    .and_then(|k| u64::from_str_radix(k, 16).ok())
-                {
-                    keys.insert(key);
-                }
-            }
-        }
-        keys.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Reads the shard file under `key` and decodes its entry against the
@@ -889,6 +869,17 @@ mod tests {
         d
     }
 
+    /// Every file under `dir`, sorted by name: what saves left behind.
+    fn dir_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     fn demo_module() -> Module {
         let mut m = Module::new();
         let leaf = m.declare_func("leaf");
@@ -945,12 +936,12 @@ mod tests {
         let dir = test_dir("roundtrip");
 
         let mut cache = AllocCache::load(&dir);
-        assert!(cache.is_empty());
+        assert!(cache.lookup(42, &module).is_none(), "nothing saved yet");
         cache.insert(42, &funcs, &module);
         cache.save();
+        assert_eq!(dir_files(&dir), [shard_name(42)], "one shard, no temp file");
 
         let cache2 = AllocCache::load(&dir);
-        assert_eq!(cache2.len(), 1);
         let back = cache2.lookup(42, &module).expect("entry decodes");
         assert_eq!(back.len(), funcs.len());
         for (orig, dec) in funcs.iter().zip(&back) {
@@ -995,15 +986,18 @@ mod tests {
         )
         .unwrap();
         // Files that are not shards at all (the pre-v3 monolithic layout,
-        // a stray temp file, a bad hex name) are ignored by the scan.
+        // a bad hex name) sit beside them.
         std::fs::write(dir.join("ipra-cache.json"), "{}").unwrap();
         std::fs::write(dir.join("zz.ce.json"), "{}").unwrap();
 
-        let c = AllocCache::load(&dir);
+        let mut c = AllocCache::load(&dir);
         for key in [0x01, 0x02, 0x03, 0x04] {
             assert!(c.lookup(key, &module).is_none(), "key {key:#x} must miss");
         }
-        assert_eq!(c.len(), 3, "only well-named shards are counted");
+        // None of it keeps a good entry saved among them from hitting.
+        c.insert(0x05, &compiled_cached_funcs(&module), &module);
+        c.save();
+        assert!(AllocCache::load(&dir).lookup(0x05, &module).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1023,8 +1017,8 @@ mod tests {
         a.save();
         b.save();
 
+        assert_eq!(dir_files(&dir), [shard_name(1), shard_name(2)]);
         let c = AllocCache::load(&dir);
-        assert_eq!(c.len(), 2);
         assert!(c.lookup(1, &module).is_some());
         assert!(c.lookup(2, &module).is_some());
         let _ = std::fs::remove_dir_all(&dir);

@@ -37,8 +37,8 @@
 //!
 //! Downstream invalidation is free by construction: the pass runs before
 //! [`ipra_ir::hash_all_functions`], so body hashes, the incremental-cache
-//! component keys, the analysis memo and the callee-summary environment
-//! all see the transformed bodies.
+//! component keys and the callee-summary environment all see the
+//! transformed bodies.
 
 use std::collections::HashSet;
 

@@ -55,7 +55,7 @@ use crate::config::{AllocMode, AllocOptions};
 use crate::inline::{inline_hot_calls, InlineStats};
 use crate::lower::lower_function_with;
 use crate::normalize::normalize_entries;
-use crate::pipeline::{numbering_key, Pipeline, PreparedModule};
+use crate::pipeline::{directory_key, numbering_key, Pipeline, PreparedModule};
 use crate::promote::{promote_globals, PromotionStats};
 use crate::scratch::{CompileScratch, ScratchPool};
 use crate::summary::FuncSummary;
@@ -97,12 +97,14 @@ pub struct CompiledModule {
     pub promotion: PromotionStats,
     /// What the profile-guided inliner did (default when the pass is off).
     pub inline: InlineStats,
-    /// Incremental-cache outcome (default when no cache was configured).
+    /// Incremental-cache outcome: the component memo's and the cache
+    /// directory's (default for a one-shot compile without a directory).
     pub cache: CacheStats,
-    /// Analysis-memo hits/misses within this compile (all misses for a
-    /// one-shot compile; mostly hits on a warm [`Pipeline`] recompile).
-    /// Summed from this compile's own lookups, so concurrent compiles
-    /// sharing the pipeline never pollute each other's window.
+    /// This compile's analysis lookups: analyses are not memoized across
+    /// compiles, so every function it allocated is one miss and a
+    /// replayed function is none. Counted by this compile's own memo, so
+    /// concurrent compiles sharing a pipeline never pollute each other's
+    /// window.
     pub analysis: AnalysisStats,
 }
 
@@ -115,11 +117,12 @@ impl CompiledModule {
     }
 }
 
-/// One function's record, owned or shared with a cache entry. Without a
-/// cache a fresh record is owned, so its code moves into the module; a
-/// hit, and a fresh record the cache also stores, points into the shared
-/// component entry (`Arc` + member index), so neither replay nor store
-/// clones the entry per function.
+/// One function's record, owned or shared with a component entry. A
+/// compile that looks no component up (a one-shot compile without a
+/// cache directory) owns its fresh records, so their code moves into the
+/// module; a hit, and a fresh record the memo or the cache also keeps,
+/// points into the shared component entry (`Arc` + member index), so
+/// neither replay nor store clones the entry per function.
 enum FuncRecord {
     Owned(CachedFunc),
     Shared(Arc<Vec<CachedFunc>>, usize),
@@ -140,10 +143,6 @@ impl FuncRecord {
         }
     }
 }
-
-/// What a wave task adds to each fresh record: whether the analyses came
-/// from the memo, and the function's trace shard.
-type FreshExtras = (bool, ipra_obs::Trace);
 
 /// Least spare work, in weight units (see [`component_weight`]), a wave
 /// must have before the driver hands it to helpers.
@@ -226,17 +225,17 @@ pub(crate) fn prepare_module(
         PromotionStats::default()
     };
     // Inlining runs before the hashes and the call-graph phases below, so
-    // the incremental cache, the analysis memo, the SCC condensation and
-    // the openness classification all see the transformed bodies —
-    // summary/body-hash invalidation falls out of the key derivation.
+    // the incremental cache, the SCC condensation and the openness
+    // classification all see the transformed bodies — summary/body-hash
+    // invalidation falls out of the key derivation.
     let inline = if opts.inline {
         inline_hot_calls(&mut module, opts.inline_budget, &opts.forced_open, profile)
     } else {
         InlineStats::default()
     };
 
-    // Structural hashes of the *transformed* bodies: both the incremental
-    // cache and the analysis memo key on what the allocator actually sees.
+    // Structural hashes of the *transformed* bodies: the incremental
+    // cache keys on what the allocator actually sees.
     let body_hashes = hash_all_functions(&module);
 
     let cg = CallGraph::build(&module);
@@ -255,9 +254,9 @@ pub(crate) fn prepare_module(
 }
 
 /// The driver body behind both the one-shot entry points above and
-/// [`Pipeline::compile`]. All memoized state (prepared module, analysis
-/// memo, scratch pool, decoded cache entries) lives in `pipe`, so its
-/// lifetime decides what a recompile can reuse.
+/// [`Pipeline::compile`]. All memoized state (prepared modules, compiled
+/// components, scratch pool) lives in `pipe`, so its lifetime decides
+/// what a recompile can reuse.
 pub(crate) fn compile_module_impl(
     module: &Module,
     target: &Target,
@@ -312,14 +311,21 @@ pub(crate) fn compile_module_impl(
     // between waves, when no task runs.
     let env = RwLock::new(SummaryEnv::default());
 
-    // Incremental cache (see `crate::cache`). The per-wave lookup below
-    // runs against the environment frozen at wave boundaries, so output
-    // is bit-identical for any hit/miss pattern.
+    // Incremental cache (see `crate::cache`): the pipeline's component
+    // memo, then the cache directory. Components are looked up whenever
+    // either tier could answer. The per-wave lookup below runs against
+    // the environment frozen at wave boundaries, so output is
+    // bit-identical for any hit/miss pattern.
     let mut cache = opts.cache_dir.as_deref().map(AllocCache::load);
-    let (fingerprint, numbering) = if cache.is_some() {
-        (config_fingerprint(target, opts), numbering_key(module))
+    let keyed = !pipe.one_shot || cache.is_some();
+    let (fingerprint, numbering, directory) = if keyed {
+        (
+            config_fingerprint(target, opts),
+            numbering_key(module),
+            directory_key(opts.cache_dir.as_deref()),
+        )
     } else {
-        (0, 0)
+        (0, 0, 0)
     };
     let mut cache_stats = CacheStats {
         enabled: cache.is_some(),
@@ -328,10 +334,9 @@ pub(crate) fn compile_module_impl(
     let mut recompiled = vec![false; n];
     let mut stores: Vec<(u64, Arc<Vec<CachedFunc>>)> = Vec::new();
     let mut records: Vec<Option<FuncRecord>> = (0..n).map(|_| None).collect();
-    // This compile's own analysis-memo window, summed from the per-
-    // function hit flags. Diffing the shared memo counters would fold in
-    // whatever concurrent compiles through the same pipeline did.
-    let mut analysis = AnalysisStats::default();
+    // This compile's own analyses: a replayed component needs none, and
+    // none outlive the compile.
+    let analyses = AnalysisCache::one_shot();
 
     // One wave task: compile a component against the frozen environment.
     // The read guard is released before the result is reported.
@@ -347,7 +352,7 @@ pub(crate) fn compile_module_impl(
             &env,
             profile,
             tracing,
-            &pipe.analyses,
+            &analyses,
             body_hashes,
             scratch,
         )
@@ -366,15 +371,14 @@ pub(crate) fn compile_module_impl(
             .map(|&ci| scc.components[ci].as_slice())
             .collect();
 
-        // Cache lookup, serial and deterministic, against the frozen
-        // environment (every external callee lives in a lower wave).
-        // The pipeline's in-memory entry image is consulted first; a
-        // disk hit is decoded once and promoted into it, so a warm
-        // recompile through a persistent [`Pipeline`] never rereads
-        // or reparses the cache directory.
+        // Component lookup, serial and deterministic, against the frozen
+        // environment (every external callee lives in a lower wave). The
+        // pipeline's component memo answers first; a disk hit is decoded
+        // once and kept in it, so a warm recompile through a persistent
+        // [`Pipeline`] neither allocates nor rereads the cache directory.
         let mut comp_keys = vec![0u64; comps.len()];
         let mut hits: Vec<Option<Arc<Vec<CachedFunc>>>> = (0..comps.len()).map(|_| None).collect();
-        if let Some(c) = &cache {
+        if keyed {
             let env = env.read().expect("no task runs during the lookup");
             for (i, comp) in comps.iter().enumerate() {
                 let key = component_key(
@@ -397,17 +401,18 @@ pub(crate) fn compile_module_impl(
                             .zip(comp.iter())
                             .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
                 };
-                let memo = pipe.entries.lock().unwrap().get(&(key, numbering)).cloned();
+                let memo_key = (key, numbering, directory);
+                let memo = pipe.entries.lock().unwrap().get(&memo_key).cloned();
                 if let Some(funcs) = memo {
                     if matches(&funcs) {
                         hits[i] = Some(funcs);
                         continue;
                     }
                 }
-                if let Some(funcs) = c.lookup(key, module) {
+                if let Some(funcs) = cache.as_ref().and_then(|c| c.lookup(key, module)) {
                     if matches(&funcs) {
-                        let funcs = Arc::new(funcs);
-                        pipe.remember_entry((key, numbering), Arc::clone(&funcs));
+                        let funcs = pipe.shared_entry(funcs);
+                        pipe.remember_entry(memo_key, Arc::clone(&funcs));
                         hits[i] = Some(funcs);
                     }
                 }
@@ -415,7 +420,7 @@ pub(crate) fn compile_module_impl(
         }
 
         // The misses come back in wave order; the queued stores fix
-        // the entry memo's FIFO eviction order. Only the misses'
+        // the component memo's FIFO eviction order. Only the misses'
         // weights decide whether the wave is handed off.
         let misses: Vec<(usize, &[FuncId])> = (0..comps.len())
             .filter(|&i| hits[i].is_none())
@@ -430,10 +435,10 @@ pub(crate) fn compile_module_impl(
             &mut scratch,
         );
 
-        // One list per wave. With a cache, a fresh component becomes
-        // the very entry a later compile replays, queued under its
-        // lookup-time key; without one, its records stay owned.
-        let mut merged: Vec<(FuncId, FuncRecord, Option<FreshExtras>)> =
+        // One list per wave. When components are looked up, a fresh one
+        // becomes the very entry a later compile replays, queued under
+        // its lookup-time key; otherwise its records stay owned.
+        let mut merged: Vec<(FuncId, FuncRecord, Option<ipra_obs::Trace>)> =
             Vec::with_capacity(comps.iter().map(|c| c.len()).sum());
         for (i, entry) in hits.into_iter().enumerate() {
             if let Some(entry) = entry {
@@ -442,17 +447,17 @@ pub(crate) fn compile_module_impl(
                 }
             }
         }
-        for (&(i, _), (funcs, extras)) in misses.iter().zip(fresh) {
-            let members = comps[i].iter().copied().zip(extras);
-            if cache.is_some() {
-                let entry = Arc::new(funcs);
-                for (m, (fid, x)) in members.enumerate() {
-                    merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), Some(x)));
+        for (&(i, _), (funcs, shards)) in misses.iter().zip(fresh) {
+            let members = comps[i].iter().copied().zip(shards);
+            if keyed {
+                let entry = pipe.shared_entry(funcs);
+                for (m, (fid, shard)) in members.enumerate() {
+                    merged.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), Some(shard)));
                 }
                 stores.push((comp_keys[i], entry));
             } else {
-                for ((fid, x), cf) in members.zip(funcs) {
-                    merged.push((fid, FuncRecord::Owned(cf), Some(x)));
+                for ((fid, shard), cf) in members.zip(funcs) {
+                    merged.push((fid, FuncRecord::Owned(cf), Some(shard)));
                 }
             }
         }
@@ -462,18 +467,13 @@ pub(crate) fn compile_module_impl(
         // thread scheduling.
         merged.sort_by_key(|(fid, _, _)| fid.index());
         let mut env = env.write().expect("no task runs between waves");
-        for (fid, record, fresh) in merged {
+        for (fid, record, shard) in merged {
             let cf = record.get();
             env.publish(fid, &cf.summary, cf.tree_used);
-            if let Some((analysis_hit, shard)) = fresh {
+            if let Some(shard) = shard {
                 ipra_obs::absorb(shard);
-                if analysis_hit {
-                    analysis.hits += 1;
-                } else {
-                    analysis.misses += 1;
-                }
                 recompiled[fid.index()] = true;
-                if cache.is_some() {
+                if keyed {
                     cache_stats.misses += 1;
                     cache_stats.recompiled.push(cf.name.clone());
                 }
@@ -495,13 +495,16 @@ pub(crate) fn compile_module_impl(
     }
     pipe.scratch.release(scratch);
 
-    // Store every miss, and mirror the store into the pipeline's entry
-    // image so the next recompile through the same pipeline hits in memory.
-    if let Some(cache) = &mut cache {
-        for (key, entry) in stores {
+    // Keep every miss in the component memo, so the next recompile
+    // through the same pipeline replays it from memory, and store it in
+    // the cache directory, if one was named.
+    for (key, entry) in stores {
+        if let Some(cache) = &mut cache {
             cache.insert(key, &entry, module);
-            pipe.remember_entry((key, numbering), entry);
         }
+        pipe.remember_entry((key, numbering, directory), entry);
+    }
+    if let Some(cache) = &cache {
         cache.save();
     }
 
@@ -537,7 +540,7 @@ pub(crate) fn compile_module_impl(
         promotion,
         inline: prep.inline.clone(),
         cache: cache_stats,
-        analysis,
+        analysis: analyses.stats(),
     }
 }
 
@@ -600,7 +603,7 @@ fn run_wave<I: Sync, T: Send>(
 }
 
 /// Compiles one SCC as a wave task: allocates each member, lowers it at
-/// once, and returns the members' records with their fresh extras. Runs
+/// once, and returns the members' records with their trace shards. Runs
 /// on one of its wave's helpers only when the wave passed the hand-off
 /// gate, otherwise on the driver thread; either way its records are the
 /// same.
@@ -623,10 +626,10 @@ fn compile_component(
     analyses: &AnalysisCache,
     body_hashes: &[u64],
     scratch: &mut CompileScratch,
-) -> (Vec<CachedFunc>, Vec<FreshExtras>) {
+) -> (Vec<CachedFunc>, Vec<ipra_obs::Trace>) {
     let mut overlay = (comp.len() > 1).then(|| env.clone());
     let mut funcs = Vec::with_capacity(comp.len());
-    let mut extras = Vec::with_capacity(comp.len());
+    let mut shards = Vec::with_capacity(comp.len());
     for &fid in comp {
         let func = &module.funcs[fid];
         // On a helper thread there is no sink: install one and return
@@ -638,7 +641,7 @@ fn compile_component(
         if capture {
             ipra_obs::enable();
         }
-        let (cf, analysis_hit) = {
+        let cf = {
             let _obs = ipra_obs::scope(&func.name);
             let art = allocate_function_with(
                 module,
@@ -656,10 +659,7 @@ fn compile_component(
                 let _t = ipra_obs::span("lower");
                 lower_function_with(module, func, target, &art, scratch)
             };
-            (
-                CachedFunc::new(func.name.clone(), &art, code),
-                art.analysis_hit,
-            )
+            CachedFunc::new(func.name.clone(), &art, code)
         };
         let shard = if capture {
             ipra_obs::disable()
@@ -670,9 +670,9 @@ fn compile_component(
             ov.publish(fid, &cf.summary, cf.tree_used);
         }
         funcs.push(cf);
-        extras.push((analysis_hit, shard));
+        shards.push(shard);
     }
-    (funcs, extras)
+    (funcs, shards)
 }
 
 #[cfg(test)]

@@ -4,16 +4,20 @@
 //! and drops it on return — fine for one-shot batch compiles, wasteful
 //! for the recompile loops the incremental cache exists for (daemons,
 //! convention sweeps, watch modes). [`Pipeline`] is the long-lived
-//! counterpart: it owns the memoized per-function analyses
-//! ([`AnalysisCache`]), the per-worker scratch buffers ([`ScratchPool`]),
-//! and an in-memory image of decoded incremental-cache entries, all of
-//! which survive from one [`Pipeline::compile`] call to the next.
+//! counterpart: it owns the prepared-module memo, the component memo
+//! (every component it compiled or decoded, whatever cache directory the
+//! compile named, if any) and the per-worker scratch buffers
+//! ([`ScratchPool`]), all of which survive from one [`Pipeline::compile`]
+//! call to the next.
 //!
-//! On a warm recompile a cache hit is then answered from the in-memory
-//! entry (no file read, no JSON parse, no machine-code re-decode), an
-//! unchanged function's analyses come back as a shared `Arc`, and the
-//! allocator phases run inside recycled scratch — which is what drives
-//! the heap-allocation reduction the `recompile_allocs` test pins.
+//! On a warm recompile an unchanged module's preparation comes back
+//! whole, every component whose key is unchanged replays from memory
+//! (no allocation, no file read, no JSON parse, no machine-code
+//! re-decode), and the components that do change are allocated inside
+//! recycled scratch — which is what drives the heap-allocation reduction
+//! the `recompile_allocs` test pins. Analyses are not memoized: each
+//! compile computes those of the functions it allocates and drops them.
+//! Both memos are FIFO-bounded in a daemon, so its memory is too.
 //!
 //! Output is bit-identical to the one-shot entry points for every
 //! jobs/cache/scratch combination; the differential oracle compiles the
@@ -22,13 +26,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use ipra_callgraph::{CallGraph, Openness, SccInfo};
 use ipra_ir::{hash_module, Fnv64, Module};
 use ipra_machine::Target;
 
-use crate::analysis::{AnalysisCache, AnalysisStats};
 use crate::cache::CachedFunc;
 use crate::config::AllocOptions;
 use crate::inline::InlineStats;
@@ -147,11 +151,12 @@ impl<K: Eq + Hash + Clone, V> BoundedMemo<K, V> {
 /// Fingerprint of a module's function and global names in id order.
 ///
 /// A component key names callees and globals by name, so it is the same
-/// in every module that contains the component; a decoded entry's machine
-/// code refers to them by id, in the numbering of the module it was
-/// decoded for. The decoded-entry memo is keyed by both, so an entry is
-/// replayed only into a module numbered the same way; any other module
-/// decodes it again, by name.
+/// in every module that contains the component; a memoized entry's
+/// machine code refers to them by id, in the numbering of the module it
+/// was compiled or decoded for. The component memo is keyed by both, so
+/// an entry is replayed only into a module numbered the same way; any
+/// other module allocates the component again, or decodes it by name
+/// from the cache directory.
 pub(crate) fn numbering_key(module: &Module) -> u64 {
     let mut h = Fnv64::new();
     h.write_usize(module.funcs.len());
@@ -165,13 +170,34 @@ pub(crate) fn numbering_key(module: &Module) -> u64 {
     h.finish()
 }
 
-/// Key of the decoded-entry memo: the component key and the
-/// [`numbering_key`] of the module the entry was decoded for.
-type EntryKey = (u64, u64);
+/// Fingerprint of the cache directory a compile names, or of none.
+///
+/// Part of the component memo's key, so an entry answers only compiles
+/// naming the directory it was compiled or decoded for. A compile naming
+/// another directory misses the memo and reads and writes its own
+/// directory, so every directory ends up holding what its compiles
+/// produced. A collision could only skip a directory's disk tier, never
+/// change the code.
+pub(crate) fn directory_key(dir: Option<&Path>) -> u64 {
+    let mut h = Fnv64::new();
+    match dir {
+        Some(d) => {
+            h.write_u8(1);
+            h.write_bytes(d.as_os_str().as_encoded_bytes());
+        }
+        None => h.write_u8(0),
+    }
+    h.finish()
+}
 
-/// Long-lived compilation state: analysis memo, scratch pool, and the
-/// in-memory incremental-cache image. Create one per daemon/JIT/bench
-/// process and push every compile through it.
+/// Key of the component memo: the component key, the [`numbering_key`]
+/// of the module the entry belongs to, and the [`directory_key`] of the
+/// compile that produced it.
+type EntryKey = (u64, u64, u64);
+
+/// Long-lived compilation state: prepared-module memo, component memo
+/// and scratch pool. Create one per daemon/JIT/bench process and push
+/// every compile through it.
 ///
 /// A `Pipeline` is `Send + Sync`: wave workers already share it within a
 /// compile, and a compile daemon shares one across concurrent client
@@ -179,13 +205,12 @@ type EntryKey = (u64, u64);
 /// bit-identical no matter how the memos interleave.
 #[derive(Debug)]
 pub struct Pipeline {
-    /// Per-function analyses memoized across compiles by body hash.
-    pub(crate) analyses: AnalysisCache,
     /// Recycled per-worker scratch buffers.
     pub(crate) scratch: ScratchPool,
-    /// Decoded incremental-cache entries by component key and
-    /// [`numbering_key`], so a warm recompile never touches the cache
-    /// directory again.
+    /// Every component this pipeline compiled, or decoded from a cache
+    /// directory, by [`EntryKey`]: the first tier of the incremental
+    /// cache, in front of the directory, so a warm recompile neither
+    /// allocates nor touches the directory again.
     pub(crate) entries: Mutex<BoundedMemo<EntryKey, Arc<Vec<CachedFunc>>>>,
     /// Prepared (transformed + module-level-analyzed) modules by
     /// whole-module hash plus inline configuration, so a warm recompile
@@ -196,7 +221,7 @@ pub struct Pipeline {
     prepared: Mutex<BoundedMemo<(u64, bool, u64), Arc<PreparedModule>>>,
     /// Whether this pipeline serves a single compile and so stores
     /// nothing in its memos ([`Pipeline::one_shot`]).
-    one_shot: bool,
+    pub(crate) one_shot: bool,
 }
 
 impl Default for Pipeline {
@@ -220,26 +245,22 @@ impl Pipeline {
 
     /// The pipeline of one [`crate::compile_module`] call. It dies with
     /// the compile, so nothing it memoized could ever be read again: it
-    /// prepares the module without the memo or its guard copy, keeps no
-    /// analyses and mirrors no cache entry. Only its scratch pool, which
-    /// the compile's own functions reuse, does any work.
+    /// prepares the module without the memo or its guard copy and keeps
+    /// no component. Only its scratch pool, which the compile's own
+    /// functions reuse, does any work.
     pub(crate) fn one_shot() -> Pipeline {
         Pipeline {
-            analyses: AnalysisCache::one_shot(),
             one_shot: true,
             ..Pipeline::new()
         }
     }
 
-    /// A pipeline whose prepared-module and decoded-entry memos are
+    /// A pipeline whose prepared-module and component memos are
     /// FIFO-bounded to `prepared_cap` / `entries_cap` entries — the
-    /// daemon configuration. The analysis memo needs no cap of its own:
-    /// its entries are only reachable through prepared modules, so
-    /// bounding those bounds its useful size, and stale analyses are
-    /// never looked up again.
+    /// daemon configuration. Nothing else it keeps grows with the number
+    /// of modules served, so these two caps bound its memory.
     pub fn with_memo_caps(prepared_cap: usize, entries_cap: usize) -> Pipeline {
         Pipeline {
-            analyses: AnalysisCache::default(),
             scratch: ScratchPool::default(),
             entries: Mutex::new(BoundedMemo::new(entries_cap.max(1))),
             prepared: Mutex::new(BoundedMemo::new(prepared_cap.max(1))),
@@ -247,7 +268,7 @@ impl Pipeline {
         }
     }
 
-    /// Current sizes of the (prepared-module, decoded-entry) memos, for
+    /// Current sizes of the (prepared-module, component) memos, for
     /// daemon metrics gauges.
     pub fn memo_sizes(&self) -> (usize, usize) {
         (
@@ -288,12 +309,6 @@ impl Pipeline {
         h.finish()
     }
 
-    /// Lifetime hit/miss totals of the analysis memo (each
-    /// [`CompiledModule::analysis`] carries the per-compile window).
-    pub fn analysis_stats(&self) -> AnalysisStats {
-        self.analyses.stats()
-    }
-
     /// The prepared form of `module` under `opts` (and, when inlining is
     /// on, `profile`), from the memo when the exact same input was
     /// prepared before. A colliding hash is caught by the stored
@@ -328,9 +343,22 @@ impl Pipeline {
         p
     }
 
-    /// Mirrors a decoded or freshly compiled cache entry into the entry
-    /// memo, so the next compile through this pipeline replays it from
-    /// memory. A one-shot pipeline keeps none.
+    /// The shared entry of a component's records, compiled or decoded.
+    /// One this pipeline will keep holds its machine code at exact
+    /// capacity, so the memo pays for no slack left by lowering or
+    /// decoding.
+    pub(crate) fn shared_entry(&self, mut funcs: Vec<CachedFunc>) -> Arc<Vec<CachedFunc>> {
+        if !self.one_shot {
+            for cf in &mut funcs {
+                cf.code.shrink_to_fit();
+            }
+        }
+        Arc::new(funcs)
+    }
+
+    /// Keeps a decoded or freshly compiled component entry, so the next
+    /// compile of it through this pipeline replays it from memory. A
+    /// one-shot pipeline keeps none.
     pub(crate) fn remember_entry(&self, key: EntryKey, entry: Arc<Vec<CachedFunc>>) {
         if !self.one_shot {
             self.entries.lock().unwrap().insert(key, entry);

@@ -257,7 +257,7 @@ fn remote_main(socket: &str, args: &Args) -> Result<(), String> {
         let from = if cache.is_some() {
             "the cache"
         } else {
-            "the daemon's analysis memo"
+            "the daemon's component memo"
         };
         eprintln!("[remote] warm: replayed from {from}");
     }

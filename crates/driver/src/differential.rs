@@ -8,7 +8,8 @@
 //! across cache temperature (a warm `--cache-dir` compile replays to the
 //! same assembly as the cold one that populated it), and across scratch
 //! reuse (a second compile through one persistent pipeline — memoized
-//! analyses, recycled buffers — matches a fresh compile). A final trace oracle
+//! components — and a compile under another configuration in its
+//! recycled buffers match fresh compiles). A final trace oracle
 //! re-compiles under tracing and demands that the `--trace-json` document
 //! re-parses, that its span tree is well formed, and that the per-edge
 //! penalty ledger reconciles exactly with the aggregate statistics.
@@ -221,10 +222,12 @@ pub fn check_module(module: &Module, opts: &DiffOptions) -> Result<DiffVerdict, 
 }
 
 /// Scratch-reuse parity: compiling the same module twice through one
-/// persistent [`ipra_core::Pipeline`] — the second pass replays memoized
-/// analyses and runs inside recycled scratch buffers — must render
-/// assembly byte-identical to a fresh one-shot compile, and the second
-/// pass must answer every analysis lookup from the memo.
+/// persistent [`ipra_core::Pipeline`] must render assembly byte-identical
+/// to a fresh one-shot compile, and the second pass, which replays every
+/// component from the pipeline's memo, must allocate no function. The
+/// module is then compiled under configuration E through the same
+/// pipeline, which misses the memo and allocates in the recycled scratch
+/// buffers, and must match E's one-shot compile byte for byte.
 fn check_scratch_reuse(module: &Module) -> Result<(), DiffFailure> {
     let config = Config::c();
     let fresh = compile_only(module, &config);
@@ -242,17 +245,26 @@ fn check_scratch_reuse(module: &Module) -> Result<(), DiffFailure> {
     if second.mmodule.asm(&config.target.regs) != want {
         return Err(fail(
             "scratch",
-            "reused-scratch recompile differs from fresh compile",
+            "memoized recompile differs from fresh compile",
         ));
     }
-    let n = module.funcs.len() as u64;
-    if second.analysis.hits != n || second.analysis.misses != 0 {
+    if second.analysis.misses != 0 {
         return Err(fail(
             "scratch",
             format!(
-                "warm recompile expected {n} analysis-memo hits / 0 misses, got {} / {}",
-                second.analysis.hits, second.analysis.misses
+                "warm recompile expected to allocate no function, allocated {}",
+                second.analysis.misses
             ),
+        ));
+    }
+    let other = Config::e();
+    let reused = pipe.compile(module, &other.target, &other.opts);
+    if reused.mmodule.asm(&other.target.regs)
+        != compile_only(module, &other).mmodule.asm(&other.target.regs)
+    {
+        return Err(fail(
+            "scratch",
+            "reused-scratch compile under E differs from fresh compile",
         ));
     }
     Ok(())

@@ -1,8 +1,8 @@
 //! The compile service behind `mini-ccd` — a long-lived, concurrent,
 //! cache-hot compilation daemon.
 //!
-//! One [`Service`] owns a shared [`Pipeline`] (analysis memo, scratch
-//! pool, decoded-cache image, prepared-module memo) and serves any number
+//! One [`Service`] owns a shared [`Pipeline`] (prepared-module memo,
+//! component memo, scratch pool) and serves any number
 //! of client sessions concurrently, each on its own thread via
 //! [`Service::serve_session`]. Sessions speak the length-prefixed JSON
 //! protocol of [`ipra_obs::frame`]: every request is one frame, every
@@ -56,8 +56,8 @@
 //! shrink-wrapping off; `true` keeps the level's setting. Responses carry
 //! `id` back as sent (any JSON value),
 //! `status` (`ok` | `error` | `busy`), and on success the rendered
-//! `asm`, a `warm` flag (the whole compile was answered from the cache
-//! when a `cache_dir` is set, else from the analysis memo),
+//! `asm`, a `warm` flag (the compile allocated no function and replayed
+//! at least one, from the component memo or the `cache_dir`),
 //! `cache`/`analysis` statistics, plus `output` and
 //! `stats` when `run` was set and a `trace` document when `trace` was.
 //! The other commands are `{"cmd": "ping"}`, `{"cmd": "metrics"}` and
@@ -94,7 +94,7 @@ pub struct ServiceConfig {
 /// FIFO bound on the shared pipeline's prepared-module memo.
 const PREPARED_CAP: usize = 256;
 
-/// FIFO bound on the shared pipeline's decoded-cache-entry memo.
+/// FIFO bound on the shared pipeline's component memo.
 const ENTRIES_CAP: usize = 4096;
 
 impl Default for ServiceConfig {
@@ -222,7 +222,7 @@ impl Service {
         Service::new(ServiceConfig::default())
     }
 
-    /// The shared pipeline (memo sizes, analysis stats).
+    /// The shared pipeline (memo sizes).
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
     }
@@ -424,14 +424,9 @@ impl Service {
         };
 
         let asm = compiled.mmodule.asm(&config.target.regs);
-        // "Warm" means nothing had to be recomputed from source: with a
-        // cache directory, the cache answered every function; without
-        // one, the analysis memo did.
-        let warm = if compiled.cache.enabled {
-            compiled.cache.misses == 0 && compiled.cache.hits > 0
-        } else {
-            compiled.analysis.misses == 0 && compiled.analysis.hits > 0
-        };
+        // "Warm" means the compile allocated no function and replayed at
+        // least one, from the component memo or the cache directory.
+        let warm = compiled.cache.misses == 0 && compiled.cache.hits > 0;
         if warm {
             self.count("service.warm_hits", &[], 1);
         }

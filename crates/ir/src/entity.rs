@@ -109,6 +109,11 @@ impl<K: EntityId, V> EntityVec<K, V> {
         self.items.is_empty()
     }
 
+    /// Releases the spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.items.shrink_to_fit();
+    }
+
     /// Appends a value, returning its id.
     pub fn push(&mut self, value: V) -> K {
         let k = K::from_index(self.items.len());

@@ -223,8 +223,8 @@ pub fn hash_function(module: &Module, fid: FuncId) -> u64 {
 }
 
 /// Structural hashes of every function in the module, indexed by
-/// `FuncId`. One pass here replaces the per-consumer re-hashing the
-/// incremental cache and the analysis memo would otherwise each do.
+/// `FuncId`. One pass here replaces the per-function re-hashing the
+/// incremental cache's component keys would otherwise do.
 pub fn hash_all_functions(module: &Module) -> Vec<u64> {
     module
         .funcs

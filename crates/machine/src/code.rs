@@ -270,6 +270,18 @@ pub struct MModule {
     pub main: Option<FuncId>,
 }
 
+impl MFunction {
+    /// Releases the spare capacity of the blocks, their instruction
+    /// lists and the frame, for code kept long after lowering built it.
+    pub fn shrink_to_fit(&mut self) {
+        for b in self.blocks.values_mut() {
+            b.insts.shrink_to_fit();
+        }
+        self.blocks.shrink_to_fit();
+        self.frame.shrink_to_fit();
+    }
+}
+
 impl MInst {
     /// Whether the instruction is a memory access of a scalar class.
     pub fn is_scalar_mem(&self) -> bool {

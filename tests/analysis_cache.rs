@@ -1,8 +1,9 @@
-//! Tests for the per-function analysis memo and the reusable scratch
-//! pools: a persistent [`ipra_core::Pipeline`] must replay analyses for
-//! unchanged bodies and recompute exactly the edited ones, the compile
-//! trace must carry the memo counters, and reusing scratch across
-//! compiles (at any job count) must never change the machine code.
+//! Tests for the component memo and the reusable scratch pools: a
+//! persistent [`ipra_core::Pipeline`] must replay every unchanged
+//! component and allocate exactly the edited ones, the compile trace
+//! must carry the compile's analysis counters, and reusing scratch
+//! across compiles (at any job count) must never change the machine
+//! code.
 
 use ipra_core::Pipeline;
 use ipra_driver::{compile_and_run_traced, compile_only, Config};
@@ -16,44 +17,57 @@ fn other(a: int) -> int { return a * 3; }
 fn main() { print(top(2) + other(5)); }
 "#;
 
-/// A cold compile misses the memo for every function, a warm recompile
-/// of the identical module hits for every function, and editing one
-/// body recomputes exactly that function's analyses — all while staying
-/// bit-identical to fresh one-shot compiles.
+/// Without a cache directory, a cold compile allocates every function, a
+/// warm recompile of the identical module allocates none and replays
+/// all of them from the component memo, and editing one body allocates
+/// exactly that function while its caller replays as an early cutoff —
+/// all while staying bit-identical to fresh one-shot compiles.
 #[test]
 fn memo_invalidation_follows_body_edits_exactly() {
     let m1 = ipra_frontend::compile(CHAIN).unwrap();
-    // Same shape, different constant: only `leaf`'s body hash changes.
+    // Same shape, different constant: only `leaf`'s body hash changes,
+    // and its summary does not.
     let m2 = ipra_frontend::compile(&CHAIN.replace("return a + 1;", "return a + 2;")).unwrap();
     let n = m1.funcs.len() as u64;
     let cfg = Config::c();
+    let asm = |c: &ipra_core::CompiledModule| c.mmodule.asm(&cfg.target.regs);
 
     let pipe = Pipeline::new();
     let cold = pipe.compile(&m1, &cfg.target, &cfg.opts);
-    assert_eq!((cold.analysis.hits, cold.analysis.misses), (0, n));
+    assert_eq!((cold.cache.hits, cold.cache.misses), (0, n));
+    assert_eq!(cold.analysis.misses, n);
 
     let warm = pipe.compile(&m1, &cfg.target, &cfg.opts);
-    assert_eq!((warm.analysis.hits, warm.analysis.misses), (n, 0));
     assert_eq!(
-        warm.mmodule.asm(&cfg.target.regs),
-        cold.mmodule.asm(&cfg.target.regs)
+        (warm.analysis.misses, warm.cache.misses),
+        (0, 0),
+        "the warm recompile allocates no function"
+    );
+    assert_eq!(warm.cache.hits, n, "and replays every one");
+    assert_eq!(warm.cache.cutoffs, 0);
+    assert_eq!(
+        asm(&warm),
+        asm(&compile_only(&m1, &cfg)),
+        "memoized compile of the unchanged module == fresh compile"
     );
 
     let edited = pipe.compile(&m2, &cfg.target, &cfg.opts);
     assert_eq!(
-        (edited.analysis.hits, edited.analysis.misses),
-        (n - 1, 1),
-        "editing one body must recompute exactly that function's analyses"
+        edited.cache.recompiled,
+        ["leaf"],
+        "editing one body must allocate exactly that function"
+    );
+    assert_eq!(edited.analysis.misses, 1);
+    assert_eq!(edited.cache.hits, n - 1);
+    assert_eq!(
+        edited.cache.cutoffs, 1,
+        "`mid`, the edited function's one caller, replays as a cutoff"
     );
     assert_eq!(
-        edited.mmodule.asm(&cfg.target.regs),
-        compile_only(&m2, &cfg).mmodule.asm(&cfg.target.regs),
+        asm(&edited),
+        asm(&compile_only(&m2, &cfg)),
         "memoized compile of the edited module == fresh compile"
     );
-
-    // Lifetime totals accumulate across the three compiles.
-    let life = pipe.analysis_stats();
-    assert_eq!((life.hits, life.misses), (2 * n - 1, n + 1));
 }
 
 /// The compile trace carries the analysis-memo window of its compile, in
@@ -81,9 +95,12 @@ fn trace_reports_analysis_memo_counters() {
 
 /// Scratch reuse must be invisible in the output: recompiling through
 /// one pipeline (serial and parallel, cold and warm memo) renders the
-/// same bytes as a fresh one-shot compile every time. No nim wave pays
-/// for a hand-off, so `tree-8x2`, whose widest waves do, also runs the
-/// helpers' scratch.
+/// same bytes as a fresh one-shot compile every time. A warm recompile
+/// replays every component and allocates nothing, so each pipeline then
+/// compiles the module under configuration E, which misses the memo and
+/// allocates every function in the scratch the earlier compiles left.
+/// No nim wave pays for a hand-off, so `tree-8x2`, whose widest waves
+/// do, also runs the helpers' scratch.
 #[test]
 fn reused_scratch_is_bit_identical_across_jobs() {
     let workload = ipra_workloads::by_name("nim").unwrap();
@@ -105,6 +122,22 @@ fn reused_scratch_is_bit_identical_across_jobs() {
                     "{name} jobs={jobs} round={round}: reused scratch changed the output"
                 );
             }
+
+            let mut second = Config::e();
+            second.opts.jobs = jobs;
+            let got = pipe.compile(&module, &second.target, &second.opts);
+            assert_eq!(
+                got.cache.misses,
+                module.funcs.len() as u64,
+                "{name} jobs={jobs}: E allocates every function"
+            );
+            assert_eq!(
+                got.mmodule.asm(&second.target.regs),
+                compile_only(&module, &second)
+                    .mmodule
+                    .asm(&second.target.regs),
+                "{name} jobs={jobs}: reused scratch changed E's output"
+            );
         }
     }
 }

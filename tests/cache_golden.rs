@@ -356,6 +356,59 @@ fn memoized_entry_survives_a_global_inserted_before_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A pipeline's component memo answers only compiles naming the
+/// directory its entries came from. After nim is compiled through one
+/// pipeline with directory A, the same pipeline compiling it with an
+/// empty directory B must miss every component and write each to B, so
+/// that a fresh one-shot compile with B then replays every one.
+#[test]
+fn memoized_entries_answer_only_their_own_cache_directory() {
+    let nim = ipra_workloads::by_name("nim").unwrap();
+    let module = ipra_workloads::compile_workload(nim).unwrap();
+    let n = module.funcs.len() as u64;
+    assert_eq!(n, 7, "nim's functions, each its own component");
+    let (a, b) = (cache_dir("dir-a"), cache_dir("dir-b"));
+    let pipe = Pipeline::new();
+    let mut cfg = Config::c();
+
+    cfg.opts.cache_dir = Some(a.clone());
+    let in_a = pipe.compile(&module, &cfg.target, &cfg.opts);
+    assert_eq!(
+        (in_a.cache.hits, in_a.cache.misses),
+        (0, n),
+        "A starts empty"
+    );
+
+    cfg.opts.cache_dir = Some(b.clone());
+    let in_b = pipe.compile(&module, &cfg.target, &cfg.opts);
+    assert_eq!(
+        (in_b.cache.hits, in_b.cache.misses),
+        (0, n),
+        "A's entries must not answer a compile naming B"
+    );
+    let shards = std::fs::read_dir(&b)
+        .map(|rd| {
+            rd.flatten()
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".ce.json"))
+                .count()
+        })
+        .unwrap_or(0);
+    assert_eq!(shards, 7, "B holds one shard per component");
+
+    let from_b = compile_only(&module, &cfg);
+    assert_eq!(
+        (from_b.cache.hits, from_b.cache.misses),
+        (n, 0),
+        "a one-shot compile replays every component from B"
+    );
+    let want = observe(&compile_only(&module, &Config::c()), &cfg);
+    for (tier, compiled) in [("A", &in_a), ("B", &in_b), ("B from disk", &from_b)] {
+        assert_eq!(observe(compiled, &cfg), want, "{tier}");
+    }
+    let _ = std::fs::remove_dir_all(&a);
+    let _ = std::fs::remove_dir_all(&b);
+}
+
 /// `mini-cc --cache-dir` end to end: the cold run misses every function,
 /// the warm run replays every function, and both print the same asm.
 #[test]

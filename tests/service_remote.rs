@@ -413,9 +413,9 @@ fn daemon_reaps_finished_sessions() {
 
 /// With a `cache_dir`, "warm" means the cache answered every function. A
 /// request that misses an empty cache directory is cold even when the
-/// shared analysis memo already holds every function, and a fresh daemon
-/// replaying a populated cache directory is warm although its analysis
-/// memo is empty.
+/// shared component memo already holds every function compiled without
+/// one, and a fresh daemon replaying a populated cache directory is warm
+/// although its component memo starts empty.
 #[test]
 fn warm_flag_follows_the_cache_when_one_is_configured() {
     let dir = std::env::temp_dir().join(format!("ipra-remote-warm-{}", std::process::id()));
@@ -434,7 +434,7 @@ fn warm_flag_follows_the_cache_when_one_is_configured() {
 
     let service = Service::with_defaults();
     expect(&service, &plain, false, "first compile");
-    expect(&service, &plain, true, "analysis-memo replay");
+    expect(&service, &plain, true, "component-memo replay");
     expect(&service, &cached, false, "every function missed the cache");
 
     let fresh = Service::with_defaults();
