@@ -200,22 +200,23 @@ pub fn compile_module_with_profile(
     opts: &AllocOptions,
     profile: Option<&[Vec<u64>]>,
 ) -> CompiledModule {
-    compile_module_impl(module, target, opts, profile, &Pipeline::one_shot())
+    let prep = prepare_module(module.clone(), opts, profile);
+    compile_prepared(&prep, target, opts, profile, &Pipeline::one_shot())
 }
 
-/// The module-level front half of one compile: clone and transform the
-/// input (entry normalization, optional global promotion, optional
-/// profile-guided inlining), hash the transformed bodies, and build the
-/// call graph, its SCC condensation and the openness classification.
-/// Deterministic in the input (including the profile, which steers the
-/// inliner when that pass is on), so [`Pipeline`] memoizes the whole
-/// bundle by module hash plus inline configuration.
+/// The module-level front half of one compile: transform the module
+/// (entry normalization, optional global promotion, optional
+/// profile-guided inlining) in place, hash the transformed bodies, and
+/// build the call graph, its SCC condensation and the openness
+/// classification. Deterministic in the input (including the profile,
+/// which steers the inliner when that pass is on), so
+/// [`Pipeline::compile_source`] memoizes the whole bundle by source text
+/// plus promotion and inline configuration.
 pub(crate) fn prepare_module(
-    module: &Module,
+    mut module: Module,
     opts: &AllocOptions,
     profile: Option<&[Vec<u64>]>,
 ) -> PreparedModule {
-    let mut module = module.clone();
     // Prologue code must run once per invocation, so entries may not be
     // branch targets (front ends guarantee this; generated IR may not).
     normalize_entries(&mut module);
@@ -242,7 +243,6 @@ pub(crate) fn prepare_module(
     let scc = SccInfo::compute(&cg);
     let openness = Openness::compute(&module, &cg, &scc);
     PreparedModule {
-        from: None,
         module,
         promotion,
         inline,
@@ -253,18 +253,19 @@ pub(crate) fn prepare_module(
     }
 }
 
-/// The driver body behind both the one-shot entry points above and
-/// [`Pipeline::compile`]. All memoized state (prepared modules, compiled
-/// components, scratch pool) lives in `pipe`, so its lifetime decides
-/// what a recompile can reuse.
-pub(crate) fn compile_module_impl(
-    module: &Module,
+/// The driver body behind the one-shot entry points above,
+/// [`Pipeline::compile`] and [`Pipeline::compile_source`]: everything
+/// after preparation, so a prepared module replayed from the memo goes
+/// straight to the component lookups. The compiled components and the
+/// scratch pool live in `pipe`, so its lifetime decides what a recompile
+/// can reuse.
+pub(crate) fn compile_prepared(
+    prep: &PreparedModule,
     target: &Target,
     opts: &AllocOptions,
     profile: Option<&[Vec<u64>]>,
     pipe: &Pipeline,
 ) -> CompiledModule {
-    let prep = pipe.prepared(module, opts, profile);
     let module = &prep.module;
     let promotion = prep.promotion;
     let body_hashes = &prep.body_hashes;
@@ -402,8 +403,7 @@ pub(crate) fn compile_module_impl(
                             .all(|(cf, &fid)| cf.name == module.funcs[fid].name)
                 };
                 let memo_key = (key, numbering, directory);
-                let memo = pipe.entries.lock().unwrap().get(&memo_key).cloned();
-                if let Some(funcs) = memo {
+                if let Some(funcs) = pipe.memo_entry(&memo_key) {
                     if matches(&funcs) {
                         hits[i] = Some(funcs);
                         continue;
@@ -751,7 +751,7 @@ mod tests {
     /// Whether each wave of `module`, prepared under `opts`, pays for a
     /// hand-off, with the wave's width.
     fn wave_gates(module: &Module, opts: &AllocOptions) -> Vec<(usize, bool)> {
-        let prep = prepare_module(module, opts, None);
+        let prep = prepare_module(module.clone(), opts, None);
         prep.scc
             .levels(&prep.cg)
             .iter()

@@ -22,6 +22,8 @@ use ipra_cfg::BitSet;
 use ipra_ir::Vreg;
 use ipra_machine::{PReg, RegMask};
 
+use crate::pipeline::lock_cache;
+
 /// A pool of `Vec<RegMask>` buffers.
 ///
 /// The allocator's hottest transient shape: occupancy vectors, avail/save
@@ -109,21 +111,23 @@ impl CompileScratch {
 /// A shared pool of [`CompileScratch`] instances, one per concurrently
 /// active worker. Lives on the [`crate::Pipeline`], so scratch survives
 /// not just across functions in one compile but across whole recompiles.
+/// A worker that panics drops the scratch it holds, and a pool whose lock
+/// a panic poisoned is emptied, so no half-used scratch is handed out.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    free: Mutex<Vec<CompileScratch>>,
+    pub(crate) free: Mutex<Vec<CompileScratch>>,
 }
 
 impl ScratchPool {
     /// Borrows a scratch instance (creating one if the pool is dry).
     /// Return it with [`ScratchPool::release`] when the worker finishes.
     pub fn acquire(&self) -> CompileScratch {
-        self.free.lock().unwrap().pop().unwrap_or_default()
+        lock_cache(&self.free, Vec::clear).pop().unwrap_or_default()
     }
 
     /// Returns a scratch instance for the next worker.
     pub fn release(&self, s: CompileScratch) {
-        self.free.lock().unwrap().push(s);
+        lock_cache(&self.free, Vec::clear).push(s);
     }
 }
 

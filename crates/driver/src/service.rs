@@ -28,7 +28,9 @@
 //! other sessions are doing. The shared pipeline guarantees this by
 //! construction (its memos only short-circuit recomputation of values
 //! that are pure functions of their keys) and the differential oracle's
-//! service check enforces it on every fuzz seed.
+//! service check enforces it on every fuzz seed. Every request compiles
+//! through [`Pipeline::compile_source`], so a text the pipeline prepared
+//! before under the same options skips the front end.
 //!
 //! # Wire protocol
 //!
@@ -409,18 +411,22 @@ impl Service {
         trace: bool,
         id: &Json,
     ) -> Json {
-        let module = match ipra_frontend::compile(source) {
-            Ok(m) => m,
-            Err(e) => return error_response(id, &format!("compile error: {e}")),
-        };
+        // The trace starts before the front end, which a text the
+        // pipeline prepared before skips; the front end records nothing,
+        // so the trace is the same either way.
         if trace {
             ipra_obs::enable();
         }
-        let compiled = self.pipeline.compile(&module, &config.target, &config.opts);
-        let raw = if trace {
-            Some(ipra_obs::disable())
-        } else {
-            None
+        let compiled = self.pipeline.compile_source(
+            source,
+            ipra_frontend::compile,
+            &config.target,
+            &config.opts,
+        );
+        let raw = trace.then(ipra_obs::disable);
+        let compiled = match compiled {
+            Ok(compiled) => compiled,
+            Err(e) => return error_response(id, &format!("compile error: {e}")),
         };
 
         let asm = compiled.mmodule.asm(&config.target.regs);

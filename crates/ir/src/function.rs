@@ -100,6 +100,31 @@ impl Function {
         self.vreg_names.get(v.0 as usize).and_then(|n| n.as_deref())
     }
 
+    /// Drops every buffer's spare capacity, so a function kept for long
+    /// holds no slack left by the front end or the passes that grew it,
+    /// as a clone would not.
+    pub fn shrink_to_fit(&mut self) {
+        self.name.shrink_to_fit();
+        self.params.shrink_to_fit();
+        for b in self.blocks.values_mut() {
+            for inst in &mut b.insts {
+                if let Inst::Call { args, .. } = inst {
+                    args.shrink_to_fit();
+                }
+            }
+            b.insts.shrink_to_fit();
+        }
+        self.blocks.shrink_to_fit();
+        for s in self.slots.values_mut() {
+            s.name.shrink_to_fit();
+        }
+        self.slots.shrink_to_fit();
+        for name in self.vreg_names.iter_mut().flatten() {
+            name.shrink_to_fit();
+        }
+        self.vreg_names.shrink_to_fit();
+    }
+
     /// Number of basic blocks.
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()

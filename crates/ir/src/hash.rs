@@ -233,38 +233,8 @@ pub fn hash_all_functions(module: &Module) -> Vec<u64> {
         .collect()
 }
 
-/// Structural hash of a whole module: every function in id order, every
-/// global (name, size, initializer) and the entry point. Keys whole-module
-/// memos such as the pipeline's prepared-module cache; unlike
-/// [`hash_function`] it is id-order sensitive by design — the memoized
-/// artifacts embed entity ids.
-pub fn hash_module(module: &Module) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_usize(module.funcs.len());
-    for (_, f) in module.funcs.iter() {
-        hash_function_into(&mut h, module, f);
-    }
-    h.write_usize(module.globals.len());
-    for (_, g) in module.globals.iter() {
-        h.write_str(&g.name);
-        h.write_u32(g.size);
-        h.write_usize(g.init.len());
-        for v in &g.init {
-            h.write_i64(*v);
-        }
-    }
-    match module.main {
-        Some(f) => {
-            h.write_u8(1);
-            h.write_u32(f.0);
-        }
-        None => h.write_u8(0),
-    }
-    h.finish()
-}
-
 /// Absorbs the structural content of `func` into an existing hasher.
-pub fn hash_function_into(h: &mut Fnv64, module: &Module, func: &Function) {
+fn hash_function_into(h: &mut Fnv64, module: &Module, func: &Function) {
     h.write_str(&func.name);
     h.write_u8(func.attrs.external_visible as u8);
     h.write_usize(func.params.len());

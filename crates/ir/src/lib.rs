@@ -43,7 +43,7 @@ pub mod verify;
 
 pub use entity::{EntityId, EntityMap, EntityVec};
 pub use function::{Block, FuncAttrs, Function, SlotData};
-pub use hash::{hash_all_functions, hash_function, hash_module, Fnv64};
+pub use hash::{hash_all_functions, hash_function, Fnv64};
 pub use ids::{BlockId, FuncId, GlobalId, InstLoc, SlotId, Vreg};
 pub use instr::{Address, BinOp, Callee, Inst, Operand, Terminator, UnOp};
 pub use module::{GlobalData, Module};

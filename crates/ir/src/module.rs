@@ -58,6 +58,20 @@ impl Module {
         Module::default()
     }
 
+    /// Drops every buffer's spare capacity ([`Function::shrink_to_fit`]),
+    /// for a module kept for long, such as a memo entry.
+    pub fn shrink_to_fit(&mut self) {
+        for f in self.funcs.values_mut() {
+            f.shrink_to_fit();
+        }
+        self.funcs.shrink_to_fit();
+        for g in self.globals.values_mut() {
+            g.name.shrink_to_fit();
+            g.init.shrink_to_fit();
+        }
+        self.globals.shrink_to_fit();
+    }
+
     /// Adds a function and returns its id.
     pub fn add_func(&mut self, f: Function) -> FuncId {
         self.funcs.push(f)

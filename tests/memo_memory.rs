@@ -1,10 +1,11 @@
 //! Live heap of a memo-capped pipeline serving a stream of distinct
-//! modules, counted by a global allocator. A daemon's pipeline keeps
-//! prepared modules and compiled components in two FIFO memos, and
-//! nothing else it keeps grows with the number of modules served, so
-//! once both caps are full, serving twice as many modules must leave the
-//! live heap where it was. Heap counts do not vary between runs or build
-//! profiles. This file holds a single test: the counters are
+//! source texts, counted by a global allocator. A daemon's pipeline
+//! compiles every request through its source entry point and keeps
+//! prepared modules, keyed by their text, and compiled components in two
+//! FIFO memos. Nothing else it keeps grows with the number of modules
+//! served, so once both caps are full, serving twice as many modules must
+//! leave the live heap where it was. Heap counts do not vary between runs
+//! or build profiles. This file holds a single test: the counters are
 //! process-global.
 
 use ipra_bench::alloc_meter::{live_bytes, CountingAlloc};
@@ -38,8 +39,8 @@ fn a_memo_capped_pipeline_stops_growing_once_both_caps_fill() {
     let serve = |seeds: std::ops::Range<u64>| {
         for seed in seeds {
             let source = random_source(seed, &SourceConfig::default());
-            let module = ipra_frontend::compile(&source).expect("generated programs compile");
-            pipe.compile(&module, &cfg.target, &cfg.opts);
+            pipe.compile_source(&source, ipra_frontend::compile, &cfg.target, &cfg.opts)
+                .expect("generated programs compile");
         }
     };
 
