@@ -43,7 +43,7 @@ fn real_main() -> Result<(), String> {
         }
     };
 
-    let rows = run_ablation(&workloads, None)?;
+    let rows = run_ablation(&workloads)?;
     println!(
         "{:<10} {:>12} {:>12} {:>12} {:>7} {:>7}",
         "workload", "penalty-off", "penalty-inl", "penalty-i+I", "sites", "stops"

@@ -118,8 +118,8 @@ mod tests {
     fn trace_json_and_jobs_parse() {
         let a = parse(&["--trace-json", "out/traces"]);
         assert_eq!(a.trace_json.as_deref(), Some(Path::new("out/traces")));
-        // The printers' output does not depend on the worker count, so
-        // they take no `--jobs`.
+        // Every compile runs on its calling thread, so no printer takes
+        // `--jobs`.
         assert!(parse_table_args(["--jobs", "4"].map(String::from).into_iter()).is_err());
     }
 

@@ -136,9 +136,9 @@ impl SccInfo {
     /// a component's level is one more than the deepest level it calls
     /// into. All components of one level are mutually independent — none
     /// (transitively) calls another — so once every lower level is
-    /// summarized, a whole level can be allocated in parallel without
-    /// violating the paper's bottom-up invariant (callee summaries ready
-    /// at every call site).
+    /// summarized, a whole level can be looked up and allocated against
+    /// one summary environment without violating the paper's bottom-up
+    /// invariant (callee summaries ready at every call site).
     ///
     /// Returns component indices into [`SccInfo::components`], each level
     /// sorted ascending (bottom-up order within the level).

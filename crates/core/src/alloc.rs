@@ -487,9 +487,9 @@ pub fn allocate_function_with(
     // Static side of the per-edge penalty ledger: what this compile
     // *planned* to pay at each call edge (caller-side saves around call
     // sites) and at this function's own boundary (prologue saves, §6
-    // shrink-wrap placement). The labeled metrics merge additively across
-    // wave shards, so multiple sites calling the same callee accumulate
-    // into one (caller, callee) instance. Cache-replayed functions skip
+    // shrink-wrap placement). The labeled counters add up, so multiple
+    // sites calling the same callee accumulate into one (caller, callee)
+    // instance. Cache-replayed functions skip
     // allocation entirely and record nothing — the ledger describes work
     // performed by *this* compile.
     if ipra_obs::is_enabled() {

@@ -13,8 +13,8 @@
 //! The hash is exactly the invalidation rule. It covers the function name,
 //! attributes, parameters, vreg table and every block, so any edit that
 //! could change an analysis changes the key; the stale entry is simply
-//! never looked up again. Entries are shared (`Arc`), so concurrent wave
-//! workers reading the same function's analyses never copy them.
+//! never looked up again. Entries are shared (`Arc`), so concurrent
+//! compiles reading the same function's analyses never copy them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,10 +66,9 @@ pub struct AnalysisStats {
 
 /// Memo of [`FuncAnalyses`] keyed by structural body hash.
 ///
-/// Thread-safe: wave workers look up concurrently. Within one compile each
-/// function is looked up at most once and function names are part of the
-/// hash, so distinct functions never race on a key and the hit/miss
-/// counters are independent of thread scheduling.
+/// Thread-safe, so one memo may serve concurrent compiles. Within one
+/// compile each function is looked up at most once and function names
+/// are part of the hash, so distinct functions never share a key.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
     map: Mutex<HashMap<u64, Arc<FuncAnalyses>>>,
@@ -103,8 +102,8 @@ impl AnalysisCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(a), true);
         }
-        // Compute outside the lock so a large function never stalls the
-        // other wave workers' lookups.
+        // Compute outside the lock so a large function never stalls
+        // other threads' lookups.
         let a = Arc::new(FuncAnalyses::compute(func));
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.map

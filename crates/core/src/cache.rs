@@ -11,7 +11,7 @@
 //! (early cutoff) without any explicit propagation machinery.
 //!
 //! The unit of caching is the SCC component, matching the unit of work of
-//! the wave scheduler: members of a mutual-recursion component see each
+//! the driver: members of a mutual-recursion component see each
 //! other during allocation, so they hit or miss together.
 //!
 //! Persistence is *sharded*: one JSON document per component entry
@@ -71,7 +71,7 @@ pub struct CacheStats {
 }
 
 /// The one record of a compiled function: its lowered machine code, the
-/// interface published to callers, and its report statistics. A wave task
+/// interface published to callers, and its report statistics. The driver
 /// builds it right after lowering (`CachedFunc::new`) and a cache hit
 /// decodes it; the driver reads both alike, and stores the fresh ones as
 /// they are. A function was treated as open exactly when its summary is
@@ -1068,8 +1068,7 @@ mod tests {
             o3,
             config_fingerprint(&Target::with_class_limits(7, 0), &AllocOptions::o3())
         );
-        // jobs and cache_dir do not affect output, so not the key either.
-        assert_eq!(o3, config_fingerprint(&t, &AllocOptions::o3().with_jobs(4)));
+        // cache_dir does not affect output, so not the key either.
         assert_eq!(
             o3,
             config_fingerprint(&t, &AllocOptions::o3().with_cache_dir("/tmp/c"))

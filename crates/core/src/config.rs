@@ -1,7 +1,6 @@
 //! Allocation configuration: the compiler flags of the paper's §8.
 
 use std::collections::HashSet;
-use std::sync::OnceLock;
 
 /// How registers are allocated.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -46,11 +45,9 @@ pub struct AllocOptions {
     /// Per-caller growth budget for the inliner, in instructions. Only
     /// consulted when inlining is on.
     pub inline_budget: u32,
-    /// Worker threads for the wave scheduler: `0` picks [`host_cores`].
-    /// A wave with enough work to pay for the hand-off spawns up to
-    /// `jobs − 1` helpers that live as long as the wave; smaller waves
-    /// run on the calling thread (see [`crate::ipra`]). Results are
-    /// bit-identical for every value.
+    /// Unread: every compile runs on its calling thread. perfbench still
+    /// writes it, so it stays until the benchmark change that deletes it
+    /// together with those writes.
     pub jobs: usize,
     /// Directory for the incremental allocation cache (one
     /// `<key:016x>.ce.json` shard per SCC component inside it). `None`
@@ -137,36 +134,19 @@ impl AllocOptions {
         self
     }
 
-    /// Sets the wave-scheduler worker count (see [`AllocOptions::jobs`]).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
     /// Enables the incremental allocation cache rooted at `dir`.
     pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
     }
 
-    /// Resolves [`AllocOptions::jobs`] to a concrete worker count: `0`
-    /// means [`host_cores`].
+    /// The threads one compile runs on: always 1, whatever
+    /// [`AllocOptions::jobs`] says. perfbench still reports it, so it
+    /// stays until the benchmark change that deletes it together with
+    /// that report.
     pub fn effective_jobs(&self) -> usize {
-        if self.jobs == 0 {
-            host_cores()
-        } else {
-            self.jobs
-        }
+        1
     }
-}
-
-/// The host's core count as `std::thread::available_parallelism` reports
-/// it (1 when unknown), read once per process: on Linux each read parses
-/// cgroup files. A change of the process's CPU quota or affinity takes
-/// effect only after a restart.
-pub fn host_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl Default for AllocOptions {
@@ -212,17 +192,6 @@ mod tests {
         assert_eq!(
             AllocOptions::o3().inline_budget,
             crate::inline::DEFAULT_INLINE_BUDGET
-        );
-    }
-
-    #[test]
-    fn jobs_resolution() {
-        assert_eq!(AllocOptions::o3().with_jobs(3).effective_jobs(), 3);
-        assert_eq!(AllocOptions::o3().with_jobs(1).effective_jobs(), 1);
-        assert!(AllocOptions::o3().with_jobs(0).effective_jobs() >= 1);
-        assert_eq!(
-            AllocOptions::o3().with_jobs(0).effective_jobs(),
-            host_cores()
         );
     }
 }

@@ -39,7 +39,7 @@ pub use alloc::{allocate_function, CallPlan, FuncAllocation, FuncArtifacts, Summ
 pub use analysis::{AnalysisCache, AnalysisStats, FuncAnalyses};
 pub use cache::{AllocCache, CacheStats, CachedFunc};
 pub use color::{Assignment, VregLoc};
-pub use config::{host_cores, AllocMode, AllocOptions};
+pub use config::{AllocMode, AllocOptions};
 pub use inline::{inline_hot_calls, InlineStats, DEFAULT_INLINE_BUDGET};
 pub use ipra::{compile_module, compile_module_with_profile, CompiledModule, FuncReport};
 pub use normalize::normalize_entries;

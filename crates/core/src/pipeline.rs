@@ -7,7 +7,7 @@
 //! counterpart: it owns the prepared-module memo (keyed by the source
 //! text a compile starts from), the component memo (every component it
 //! compiled or decoded, whatever cache directory the compile named, if
-//! any) and the per-worker scratch buffers ([`ScratchPool`]), all of
+//! any) and the per-compile scratch buffers ([`ScratchPool`]), all of
 //! which survive from one compile to the next.
 //!
 //! On a warm recompile through [`Pipeline::compile_source`] unchanged
@@ -25,7 +25,7 @@
 //! the panic empties its cache, and later compiles refill it.
 //!
 //! Output is bit-identical to the one-shot entry points for every
-//! jobs/cache/scratch combination; the differential oracle compiles the
+//! cache/scratch combination; the differential oracle compiles the
 //! same seed through a reused pipeline and a fresh one and compares the
 //! rendered machine code byte for byte.
 
@@ -260,13 +260,12 @@ type EntryKey = (u64, u64, u64);
 /// every compile through it, from source text where there is one
 /// ([`Pipeline::compile_source`]).
 ///
-/// A `Pipeline` is `Send + Sync`: wave workers already share it within a
-/// compile, and a compile daemon shares one across concurrent client
-/// sessions — every memo sits behind its own lock, and compiles are
-/// bit-identical no matter how the memos interleave.
+/// A `Pipeline` is `Send + Sync`: a compile daemon shares one across
+/// concurrent client sessions — every memo sits behind its own lock, and
+/// compiles are bit-identical no matter how the memos interleave.
 #[derive(Debug)]
 pub struct Pipeline {
-    /// Recycled per-worker scratch buffers.
+    /// Recycled per-compile scratch buffers.
     pub(crate) scratch: ScratchPool,
     /// Every component this pipeline compiled, or decoded from a cache
     /// directory, by [`EntryKey`]: the first tier of the incremental

@@ -5,9 +5,9 @@
 //! per-vreg flag vectors, range-index rows, a liveness bitset, range
 //! construction's pair lists, and the parallel-move resolver's worklists. [`CompileScratch`] owns one of
 //! each and hands them out `clear()`ed instead of freshly allocated, so a
-//! worker compiling its hundredth function reuses the buffers of its
-//! first. [`ScratchPool`] holds one `CompileScratch` per wave worker and
-//! recycles them across waves and across compiles of the same
+//! compile allocating its hundredth function reuses the buffers of its
+//! first. [`ScratchPool`] holds one `CompileScratch` per compile in
+//! flight and recycles them across compiles of the same
 //! [`crate::Pipeline`].
 //!
 //! Reuse is invisible to the output: every `take_*` returns buffers in
@@ -62,10 +62,10 @@ pub struct MoveScratch {
     pub seen: HashSet<PReg>,
 }
 
-/// Per-worker scratch for one in-flight function compilation.
+/// Scratch for one in-flight compile.
 ///
-/// Owned by a [`ScratchPool`]; the wave scheduler lends one to each
-/// worker thread, and the worker threads it through ranges → color →
+/// Owned by a [`ScratchPool`]; the driver borrows one per compile and
+/// threads it through ranges → color →
 /// shrink-wrap → lower. Buffers that escape into results (`SavePlan`
 /// placement maps, `Assignment` vectors) are never pooled — only
 /// genuinely transient storage lives here.
@@ -108,11 +108,12 @@ impl CompileScratch {
     }
 }
 
-/// A shared pool of [`CompileScratch`] instances, one per concurrently
-/// active worker. Lives on the [`crate::Pipeline`], so scratch survives
-/// not just across functions in one compile but across whole recompiles.
-/// A worker that panics drops the scratch it holds, and a pool whose lock
-/// a panic poisoned is emptied, so no half-used scratch is handed out.
+/// A shared pool of [`CompileScratch`] instances, one per compile in
+/// flight (a daemon runs several at once). Lives on the
+/// [`crate::Pipeline`], so scratch survives not just across functions in
+/// one compile but across whole recompiles. A compile that panics drops
+/// the scratch it holds, and a pool whose lock a panic poisoned is
+/// emptied, so no half-used scratch is handed out.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     pub(crate) free: Mutex<Vec<CompileScratch>>,
@@ -120,12 +121,12 @@ pub struct ScratchPool {
 
 impl ScratchPool {
     /// Borrows a scratch instance (creating one if the pool is dry).
-    /// Return it with [`ScratchPool::release`] when the worker finishes.
+    /// Return it with [`ScratchPool::release`] when the compile finishes.
     pub fn acquire(&self) -> CompileScratch {
         lock_cache(&self.free, Vec::clear).pop().unwrap_or_default()
     }
 
-    /// Returns a scratch instance for the next worker.
+    /// Returns a scratch instance for the next compile.
     pub fn release(&self, s: CompileScratch) {
         lock_cache(&self.free, Vec::clear).push(s);
     }

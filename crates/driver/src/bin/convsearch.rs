@@ -2,15 +2,15 @@
 //! shape and report the penalty surface.
 //!
 //! ```text
-//! convsearch [--small] [--jobs N] [--cache-dir DIR] [--out FILE] [--md FILE]
+//! convsearch [--small] [--cache-dir DIR] [--out FILE] [--md FILE]
 //! ```
 //!
 //! Compiles the workload suite at every `(caller-saved, argument-regs)`
 //! grid point of each register-file shape, requires the static verifier
 //! and the interpreter oracle to pass at every point, and writes the
 //! penalty surface as deterministic JSON (and optionally markdown). The
-//! JSON bytes are independent of `--jobs` and cache temperature; CI diffs
-//! them to enforce that.
+//! JSON bytes are independent of cache temperature; CI diffs the dense
+//! run against the committed `BENCH_convsearch.json`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,7 +19,6 @@ use ipra_driver::convsearch::{default_shapes, run_search, workload_corpus, Searc
 
 struct Args {
     small: bool,
-    jobs: usize,
     cache_dir: Option<PathBuf>,
     out: Option<PathBuf>,
     md: Option<PathBuf>,
@@ -27,15 +26,13 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: convsearch [--small] [--jobs N] [--cache-dir DIR] [--out FILE] [--md FILE]\n\
+        "usage: convsearch [--small] [--cache-dir DIR] [--out FILE] [--md FILE]\n\
          \n\
          Sweeps caller/callee-saved partitions and argument-register counts\n\
          per register-file shape over the workload suite and reports the\n\
          penalty surface.\n\
          \n\
          --small        sparse grid + 3-workload corpus (CI smoke)\n\
-         --jobs N       wave-scheduler workers per compile (0 = auto); waves\n\
-         \x20              too small to pay for a hand-off run on the calling thread\n\
          --cache-dir D  incremental-cache directory shared across points\n\
          --out FILE     write the JSON report (default: stdout)\n\
          --md FILE      also write the markdown table"
@@ -46,7 +43,6 @@ fn usage() -> ! {
 fn parse_args() -> Args {
     let mut args = Args {
         small: false,
-        jobs: 0,
         cache_dir: None,
         out: None,
         md: None,
@@ -55,10 +51,6 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--small" => args.small = true,
-            "--jobs" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                args.jobs = v.parse().unwrap_or_else(|_| usage());
-            }
             "--cache-dir" => {
                 args.cache_dir = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
             }
@@ -81,7 +73,6 @@ fn main() -> ExitCode {
         }
     };
     let opts = SearchOptions {
-        jobs: args.jobs,
         cache_dir: args.cache_dir,
         dense: !args.small,
     };

@@ -14,9 +14,6 @@
 //!   --trace                print the compile/execution trace to stderr
 //!   --trace-json <path>    write the trace as JSON to <path>
 //!   --trace-chrome <path>  write a Chrome/Perfetto trace-event file to <path>
-//!   --jobs <n>             wave-scheduler worker threads (0 = auto);
-//!                          waves too small to pay for a hand-off run on
-//!                          the calling thread
 //!   --cache-dir <dir>      incremental allocation cache directory
 //!   --verify-mc            statically verify register contracts of the
 //!                          lowered code (default on in debug builds)
@@ -36,8 +33,8 @@
 //!   --shutdown             with --remote: ask the daemon to shut down
 //! ```
 //!
-//! The compile flags (level, shrink-wrap, limit, target, jobs, cache,
-//! inliner, `--run`) are parsed into one
+//! The compile flags (level, shrink-wrap, limit, target, cache, inliner,
+//! `--run`) are parsed into one
 //! `ipra_driver::service::CompileRequest`, which the local compile and
 //! `--remote` resolve the same way; flag order does not matter. With
 //! `--remote`, `--emit metrics` fetches the daemon's metrics registry as
@@ -72,7 +69,7 @@ fn usage() -> &'static str {
     "usage: mini-cc [-O0|-O2|-O3] [--no-shrink-wrap] [--limit NC,NE] \
      [--target NAME|conv:P,C,A] \
      [--emit ir|asm|summary] [--run] [--trace] [--trace-json PATH] \
-     [--trace-chrome PATH] [--jobs N] [--cache-dir DIR] [--profile-out PATH] [--profile-in PATH] \
+     [--trace-chrome PATH] [--cache-dir DIR] [--profile-out PATH] [--profile-in PATH] \
      [--inline] [--inline-budget N] \
      [--verify-mc | --no-verify-mc] [--remote SOCKET [--ping | --shutdown]] \
      (<file.mini> | --workload <name>)"
@@ -424,7 +421,7 @@ fn real_main() -> Result<(), String> {
     }
 
     if let Some(raw) = raw_trace {
-        // Chrome export works on the raw spans (it needs lanes and real
+        // Chrome export works on the raw spans (it needs their real
         // timestamps), the structured trace on the digested view.
         if let Some(path) = &args.trace_chrome {
             let doc = ipra_obs::chrome::export(&raw, &config.name);
@@ -476,16 +473,6 @@ mod tests {
     fn shrink_wrap_on_by_default_at_o3() {
         let a = parse(&["-O3", "x.mini"]);
         assert!(a.config.opts.shrink_wrap);
-    }
-
-    #[test]
-    fn jobs_flag_parses_and_survives_opt_level() {
-        let a = parse(&["--jobs", "4", "-O3", "x.mini"]);
-        assert_eq!(a.config.opts.jobs, 4);
-        let b = parse(&["-O2", "--jobs", "1", "x.mini"]);
-        assert_eq!(b.config.opts.jobs, 1);
-        let c = parse(&["x.mini"]);
-        assert_eq!(c.config.opts.jobs, 0, "default: auto");
     }
 
     #[test]

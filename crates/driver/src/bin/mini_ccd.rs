@@ -7,7 +7,6 @@
 //!                                      stdin/stdout, then exit
 //!   --max-active <n>   concurrent compiles (default 4)
 //!   --max-queue <n>    queued compiles before `busy` (default 64)
-//!   --jobs-cap <n>     per-compile wave-scheduler jobs cap (default 4)
 //! ```
 //!
 //! Clients are `mini-cc --remote <socket>` or anything speaking the
@@ -30,7 +29,7 @@ struct DaemonArgs {
 
 fn usage() -> &'static str {
     "usage: mini-ccd (--socket PATH | --stdio) \
-     [--max-active N] [--max-queue N] [--jobs-cap N]"
+     [--max-active N] [--max-queue N]"
 }
 
 fn parse_args_from(args: impl Iterator<Item = String>) -> Result<DaemonArgs, String> {
@@ -49,11 +48,6 @@ fn parse_args_from(args: impl Iterator<Item = String>) -> Result<DaemonArgs, Str
             "--max-queue" => {
                 let v = args.next().ok_or("--max-queue needs a count")?;
                 config.max_queue = v.trim().parse().map_err(|_| "bad --max-queue count")?;
-            }
-            "--jobs-cap" => {
-                let v = args.next().ok_or("--jobs-cap needs a count")?;
-                let cap: usize = v.trim().parse().map_err(|_| "bad --jobs-cap count")?;
-                config.jobs_cap = cap.max(1);
             }
             "-h" | "--help" => return Err(usage().to_string()),
             other => return Err(format!("unknown option `{other}`\n{}", usage())),
@@ -168,7 +162,6 @@ mod tests {
         let a = parse(&["--stdio"]).unwrap();
         assert_eq!(a.config.max_active, 4);
         assert_eq!(a.config.max_queue, 64);
-        assert_eq!(a.config.jobs_cap, 4);
         let b = parse(&[
             "--socket",
             "/tmp/s",
@@ -176,12 +169,9 @@ mod tests {
             "2",
             "--max-queue",
             "0",
-            "--jobs-cap",
-            "1",
         ])
         .unwrap();
         assert_eq!(b.config.max_active, 2);
         assert_eq!(b.config.max_queue, 0);
-        assert_eq!(b.config.jobs_cap, 1);
     }
 }

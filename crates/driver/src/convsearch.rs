@@ -12,8 +12,8 @@
 //! reference interpreter prints; the per-point penalty surface
 //! (save/restore and spill traffic, Eqs 3.5/3.6 cycles) is accumulated
 //! through the `ipra-obs` metrics registry and rendered as a
-//! deterministic JSON/markdown report, byte-identical across worker
-//! counts and cache temperature.
+//! deterministic JSON/markdown report, byte-identical across cache
+//! temperature.
 
 use std::path::PathBuf;
 
@@ -145,12 +145,10 @@ pub fn workload_corpus(small: bool) -> Result<Vec<CorpusProgram>, String> {
     Ok(v)
 }
 
-/// Search knobs. `jobs`/`cache_dir` flow into the allocator options of
-/// every point compile and must never change the report bytes.
+/// Search knobs. `cache_dir` flows into the allocator options of every
+/// point compile and must never change the report bytes.
 #[derive(Clone, Debug, Default)]
 pub struct SearchOptions {
-    /// Wave-scheduler worker count per compile (0 = auto).
-    pub jobs: usize,
     /// Incremental-cache directory shared by every point compile.
     pub cache_dir: Option<PathBuf>,
     /// Dense grid (the full Table-2-style surface) vs the sparse smoke
@@ -238,7 +236,6 @@ pub fn run_search(
             let label = point_label(&shape.name, caller, args);
             let target = Target::convention(shape.pool, caller, args);
             let mut alloc = AllocOptions::o3();
-            alloc.jobs = opts.jobs;
             alloc.cache_dir = opts.cache_dir.clone();
             let config = Config {
                 name: label.clone(),
@@ -542,15 +539,11 @@ mod tests {
         let r1 = run_search(&corpus, &shapes, &opts);
         assert!(r1.failures.is_empty(), "{:?}", r1.failures);
         assert_eq!(r1.num_points(), r1.num_passing_points());
-        let jobs4 = SearchOptions {
-            jobs: 4,
-            ..SearchOptions::default()
-        };
-        let r2 = run_search(&corpus, &shapes, &jobs4);
+        let r2 = run_search(&corpus, &shapes, &opts);
         assert_eq!(
             r1.to_json().render_pretty(),
             r2.to_json().render_pretty(),
-            "report depends on worker count"
+            "report differs between two runs"
         );
         assert_eq!(r1.to_markdown(), r2.to_markdown());
         let md = r1.to_markdown();

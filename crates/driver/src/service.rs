@@ -16,10 +16,8 @@
 //! wait behind them, and anything beyond that is answered immediately
 //! with a structured `busy` response instead of being buffered without
 //! bound. Cheap commands (`ping`, `metrics`, `shutdown`) bypass the gate.
-//! Each admitted compile's wave-scheduler worker count is clamped to
-//! `jobs_cap` so concurrent sessions cannot multiply threads; auto
-//! (`"jobs": 0`) means one worker per core, as in `mini-cc`, within the
-//! same cap.
+//! Each admitted compile runs on its session's thread, so `max_active`
+//! bounds the compile threads too.
 //!
 //! # Determinism
 //!
@@ -39,7 +37,7 @@
 //! ```json
 //! {"cmd": "compile", "id": 1,
 //!  "source": "fn main() { print(1); }",
-//!  "options": {"opt": "O3", "shrink_wrap": false, "jobs": 0,
+//!  "options": {"opt": "O3", "shrink_wrap": false,
 //!              "limit": [7, 0], "cache_dir": "/tmp/c",
 //!              "inline": true, "inline_budget": 48},
 //!  "run": true, "trace": false}
@@ -48,8 +46,9 @@
 //! `source` may be replaced by `path` (read server-side) or `workload`
 //! (a bundled benchmark name); exactly one of the three is required.
 //! Every `options` field is optional and defaults to the `mini-cc`
-//! defaults (`-O3`, shrink-wrap on, auto jobs, full register file, no
-//! cache, inliner off); the request is the wire form of
+//! defaults (`-O3`, shrink-wrap on, full register file, no cache,
+//! inliner off); `jobs`, a count, is accepted and ignored. The request is
+//! the wire form of
 //! [`CompileRequest`], the one compile spec `mini-cc` also uses.
 //! Decoding is strict: a field of the wrong type (`"opt": 2`,
 //! `"run": "yes"`), an unknown top-level field or an unknown `options`
@@ -70,7 +69,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use ipra_core::config::{host_cores, AllocOptions};
+use ipra_core::config::AllocOptions;
 use ipra_core::Pipeline;
 use ipra_machine::Target;
 use ipra_obs::frame::{read_frame, read_frame_with_limit, write_frame, FrameError, MAX_FRAME_LEN};
@@ -87,8 +86,6 @@ pub struct ServiceConfig {
     pub max_active: usize,
     /// Compiles allowed to wait for a slot before `busy` is returned.
     pub max_queue: usize,
-    /// Upper bound on any single compile's wave-scheduler jobs.
-    pub jobs_cap: usize,
     /// Per-frame payload cap enforced before buffering.
     pub max_frame_len: u32,
 }
@@ -104,7 +101,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_active: 4,
             max_queue: 64,
-            jobs_cap: 4,
             max_frame_len: MAX_FRAME_LEN,
         }
     }
@@ -371,12 +367,8 @@ impl Service {
     }
 
     fn handle_compile(&self, req: &Json, id: &Json) -> Json {
-        let resolved = CompileRequest::from_json(req).and_then(|mut spec| {
-            // Output is jobs-independent, so the clamp is invisible to
-            // clients.
-            spec.jobs = admitted_jobs(spec.jobs, self.config.jobs_cap, host_cores());
-            Ok((spec.source.text()?, spec.config()?, spec.run, spec.trace))
-        });
+        let resolved = CompileRequest::from_json(req)
+            .and_then(|spec| Ok((spec.source.text()?, spec.config()?, spec.run, spec.trace)));
         let (source, config, run, trace) = match resolved {
             Ok(resolved) => resolved,
             Err(e) => return error_response(id, &e),
@@ -534,7 +526,9 @@ pub struct CompileRequest {
     /// `false` turns shrink-wrapping off (`--no-shrink-wrap`); `true`, the
     /// default, keeps the level's setting.
     pub shrink_wrap: bool,
-    /// Wave-scheduler jobs (`--jobs N`; 0 = auto, clamped by the daemon).
+    /// Unread: every compile runs on its calling thread. perfbench still
+    /// sends it, so it and its `options.jobs` wire key stay until the
+    /// benchmark change that deletes them together with those sends.
     pub jobs: usize,
     /// Register class limits (`--limit NC,NE`).
     pub limit: Option<(usize, usize)>,
@@ -634,7 +628,6 @@ impl CompileRequest {
                 self.limit = Some((count(nc, "bad NC")?, count(ne, "bad NE")?));
             }
             "--target" => self.target = Some(value("a name")?),
-            "--jobs" => self.jobs = count(&value("a count")?, "bad --jobs count")?,
             "--cache-dir" => self.cache_dir = Some(value("a directory")?),
             "--inline" => self.inline = true,
             "--inline-budget" => {
@@ -763,7 +756,6 @@ impl CompileRequest {
         if !self.shrink_wrap {
             opts.shrink_wrap = false;
         }
-        opts.jobs = self.jobs;
         opts.cache_dir = self.cache_dir.as_ref().map(std::path::PathBuf::from);
         opts.inline = self.inline;
         if let Some(b) = self.inline_budget {
@@ -797,29 +789,10 @@ pub fn roundtrip(stream: &mut (impl Read + Write), req: &Json) -> Result<Json, F
     read_frame(stream)
 }
 
-/// The wave-scheduler worker count a daemon compile runs with: auto
-/// (`0`) means one per core, as everywhere else, and every request is
-/// clamped to `cap`.
-fn admitted_jobs(requested: usize, cap: usize, cores: usize) -> usize {
-    match requested {
-        0 => cores,
-        j => j,
-    }
-    .min(cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
-
-    #[test]
-    fn auto_jobs_resolve_to_the_cores_within_the_cap() {
-        assert_eq!(admitted_jobs(0, 4, 2), 2, "auto on a 2-core host");
-        assert_eq!(admitted_jobs(0, 4, 16), 4, "auto is capped");
-        assert_eq!(admitted_jobs(3, 4, 2), 3, "explicit ignores the cores");
-        assert_eq!(admitted_jobs(9, 4, 2), 4, "explicit is capped");
-    }
 
     fn serve(service: &Service, requests: &[Json]) -> Vec<Json> {
         let mut input = Vec::new();

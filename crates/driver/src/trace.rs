@@ -179,10 +179,8 @@ pub struct CompileTrace {
 
 /// Nests one function's spans into phase trees via the span parent ids.
 /// A span whose parent is missing from the function's own span set (or
-/// `None`) is top-level; children keep completion order. Raw span ids are
-/// scheduling-dependent (workers get remapped id blocks), so they are
-/// resolved here and never surface in the output — the rendered trace is
-/// identical for serial and parallel compilations.
+/// `None`) is top-level; children keep completion order. Raw span ids
+/// are resolved here and never surface in the output.
 fn phase_tree(raw: &Trace, func: &str) -> Vec<PhaseTime> {
     let spans: Vec<&ipra_obs::SpanRec> = raw.spans.iter().filter(|s| s.scope == func).collect();
     let ids: std::collections::HashSet<u64> = spans.iter().map(|s| s.id).collect();

@@ -3,23 +3,20 @@
 //! Converts a [`crate::Trace`] span tree into the JSON object format
 //! understood by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev):
 //! a `{"traceEvents": [...]}` document of complete (`"X"`) events plus
-//! `"M"` metadata naming the process and one thread per span lane.
+//! `"M"` metadata naming the process and its one thread.
 //!
-//! Two things to know when reading the result:
-//!
-//! - **Times are virtual.** [`crate::absorb`] rebases worker shards onto a
-//!   serial virtual clock so merged traces are deterministic; the exported
-//!   timeline therefore shows logical ordering and per-span durations, not
-//!   wall-clock overlap.
-//! - **Threads are lanes.** Each tid is a [`crate::SpanRec::lane`] — one
-//!   logical unit of parallel work (e.g. one function's allocation in a
-//!   wave), numbered in shard-absorption order, not an OS thread id.
+//! A trace is recorded on one thread, so every span lands on the `driver`
+//! thread (tid 0), and its times are offsets from the moment tracing was
+//! enabled on that thread.
 
 use crate::json::Json;
 use crate::{SpanRec, Trace};
 
 /// Process id used for all exported events (the trace is one process).
 const PID: i64 = 1;
+
+/// Thread id of every span: a trace is recorded on one thread.
+const TID: i64 = 0;
 
 fn micros(ns: u64) -> Json {
     // trace_event timestamps are microseconds; keep sub-µs precision as a
@@ -63,7 +60,7 @@ fn complete_event(sp: &SpanRec) -> Json {
         ("ts", micros(sp.start_ns)),
         ("dur", micros(sp.dur_ns)),
         ("pid", Json::Int(PID)),
-        ("tid", Json::Int(sp.lane as i64)),
+        ("tid", Json::Int(TID)),
         ("args", Json::obj(args)),
     ])
 }
@@ -83,16 +80,8 @@ pub fn export(trace: &Trace, process_name: &str) -> Json {
         &format!("mini-cc ({process_name})"),
     ));
 
-    let mut lanes: Vec<u32> = trace.spans.iter().map(|s| s.lane).collect();
-    lanes.sort_unstable();
-    lanes.dedup();
-    for &lane in &lanes {
-        let label = if lane == 0 {
-            "driver".to_string()
-        } else {
-            format!("lane-{lane}")
-        };
-        events.push(metadata("thread_name", lane as i64, &label));
+    if !trace.spans.is_empty() {
+        events.push(metadata("thread_name", TID, "driver"));
     }
 
     // Spans are recorded in completion order; export in start order so the
@@ -113,25 +102,20 @@ mod tests {
     use super::*;
 
     fn span(
+        scope: &str,
         name: &'static str,
         id: u64,
         parent: Option<u64>,
         start: u64,
         dur: u64,
-        lane: u32,
     ) -> SpanRec {
         SpanRec {
-            scope: if lane == 0 {
-                String::new()
-            } else {
-                format!("f{lane}")
-            },
+            scope: scope.to_string(),
             name,
             id,
             parent_id: parent,
             start_ns: start,
             dur_ns: dur,
-            lane,
         }
     }
 
@@ -139,9 +123,9 @@ mod tests {
     fn every_event_has_the_required_keys() {
         let trace = Trace {
             spans: vec![
-                span("compile", 0, None, 0, 5000, 0),
-                span("color", 1, Some(0), 500, 1500, 1),
-                span("lower", 2, Some(0), 2500, 1000, 2),
+                span("", "compile", 0, None, 0, 5000),
+                span("f1", "color", 1, Some(0), 500, 1500),
+                span("f2", "lower", 2, Some(0), 2500, 1000),
             ],
             ..Trace::default()
         };
@@ -166,47 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn lanes_become_named_threads() {
-        let trace = Trace {
-            spans: vec![
-                span("compile", 0, None, 0, 5000, 0),
-                span("color", 1, None, 0, 100, 3),
-            ],
-            ..Trace::default()
-        };
-        let doc = export(&trace, "C");
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-        let thread_names: Vec<(i64, String)> = events
-            .iter()
-            .filter(|e| e.get("name").unwrap().as_str() == Some("thread_name"))
-            .map(|e| {
-                (
-                    e.get("tid").unwrap().as_i64().unwrap(),
-                    e.get("args")
-                        .unwrap()
-                        .get("name")
-                        .unwrap()
-                        .as_str()
-                        .unwrap()
-                        .to_string(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            thread_names,
-            vec![(0, "driver".to_string()), (3, "lane-3".to_string())]
-        );
-        let color = events
-            .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("color"))
-            .unwrap();
-        assert_eq!(color.get("tid").unwrap().as_i64(), Some(3));
-    }
-
-    #[test]
     fn timestamps_are_microseconds() {
         let trace = Trace {
-            spans: vec![span("phase", 0, None, 2500, 1500, 0)],
+            spans: vec![span("", "phase", 0, None, 2500, 1500)],
             ..Trace::default()
         };
         let doc = export(&trace, "C");

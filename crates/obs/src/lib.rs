@@ -117,14 +117,6 @@ pub struct SpanRec {
     pub start_ns: u64,
     /// Wall-clock duration in nanoseconds.
     pub dur_ns: u64,
-    /// Logical task lane. Spans recorded directly on a sink are lane 0;
-    /// [`absorb`] moves each absorbed shard onto a fresh lane, numbered in
-    /// absorption order. Because shards are absorbed in a deterministic
-    /// order (and times sit on a serial virtual clock), lanes identify
-    /// *logical* units of parallel work — e.g. one per function in a wave —
-    /// not physical worker threads. The Chrome exporter renders lanes as
-    /// threads.
-    pub lane: u32,
 }
 
 /// A structured event.
@@ -164,8 +156,6 @@ struct Collector {
     next_span_id: u64,
     /// Ids of the spans currently open on this thread, innermost last.
     open_spans: Vec<u64>,
-    /// Next lane for an absorbed shard (lane 0 is this thread's own).
-    next_lane: u32,
     trace: Trace,
 }
 
@@ -188,7 +178,6 @@ pub fn enable() {
             scopes: Vec::new(),
             next_span_id: 0,
             open_spans: Vec::new(),
-            next_lane: 1,
             trace: Trace::default(),
         });
     });
@@ -309,65 +298,10 @@ impl Drop for Span {
                     parent_id: self.parent_id,
                     start_ns,
                     dur_ns,
-                    lane: 0,
                 });
             }
         });
     }
-}
-
-/// Merges a [`Trace`] recorded on another thread (a *shard*) into the
-/// current thread's sink. No-op when tracing is disabled here.
-///
-/// Worker threads of a parallel compilation each collect their own trace
-/// with [`enable`]/[`disable`]; the driver absorbs the shards in a
-/// deterministic order so the merged trace is independent of scheduling.
-/// Span ids are remapped past the sink's counter (parent links preserved),
-/// and shard times are rebased to start after everything already recorded,
-/// keeping per-shard span order meaningful under a single virtual clock.
-/// Each shard's spans land on fresh lanes (numbered in absorption order,
-/// preserving the shard's own lane structure), so the Chrome exporter can
-/// render logical parallel work side by side. Registry instances merge
-/// one by one: counters add, gauges take the shard's value, histograms
-/// merge bucket-wise.
-pub fn absorb(shard: Trace) {
-    if shard.is_empty() || !is_enabled() {
-        return;
-    }
-    SINK.with(|s| {
-        let mut s = s.borrow_mut();
-        let Some(c) = s.as_mut() else { return };
-        let time_base = c
-            .trace
-            .spans
-            .iter()
-            .map(|sp| sp.start_ns + sp.dur_ns)
-            .max()
-            .unwrap_or(0);
-        let id_base = c.next_span_id;
-        let lane_base = c.next_lane;
-        let mut max_id = None::<u64>;
-        let mut max_lane = None::<u32>;
-        for sp in shard.spans {
-            max_id = Some(max_id.map_or(sp.id, |m| m.max(sp.id)));
-            max_lane = Some(max_lane.map_or(sp.lane, |m| m.max(sp.lane)));
-            c.trace.spans.push(SpanRec {
-                id: id_base + sp.id,
-                parent_id: sp.parent_id.map(|p| id_base + p),
-                start_ns: time_base + sp.start_ns,
-                lane: lane_base + sp.lane,
-                ..sp
-            });
-        }
-        if let Some(m) = max_id {
-            c.next_span_id = id_base + m + 1;
-        }
-        if let Some(m) = max_lane {
-            c.next_lane = lane_base + m + 1;
-        }
-        c.trace.events.extend(shard.events);
-        c.trace.metrics.merge(&shard.metrics);
-    });
 }
 
 /// Records a structured event. The field list is built by the closure
@@ -389,9 +323,8 @@ pub fn event(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Tra
 }
 
 /// Adds `v` to the counter instance `(name, labels)`; an empty label set
-/// is a module-level count. Counters merge additively across shards.
-/// No-op when tracing is disabled; labels are only copied on first use
-/// of an instance.
+/// is a module-level count. No-op when tracing is disabled; labels are
+/// only copied on first use of an instance.
 pub fn counter(name: &'static str, labels: &[(&str, &str)], v: u64) {
     if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
         return;
@@ -403,8 +336,8 @@ pub fn counter(name: &'static str, labels: &[(&str, &str)], v: u64) {
     });
 }
 
-/// Sets the gauge instance `(name, labels)` to `v` (last write wins, also
-/// across [`absorb`]). No-op when tracing is disabled.
+/// Sets the gauge instance `(name, labels)` to `v` (last write wins).
+/// No-op when tracing is disabled.
 pub fn gauge(name: &'static str, labels: &[(&str, &str)], v: i64) {
     if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
         return;
@@ -542,151 +475,18 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_shard_with_remapped_ids_and_rebased_times() {
-        // Record a shard on a worker thread.
-        let shard = std::thread::spawn(|| {
-            enable();
-            let _f = scope("worker_fn");
-            {
-                let _p = span("phase");
-                let _c = span("child");
-                counter("n", &[("func", "worker_fn")], 2);
-            }
-            event("ev", || vec![("x", TraceValue::Int(1))]);
-            disable()
-        })
-        .join()
-        .unwrap();
-
-        enable();
-        {
-            let _m = scope("main_fn");
-            let _t = span("phase");
-        }
-        absorb(shard);
-        let trace = disable();
-
-        assert_eq!(trace.spans.len(), 3);
-        let main_phase = trace.spans.iter().find(|s| s.scope == "main_fn").unwrap();
-        let w_phase = trace
-            .spans
-            .iter()
-            .find(|s| s.scope == "worker_fn" && s.name == "phase")
-            .unwrap();
-        let w_child = trace
-            .spans
-            .iter()
-            .find(|s| s.scope == "worker_fn" && s.name == "child")
-            .unwrap();
-        // Remapped ids stay unique and parent links survive.
-        assert_ne!(w_phase.id, main_phase.id);
-        assert_eq!(w_child.parent_id, Some(w_phase.id));
-        // Shard times land after everything already recorded.
-        assert!(w_phase.start_ns >= main_phase.start_ns + main_phase.dur_ns);
-        // Counts and events come along.
-        assert_eq!(
-            trace.metrics.counter_value("n", &[("func", "worker_fn")]),
-            2
-        );
-        assert_eq!(trace.events.len(), 1);
-
-        // Absorbing into a disabled sink is a no-op.
-        absorb(Trace::default());
-        assert!(!is_enabled());
-    }
-
-    #[test]
-    fn absorbed_shards_land_on_fresh_lanes() {
-        let make_shard = |fname: &'static str| {
-            std::thread::spawn(move || {
-                enable();
-                let _f = scope(fname);
-                let _p = span("phase");
-                drop(_p);
-                disable()
-            })
-            .join()
-            .unwrap()
-        };
-        let a = make_shard("fa");
-        let b = make_shard("fb");
-
-        enable();
-        {
-            let _t = span("driver");
-        }
-        absorb(a);
-        absorb(b);
-        let trace = disable();
-
-        let lane_of = |scope: &str| {
-            trace
-                .spans
-                .iter()
-                .find(|s| s.scope == scope || (scope.is_empty() && s.name == "driver"))
-                .unwrap()
-                .lane
-        };
-        assert_eq!(lane_of(""), 0, "driver spans stay on lane 0");
-        assert_eq!(lane_of("fa"), 1, "first shard gets lane 1");
-        assert_eq!(lane_of("fb"), 2, "second shard gets lane 2");
-    }
-
-    #[test]
-    fn nested_absorbs_keep_lanes_disjoint() {
-        // A "driver" shard that itself absorbed two worker shards has
-        // lanes 0..=2; absorbing it must shift all three past our own.
-        let nested = std::thread::spawn(|| {
-            let w = std::thread::spawn(|| {
-                enable();
-                let _s = span("w0");
-                drop(_s);
-                disable()
-            })
-            .join()
-            .unwrap();
-            enable();
-            let _d = span("mid");
-            drop(_d);
-            absorb(w);
-            disable()
-        })
-        .join()
-        .unwrap();
-        assert_eq!(nested.spans.iter().map(|s| s.lane).max(), Some(1));
-
-        enable();
-        let _own = span("own");
-        drop(_own);
-        absorb(nested);
-        let trace = disable();
-        let lanes: Vec<(u32, &str)> = trace.spans.iter().map(|s| (s.lane, s.name)).collect();
-        assert!(lanes.contains(&(0, "own")));
-        assert!(lanes.contains(&(1, "mid")));
-        assert!(lanes.contains(&(2, "w0")));
-    }
-
-    #[test]
-    fn metrics_record_through_the_sink_and_absorb() {
+    fn metrics_record_through_the_sink() {
         // Disabled path records nothing.
         counter("c", &[("k", "v")], 1);
         assert!(disable().metrics.is_empty());
 
-        let shard = std::thread::spawn(|| {
-            enable();
-            counter("penalty", &[("edge", "a")], 2);
-            observe("wave.width", &[], 4);
-            disable()
-        })
-        .join()
-        .unwrap();
-
         enable();
+        counter("penalty", &[("edge", "a")], 2);
         counter("penalty", &[("edge", "a")], 1);
         counter("penalty", &[("edge", "b")], 1);
-        gauge("jobs", &[], 4);
+        gauge("scc", &[], 4);
+        observe("wave.width", &[], 4);
         observe("wave.width", &[], 2);
-        absorb(shard);
         let trace = disable();
 
         let m = &trace.metrics;

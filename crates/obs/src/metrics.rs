@@ -1,20 +1,17 @@
 //! The metrics registry: labeled counters, gauges and log₂-bucket
 //! histograms — the one place a count is aggregated.
 //!
-//! Spans time and events record; the registry counts, in a form that
-//! merges across threads and across runs. Every instance is keyed by a
-//! name plus a label set (`&[(&str, &str)]`), so one metric name can be
-//! sliced per function, per call-graph edge or per configuration without
-//! inventing new names. An empty label set is a module-level count; a
+//! Spans time and events record; the registry counts. Every instance is
+//! keyed by a name plus a label set (`&[(&str, &str)]`), so one metric
+//! name can be sliced per function, per call-graph edge or per
+//! configuration without inventing new names. An empty label set is a module-level count; a
 //! per-function count carries a `func` label.
 //!
-//! Metrics follow the same per-thread shard model as the rest of the
+//! Metrics follow the same per-thread sink model as the rest of the
 //! crate: recording goes through [`crate::counter`], [`crate::gauge`] and
-//! [`crate::observe`] into the current thread's sink, worker shards come
-//! back inside [`crate::Trace`], and [`crate::absorb`] merges them with
-//! [`Metrics::merge`] (counters add, gauges last-write-wins, histograms
-//! add bucket-wise). Everything is plain-old-data: zero dependencies,
-//! `Eq`, deterministic JSON.
+//! [`crate::observe`] into the current thread's sink, and the snapshot
+//! comes back inside [`crate::Trace`]. Everything is plain-old-data: zero
+//! dependencies, `Eq`, deterministic JSON.
 
 use crate::json::Json;
 
@@ -126,20 +123,6 @@ impl Log2Histogram {
         self.max
     }
 
-    /// Adds another histogram into this one (bucket-wise; exact fields
-    /// combine exactly).
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// Serializes as `{count, sum, max, buckets: [{lo, hi, count}]}`.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -200,10 +183,8 @@ pub struct Metric<T> {
 /// A snapshot of every labeled metric recorded on one sink.
 ///
 /// Metric instances are keyed by `(name, labels)`. The snapshot lives
-/// inside [`crate::Trace`] and merges across thread shards via
-/// [`Metrics::merge`]; serialization sorts instances by `(name, labels)`
-/// so the output is independent of recording order (and therefore of
-/// thread scheduling).
+/// inside [`crate::Trace`]; serialization sorts instances by
+/// `(name, labels)` so the output is independent of recording order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Additive counters.
@@ -326,37 +307,6 @@ impl Metrics {
             .map(|m| &m.value)
     }
 
-    /// Merges another snapshot into this one: counters add, gauges take
-    /// the incoming value, histograms merge bucket-wise.
-    pub fn merge(&mut self, other: &Metrics) {
-        for m in &other.counters {
-            let labels: Vec<(&str, &str)> = m
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            find_or_insert(&mut self.counters, m.name, &labels).value += m.value;
-        }
-        for m in &other.gauges {
-            let labels: Vec<(&str, &str)> = m
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            find_or_insert(&mut self.gauges, m.name, &labels).value = m.value;
-        }
-        for m in &other.histograms {
-            let labels: Vec<(&str, &str)> = m
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            find_or_insert(&mut self.histograms, m.name, &labels)
-                .value
-                .merge(&m.value);
-        }
-    }
-
     /// Serializes as `{counters: [...], gauges: [...], histograms: [...]}`
     /// with instances sorted by `(name, labels)` — recording order (and
     /// hence thread scheduling) never leaks into the document.
@@ -461,21 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_bucketwise_addition() {
-        let mut a = Log2Histogram::new();
-        a.observe(1);
-        a.observe(100);
-        let mut b = Log2Histogram::new();
-        b.observe(1);
-        b.observe(5000);
-        a.merge(&b);
-        assert_eq!(a.count, 4);
-        assert_eq!(a.count_for(1), 2);
-        assert_eq!(a.max, 5000);
-        assert_eq!(a.sum, 1 + 100 + 1 + 5000);
-    }
-
-    #[test]
     fn display_renders_nonempty_buckets() {
         let mut h = Log2Histogram::new();
         h.observe(1);
@@ -522,24 +457,6 @@ mod tests {
         let h = m.histogram("h", &[("phase", "color")]).unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 10);
-    }
-
-    #[test]
-    fn merge_combines_all_kinds() {
-        let mut a = Metrics::default();
-        a.add_counter("c", &[], 1);
-        a.set_gauge("g", &[], 1);
-        a.observe("h", &[], 8);
-        let mut b = Metrics::default();
-        b.add_counter("c", &[], 2);
-        b.add_counter("only_b", &[("x", "y")], 7);
-        b.set_gauge("g", &[], 9);
-        b.observe("h", &[], 8);
-        a.merge(&b);
-        assert_eq!(a.counter_value("c", &[]), 3);
-        assert_eq!(a.counter_value("only_b", &[("x", "y")]), 7);
-        assert_eq!(a.gauges.iter().find(|m| m.name == "g").unwrap().value, 9);
-        assert_eq!(a.histogram("h", &[]).unwrap().count, 2);
     }
 
     #[test]

@@ -32,12 +32,10 @@ fn chain_source(n: usize) -> String {
     src
 }
 
-/// Peak live heap bytes of compiling the `n`-statement chain under C at
-/// `jobs = 1`.
+/// Peak live heap bytes of compiling the `n`-statement chain under C.
 fn compile_peak(n: usize) -> u64 {
     let module = ipra_frontend::compile(&chain_source(n)).expect("the chain compiles");
-    let mut cfg = Config::c();
-    cfg.opts.jobs = 1;
+    let cfg = Config::c();
     let (_, d) = measure(|| compile_module(&module, &cfg.target, &cfg.opts));
     d.peak_bytes
 }

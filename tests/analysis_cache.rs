@@ -2,8 +2,7 @@
 //! persistent [`ipra_core::Pipeline`] must replay every unchanged
 //! component and allocate exactly the edited ones, the compile trace
 //! must carry the compile's analysis counters, and reusing scratch
-//! across compiles (at any job count) must never change the machine
-//! code.
+//! across compiles must never change the machine code.
 
 use ipra_core::Pipeline;
 use ipra_driver::{compile_and_run_traced, compile_only, Config};
@@ -94,50 +93,45 @@ fn trace_reports_analysis_memo_counters() {
 }
 
 /// Scratch reuse must be invisible in the output: recompiling through
-/// one pipeline (serial and parallel, cold and warm memo) renders the
-/// same bytes as a fresh one-shot compile every time. A warm recompile
-/// replays every component and allocates nothing, so each pipeline then
-/// compiles the module under configuration E, which misses the memo and
-/// allocates every function in the scratch the earlier compiles left.
-/// No nim wave pays for a hand-off, so `tree-8x2`, whose widest waves
-/// do, also runs the helpers' scratch.
+/// one pipeline (cold and warm memo) renders the same bytes as a fresh
+/// one-shot compile every time. A warm recompile replays every component
+/// and allocates nothing, so each pipeline then compiles the module under
+/// configuration E, which misses the memo and allocates every function
+/// in the scratch the earlier compiles left. `tree-8x2`, a wide call DAG,
+/// runs beside nim.
 #[test]
-fn reused_scratch_is_bit_identical_across_jobs() {
+fn reused_scratch_is_bit_identical() {
     let workload = ipra_workloads::by_name("nim").unwrap();
     let nim = ipra_workloads::compile_workload(workload).unwrap();
     let tree = ipra_workloads::synth::call_tree_program(7, 2, 8, 1);
 
     for (name, module) in [("nim", nim), ("tree-8x2", tree)] {
-        for jobs in [1usize, 2, 4] {
-            let mut cfg = Config::c();
-            cfg.opts.jobs = jobs;
-            let want = compile_only(&module, &cfg).mmodule.asm(&cfg.target.regs);
+        let cfg = Config::c();
+        let want = compile_only(&module, &cfg).mmodule.asm(&cfg.target.regs);
 
-            let pipe = Pipeline::new();
-            for round in 0..3 {
-                let got = pipe.compile(&module, &cfg.target, &cfg.opts);
-                assert_eq!(
-                    got.mmodule.asm(&cfg.target.regs),
-                    want,
-                    "{name} jobs={jobs} round={round}: reused scratch changed the output"
-                );
-            }
-
-            let mut second = Config::e();
-            second.opts.jobs = jobs;
-            let got = pipe.compile(&module, &second.target, &second.opts);
+        let pipe = Pipeline::new();
+        for round in 0..3 {
+            let got = pipe.compile(&module, &cfg.target, &cfg.opts);
             assert_eq!(
-                got.cache.misses,
-                module.funcs.len() as u64,
-                "{name} jobs={jobs}: E allocates every function"
-            );
-            assert_eq!(
-                got.mmodule.asm(&second.target.regs),
-                compile_only(&module, &second)
-                    .mmodule
-                    .asm(&second.target.regs),
-                "{name} jobs={jobs}: reused scratch changed E's output"
+                got.mmodule.asm(&cfg.target.regs),
+                want,
+                "{name} round={round}: reused scratch changed the output"
             );
         }
+
+        let second = Config::e();
+        let got = pipe.compile(&module, &second.target, &second.opts);
+        assert_eq!(
+            got.cache.misses,
+            module.funcs.len() as u64,
+            "{name}: E allocates every function"
+        );
+        assert_eq!(
+            got.mmodule.asm(&second.target.regs),
+            compile_only(&module, &second)
+                .mmodule
+                .asm(&second.target.regs),
+            "{name}: reused scratch changed E's output"
+        );
     }
 }

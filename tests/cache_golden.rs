@@ -38,42 +38,33 @@ fn observe(compiled: &CompiledModule, config: &Config) -> String {
 
 /// Warm compiles must replay every function from the cache and still be
 /// bit-identical to the cold compile — machine code, summaries, clobber
-/// masks, reports, output and stats — at `jobs = 1`, `2` (the driver
-/// plus one helper) and `4`. `tree-8x2` joins the corpus here because
-/// only its widest waves pay for handing tasks to the helpers.
+/// masks, reports, output and stats. `tree-8x2`, a 256-function call
+/// DAG whose widest wave holds 128 components, joins the corpus.
 #[test]
 fn warm_compile_is_bit_identical_to_cold_across_corpus() {
     let tree = ("tree-8x2".to_string(), synth::call_tree_program(7, 2, 8, 1));
-    let programs: Vec<_> = corpus().into_iter().chain([tree]).collect();
-    for jobs in [1usize, 2, 4] {
-        let dir = cache_dir(&format!("warm-{jobs}"));
-        for (name, module) in &programs {
-            let mut cfg = Config::c();
-            cfg.opts.jobs = jobs;
-            let baseline = compile_only(module, &cfg);
-            assert!(!baseline.cache.enabled, "[{name}] no cache configured");
+    let dir = cache_dir("warm");
+    for (name, module) in corpus().iter().chain([&tree]) {
+        let mut cfg = Config::c();
+        let baseline = compile_only(module, &cfg);
+        assert!(!baseline.cache.enabled, "[{name}] no cache configured");
 
-            cfg.opts.cache_dir = Some(dir.join(name));
-            let cold = compile_only(module, &cfg);
-            let n = module.funcs.len() as u64;
-            assert_eq!(cold.cache.misses, n, "[{name}/j{jobs}] cold misses all");
-            assert_eq!(cold.cache.hits, 0, "[{name}/j{jobs}] cold has no hits");
+        cfg.opts.cache_dir = Some(dir.join(name));
+        let cold = compile_only(module, &cfg);
+        let n = module.funcs.len() as u64;
+        assert_eq!(cold.cache.misses, n, "[{name}] cold misses all");
+        assert_eq!(cold.cache.hits, 0, "[{name}] cold has no hits");
 
-            let warm = compile_only(module, &cfg);
-            assert_eq!(warm.cache.hits, n, "[{name}/j{jobs}] warm hits all");
-            assert_eq!(warm.cache.misses, 0, "[{name}/j{jobs}] warm misses none");
-            assert_eq!(warm.cache.cutoffs, 0, "[{name}/j{jobs}] nothing recompiled");
+        let warm = compile_only(module, &cfg);
+        assert_eq!(warm.cache.hits, n, "[{name}] warm hits all");
+        assert_eq!(warm.cache.misses, 0, "[{name}] warm misses none");
+        assert_eq!(warm.cache.cutoffs, 0, "[{name}] nothing recompiled");
 
-            let want = observe(&baseline, &cfg);
-            assert_eq!(
-                observe(&cold, &cfg),
-                want,
-                "[{name}/j{jobs}] cold == uncached"
-            );
-            assert_eq!(observe(&warm, &cfg), want, "[{name}/j{jobs}] warm == cold");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        let want = observe(&baseline, &cfg);
+        assert_eq!(observe(&cold, &cfg), want, "[{name}] cold == uncached");
+        assert_eq!(observe(&warm, &cfg), want, "[{name}] warm == cold");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 const CHAIN_V1: &str = r#"
@@ -238,11 +229,7 @@ fn editing_an_inlined_away_function_recompiles_the_inline_ancestor_set() {
         "functions outside the splice set replay from the cache"
     );
 
-    let fresh2 = compile_only(&m2, &{
-        let mut c = Config::inline_c();
-        c.opts.jobs = cfg.opts.jobs;
-        c
-    });
+    let fresh2 = compile_only(&m2, &Config::inline_c());
     assert_eq!(
         observe(&warm2, &cfg),
         observe(&fresh2, &cfg),

@@ -5,10 +5,8 @@
 //!
 //! Repros are plain Mini sources (`*.mini`), optionally with `//` header
 //! comments recording their provenance. The synthetic call tree
-//! `tree-8x2` rides along: no repro has a wave with enough spare work to
-//! pass the hand-off gate, while its widest waves pass under every
-//! configuration, so the check's `jobs` comparison reaches the wave
-//! helpers.
+//! `tree-8x2` rides along as the widest call DAG the check sees: its
+//! widest wave holds 128 components, far more than any repro's.
 
 use ipra_driver::differential::{check_module, check_source, DiffOptions, DiffVerdict};
 use ipra_workloads::synth;

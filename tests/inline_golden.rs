@@ -1,13 +1,13 @@
 //! Golden tests for the three-leg inlining × IPRA ablation
 //! (`off` / `inline` / `inline+IPRA`, see `ipra_bench::inline_ablation`):
-//! the rendered JSON document must be byte-identical across `--jobs 1`
-//! and `--jobs 4`, and across cold and warm allocation caches; the
-//! ablation invariant (inline+IPRA pays no more penalty than off) must
-//! hold on every corpus program; and two workloads' inliner site counts
-//! are pinned exactly, so any change to ranking, budget accounting or
-//! candidate legality shows up as a diff in this file rather than as a
-//! silent behavior drift. The committed `BENCH_inline.json` must match a
-//! fresh 13-workload run byte for byte.
+//! the rendered JSON document must be byte-identical without a cache and
+//! across cold and warm allocation caches; the ablation invariant
+//! (inline+IPRA pays no more penalty than off) must hold on every corpus
+//! program; and two workloads' inliner site counts are pinned exactly, so
+//! any change to ranking, budget accounting or candidate legality shows
+//! up as a diff in this file rather than as a silent behavior drift. The
+//! committed `BENCH_inline.json` must match a fresh 13-workload run byte
+//! for byte.
 //!
 //! The bench crate's other deterministic output, the per-configuration
 //! traces `table1 --trace-json` writes, is checked here too.
@@ -18,29 +18,22 @@ use ipra_obs::json::Json;
 mod common;
 use common::corpus;
 
-/// The full ablation document must not depend on scheduling (`jobs`) or
-/// on allocation-cache temperature: four runs — jobs 1, jobs 4, cold
-/// cache, warm cache over the same directory — render byte-identical
-/// JSON.
+/// The full ablation document must not depend on allocation-cache
+/// temperature: three runs — no cache, cold cache, warm cache over the
+/// same directory — render byte-identical JSON.
 #[test]
-fn ablation_json_is_byte_identical_across_jobs_and_cache_temperature() {
+fn ablation_json_is_byte_identical_across_cache_temperature() {
     let corpus = corpus();
     let doc = |rows: &_| ablation_to_json(rows).render_pretty();
 
-    let jobs1 = doc(&run_ablation_modules(&corpus, Some(1), None).expect("jobs=1 runs"));
-    let jobs4 = doc(&run_ablation_modules(&corpus, Some(4), None).expect("jobs=4 runs"));
-    assert_eq!(
-        jobs1, jobs4,
-        "ablation JSON differs between jobs=1 and jobs=4"
-    );
-
+    let uncached = doc(&run_ablation_modules(&corpus, None).expect("uncached runs"));
     let dir = std::env::temp_dir().join(format!("ipra-inline-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cold = doc(&run_ablation_modules(&corpus, Some(1), Some(&dir)).expect("cold cache runs"));
-    let warm = doc(&run_ablation_modules(&corpus, Some(1), Some(&dir)).expect("warm cache runs"));
+    let cold = doc(&run_ablation_modules(&corpus, Some(&dir)).expect("cold cache runs"));
+    let warm = doc(&run_ablation_modules(&corpus, Some(&dir)).expect("warm cache runs"));
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
-        jobs1, cold,
+        uncached, cold,
         "ablation JSON differs between no-cache and cold cache"
     );
     assert_eq!(
@@ -57,7 +50,7 @@ fn ablation_json_is_byte_identical_across_jobs_and_cache_temperature() {
 /// exercise the inliner.
 #[test]
 fn inline_plus_ipra_never_pays_more_penalty_than_off() {
-    let rows = run_ablation_modules(&corpus(), Some(1), None).expect("ablation runs");
+    let rows = run_ablation_modules(&corpus(), None).expect("ablation runs");
     let total = |leg: usize| -> u64 { rows.iter().map(|r| r.legs[leg].penalty_cycles).sum() };
     assert!(
         total(2) <= total(0),
@@ -88,7 +81,7 @@ fn site_counts_are_pinned_for_the_real_workloads() {
         .into_iter()
         .filter(|(n, _)| n == "nim" || n == "stanford")
         .collect();
-    let rows = run_ablation_modules(&corpus, Some(1), None).expect("ablation runs");
+    let rows = run_ablation_modules(&corpus, None).expect("ablation runs");
     let pin: Vec<(String, u64, u64, u64)> = rows
         .iter()
         .map(|r| {
@@ -117,7 +110,7 @@ fn site_counts_are_pinned_for_the_real_workloads() {
 /// fired.
 #[test]
 fn committed_ablation_is_regenerated_byte_for_byte() {
-    let doc = ablation_to_json(&run_ablation(&ipra_workloads::all(), None).expect("ablation runs"));
+    let doc = ablation_to_json(&run_ablation(&ipra_workloads::all()).expect("ablation runs"));
     assert!(
         doc.render_pretty() == include_str!("../BENCH_inline.json"),
         "BENCH_inline.json is stale; regenerate it with \

@@ -33,8 +33,7 @@ const MARGIN_DIVISOR: u64 = 8;
 
 #[test]
 fn a_memo_capped_pipeline_stops_growing_once_both_caps_fill() {
-    let mut cfg = Config::c();
-    cfg.opts.jobs = 1;
+    let cfg = Config::c();
     let pipe = Pipeline::with_memo_caps(PREPARED_CAP, ENTRIES_CAP);
     let serve = |seeds: std::ops::Range<u64>| {
         for seed in seeds {

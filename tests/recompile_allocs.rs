@@ -44,7 +44,6 @@ fn reused_pipeline_halves_warm_recompile_allocations() {
     for w in ipra_workloads::all() {
         let module = front_end(w.source).unwrap();
         let mut cfg = Config::c();
-        cfg.opts.jobs = 1;
         cfg.opts.cache_dir = Some(dir.join(w.name));
 
         // The cold compile populates the disk cache and is not measured.

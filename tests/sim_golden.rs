@@ -7,10 +7,10 @@
 //! the depth-histogram buckets — plus the block profile and the assembly
 //! text (`MModule::asm`, what `mini-cc --emit asm` prints and the daemon
 //! returns), for the 13 corpus programs under the seven `table-sweep`
-//! configurations (`base`, `A`–`E`, `inline/C`, all at `jobs = 1`). Each
-//! is rendered to a stable text form and pinned by its FNV-1a digest, so
-//! any change to the simulator's internals that moves a single counter,
-//! or to the printer that moves a single byte, fails here.
+//! configurations (`base`, `A`–`E`, `inline/C`). Each is rendered to a
+//! stable text form and pinned by its FNV-1a digest, so any change to the
+//! simulator's internals that moves a single counter, or to the printer
+//! that moves a single byte, fails here.
 //!
 //! There is one test per configuration. On a mismatch it prints that
 //! configuration's observed rows in the same form as [`PINS`].
@@ -181,11 +181,10 @@ fn digest(text: &str) -> u64 {
     h.finish()
 }
 
-/// Simulates every corpus program under `config` at `jobs = 1`, plain
-/// and with block profiling, renders its assembly, and compares all three
-/// against the pins.
-fn check(mut config: Config) {
-    config.opts.jobs = 1;
+/// Simulates every corpus program under `config`, plain and with block
+/// profiling, renders its assembly, and compares all three against the
+/// pins.
+fn check(config: Config) {
     let regs = &config.target.regs;
     let mut observed = Vec::new();
     for w in ipra_workloads::all() {
@@ -270,8 +269,7 @@ fn inline_c_matches_pins() {
 /// less runs out of fuel.
 #[test]
 fn fuel_of_exactly_the_pinned_cycles_suffices_and_one_less_does_not() {
-    let mut config = Config::c();
-    config.opts.jobs = 1;
+    let config = Config::c();
     let regs = &config.target.regs;
     for name in ["pf", "upas", "calcc"] {
         let &(_, _, cycles, pinned, _, _) = PINS

@@ -18,8 +18,7 @@ const ASM_ALLOCS_MAX: u64 = 16;
 
 #[test]
 fn front_end_and_asm_printer_allocate_less_than_once_per_token() {
-    let mut config = Config::c();
-    config.opts.jobs = 1;
+    let config = Config::c();
     let regs = &config.target.regs;
     let mut failures = Vec::new();
     eprintln!("workload  tokens  front-end allocs  insts  asm allocs");

@@ -3,10 +3,11 @@
 
 use ipra_driver::{compile_and_run, compile_and_run_traced, compile_only, Config};
 use ipra_obs::json::{parse, Json};
-use ipra_workloads::synth;
 
+// This binary uses only `DEMO` of the shared corpus module.
+#[allow(dead_code)]
 mod common;
-use common::{corpus, DEMO};
+use common::DEMO;
 
 const PHASES: [&str; 5] = ["ranges", "priority", "color", "shrink_wrap", "lower"];
 
@@ -192,92 +193,6 @@ fn disabled_sink_records_nothing_and_results_are_identical() {
 
     // And the sink is closed again afterwards.
     assert!(!ipra_obs::is_enabled());
-}
-
-/// Zeroes the scheduling-dependent wall-clock fields (`start_ns`,
-/// `dur_ns`) everywhere in a trace document, leaving all structural
-/// content — phase nesting, counters, decisions, sim attribution — intact.
-fn normalize_times(j: &Json) -> Json {
-    match j {
-        Json::Arr(items) => Json::Arr(items.iter().map(normalize_times).collect()),
-        Json::Obj(pairs) => Json::Obj(
-            pairs
-                .iter()
-                .map(|(k, v)| {
-                    if k == "start_ns" || k == "dur_ns" {
-                        (k.clone(), Json::Int(0))
-                    } else {
-                        (k.clone(), normalize_times(v))
-                    }
-                })
-                .collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
-/// The wave scheduler must be invisible in every output: compiling with
-/// `jobs = 2` (the driver plus one helper) or `jobs = 4` has to produce
-/// the same machine code, summaries, clobber masks, reports and (timing
-/// aside) the same trace JSON as `jobs = 1`, across a corpus that covers
-/// deep call DAGs, mutual recursion and generator-produced programs. No
-/// corpus wave pays for a hand-off, so `tree-8x2`, whose three widest
-/// waves do, takes the helpers' path. The library reads no environment,
-/// so the sides always run with different worker counts.
-#[test]
-fn wave_scheduler_output_is_identical_to_serial() {
-    let mut serial_cfg = Config::c();
-    serial_cfg.opts.jobs = 1;
-    let regs = &serial_cfg.target.regs;
-
-    let tree = ("tree-8x2".to_string(), synth::call_tree_program(7, 2, 8, 1));
-    for (name, module) in &corpus().into_iter().chain([tree]).collect::<Vec<_>>() {
-        let serial = compile_and_run_traced(module, &serial_cfg)
-            .unwrap_or_else(|t| panic!("[{name}] serial trapped: {t}"));
-        let sc = compile_only(module, &serial_cfg);
-        let st = normalize_times(&serial.trace.unwrap().to_json()).render_pretty();
-
-        for jobs in [2, 4] {
-            let mut parallel_cfg = Config::c();
-            parallel_cfg.opts.jobs = jobs;
-            let parallel = compile_and_run_traced(module, &parallel_cfg)
-                .unwrap_or_else(|t| panic!("[{name}/j{jobs}] parallel trapped: {t}"));
-
-            assert_eq!(
-                serial.output, parallel.output,
-                "[{name}/j{jobs}] program output"
-            );
-            assert_eq!(
-                serial.stats, parallel.stats,
-                "[{name}/j{jobs}] simulator stats"
-            );
-
-            let pc = compile_only(module, &parallel_cfg);
-            assert_eq!(
-                format!("{:?}", sc.summaries),
-                format!("{:?}", pc.summaries),
-                "[{name}/j{jobs}] summaries"
-            );
-            assert_eq!(
-                sc.clobber_masks(),
-                pc.clobber_masks(),
-                "[{name}/j{jobs}] clobber masks"
-            );
-            assert_eq!(
-                format!("{:?}", sc.reports),
-                format!("{:?}", pc.reports),
-                "[{name}/j{jobs}] reports"
-            );
-            assert_eq!(
-                sc.mmodule.asm(regs),
-                pc.mmodule.asm(regs),
-                "[{name}/j{jobs}] machine code"
-            );
-
-            let pt = normalize_times(&parallel.trace.unwrap().to_json()).render_pretty();
-            assert_eq!(st, pt, "[{name}/j{jobs}] trace JSON (timing normalized)");
-        }
-    }
 }
 
 #[test]
