@@ -219,8 +219,21 @@ pub fn profile_guided(module: &Module, config: &Config) -> Result<Measurement, S
 ///
 /// Returns the simulator trap.
 pub fn run_compiled(compiled: &CompiledModule, config: &Config) -> Result<Measurement, SimTrap> {
-    let sim_opts =
+    run_compiled_within(compiled, config, None)
+}
+
+/// Like [`run_compiled`], but within `fuel` cycles when given instead of
+/// the simulator's default budget.
+pub(crate) fn run_compiled_within(
+    compiled: &CompiledModule,
+    config: &Config,
+    fuel: Option<u64>,
+) -> Result<Measurement, SimTrap> {
+    let mut sim_opts =
         SimOptions::for_target(&config.target.regs).check_preservation(compiled.clobber_masks());
+    if let Some(fuel) = fuel {
+        sim_opts.fuel = fuel;
+    }
     let r = ipra_sim::run(&compiled.mmodule, &config.target.regs, &sim_opts)?;
     Ok(Measurement {
         config: config.name.clone(),

@@ -61,6 +61,9 @@
 //! at least one, from the component memo or the `cache_dir`),
 //! `cache`/`analysis` statistics, plus `output` and
 //! `stats` when `run` was set and a `trace` document when `trace` was.
+//! A run gets a budget of 10⁸ cycles; a program that exhausts it is
+//! answered with an `error` ("runtime trap: cycle budget exhausted") and
+//! counted in the `service.out_of_fuel` metric.
 //! The other commands are `{"cmd": "ping"}`, `{"cmd": "metrics"}` and
 //! `{"cmd": "shutdown"}`.
 
@@ -75,9 +78,9 @@ use ipra_machine::Target;
 use ipra_obs::frame::{read_frame, read_frame_with_limit, write_frame, FrameError, MAX_FRAME_LEN};
 use ipra_obs::json::Json;
 use ipra_obs::metrics::Metrics;
-use ipra_sim::Stats;
+use ipra_sim::{SimTrap, Stats};
 
-use crate::{run_compiled, CompileTrace, Config};
+use crate::{run_compiled_within, CompileTrace, Config};
 
 /// Tuning knobs of one [`Service`].
 #[derive(Clone, Debug)]
@@ -95,6 +98,12 @@ const PREPARED_CAP: usize = 256;
 
 /// FIFO bound on the shared pipeline's component memo.
 const ENTRIES_CAP: usize = 4096;
+
+/// Cycle budget of a `run: true` request's simulation, about 6.4 times
+/// the largest corpus run (`map` under `base`, 15,517,100 cycles). A
+/// program that runs longer, an infinite loop say, gets an `error`
+/// response and frees its admission slot.
+const RUN_FUEL: u64 = 100_000_000;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -455,7 +464,7 @@ impl Service {
 
         let mut stats = None;
         if run {
-            match run_compiled(&compiled, config) {
+            match run_compiled_within(&compiled, config, Some(RUN_FUEL)) {
                 Ok(m) => {
                     fields.push((
                         "output",
@@ -464,7 +473,12 @@ impl Service {
                     fields.push(("stats", stats_json(&m.stats)));
                     stats = Some(m.stats);
                 }
-                Err(t) => return error_response(id, &format!("runtime trap: {t}")),
+                Err(t) => {
+                    if t == SimTrap::OutOfFuel {
+                        self.count("service.out_of_fuel", &[], 1);
+                    }
+                    return error_response(id, &format!("runtime trap: {t}"));
+                }
             }
         }
         if let Some(raw) = raw {
@@ -973,6 +987,35 @@ mod tests {
         assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
         let m = service.metrics_snapshot();
         assert_eq!(m.counter_sum("service.busy_rejections"), 1);
+    }
+
+    #[test]
+    fn a_runaway_run_exhausts_its_cycle_budget_and_the_session_keeps_serving() {
+        // x alternates between 1 and 1,000,000 forever; each turn divides,
+        // which costs 30 cycles, so the budget runs out after about three
+        // million turns.
+        let spin = "fn main() { var x: int = 1; while x != 0 { x = 1000000 / x; } print(x); }";
+        let service = Service::with_defaults();
+        let mut runaway = CompileRequest::new(1, RequestSource::Source(spin.into()));
+        runaway.run = true;
+        let mut healthy = CompileRequest::new(2, RequestSource::Source(DEMO.into()));
+        healthy.run = true;
+        let responses = serve(&service, &[runaway.to_json(), healthy.to_json()]);
+        assert_eq!(
+            responses[0].get("error").and_then(Json::as_str),
+            Some("runtime trap: cycle budget exhausted")
+        );
+        assert_eq!(
+            responses[1].get("output").and_then(Json::as_arr),
+            Some(&[Json::Int(81)][..])
+        );
+        assert_eq!(service.admission.depth(), (0, 0));
+        assert_eq!(
+            service
+                .metrics_snapshot()
+                .counter_sum("service.out_of_fuel"),
+            1
+        );
     }
 
     #[test]

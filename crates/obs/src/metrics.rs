@@ -66,13 +66,22 @@ impl Log2Histogram {
 
     /// Records one sample.
     pub fn observe(&mut self, v: u64) {
+        self.observe_n(v, 1);
+    }
+
+    /// Records `n` samples of `v`, exactly as `n` calls of
+    /// [`Log2Histogram::observe`] would; `n = 0` records nothing.
+    pub fn observe_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let i = bucket_index(v);
         if self.counts.len() <= i {
             self.counts.resize(i + 1, 0);
         }
-        self.counts[i] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
+        self.counts[i] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
         self.max = self.max.max(v);
     }
 
@@ -386,6 +395,37 @@ mod tests {
         for (lo, hi, _) in h.buckets() {
             assert!(lo < hi);
         }
+    }
+
+    #[test]
+    fn observe_n_equals_n_single_observations() {
+        for (v, n) in [
+            (0, 3),
+            (1, 1),
+            (5, 4),
+            (1 << 40, 7),
+            (u64::MAX, 2),
+            (u64::MAX / 3, 5),
+        ] {
+            let mut many = Log2Histogram::new();
+            many.observe(9);
+            for _ in 0..n {
+                many.observe(v);
+            }
+            let mut once = Log2Histogram::new();
+            once.observe(9);
+            once.observe_n(v, n);
+            assert_eq!(once, many, "v = {v}, n = {n}");
+            assert_eq!(
+                (once.count, once.sum, once.max),
+                (many.count, many.sum, many.max)
+            );
+            assert!(once.buckets().eq(many.buckets()), "v = {v}, n = {n}");
+        }
+        let mut h = Log2Histogram::new();
+        h.observe_n(1 << 20, 0);
+        assert_eq!(h, Log2Histogram::new(), "n = 0 records nothing");
+        assert_eq!(h.buckets().count(), 0);
     }
 
     #[test]

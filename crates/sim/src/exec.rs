@@ -9,13 +9,20 @@
 //! executes it. Decoding resolves everything that is the same on every
 //! visit: operands become indices into one value file (the registers,
 //! then the immediates), addresses carry their object's arena offset and
-//! length, branches name op indices and a function address becomes an
-//! immediate. Statistics are charged per *segment*, a block's ops up to
-//! and including the next call or the terminator: entering a segment
-//! charges its cycles against the fuel, counts it once, and charges its
-//! save/restore and spill traffic to the activation's call edge.
-//! Everything else in [`Stats`] is derived from the segment counts when
-//! the run ends.
+//! length, branches name op indices, a function address becomes an
+//! immediate, and a compare whose result the block's `CondBr` tests
+//! becomes one op that also branches. Statistics are charged per
+//! *segment*, a block's ops up to and including the next call or the
+//! terminator: entering a segment charges its cycles against the fuel,
+//! counts it once, and charges its save/restore and spill traffic to the
+//! activation's call edge. Everything else in [`Stats`] is derived from
+//! the segment counts, and the depth histogram from the activations
+//! counted per depth, when the run ends.
+//!
+//! The convention check compares only what an activation can change.
+//! Decoding closes each function's written registers over its callees,
+//! and a function that cannot write any register it must preserve takes
+//! no snapshot on entry and no check on return.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -25,7 +32,6 @@ use ipra_machine::{
     CostModel, FrameSlotId, MAddress, MCallee, MInst, MModule, MOperand, MTerminator, MemClass,
     PReg, RegFile, RegMask,
 };
-use ipra_obs::metrics::Log2Histogram;
 
 use crate::stats::{class_index, EdgePenalty, FuncStats, Stats, ROOT_CALLER};
 
@@ -196,6 +202,28 @@ struct Bin {
     rhs: Val,
 }
 
+/// A compare fused with the `CondBr` on its result that ends its block.
+#[derive(Clone, Copy)]
+struct CmpBr {
+    cmp: Bin,
+    then_to: u32,
+    else_to: u32,
+}
+
+impl CmpBr {
+    /// Computes the compare `op` into its destination and returns the op
+    /// it branches to.
+    #[inline(always)]
+    fn run(self, op: BinOp, vals: &mut [i64]) -> usize {
+        let Bin { dst, lhs, rhs } = self.cmp;
+        let v = op
+            .eval(vals[lhs as usize], vals[rhs as usize])
+            .expect("a compare never traps");
+        vals[dst as usize] = v;
+        (if v != 0 { self.then_to } else { self.else_to }) as usize
+    }
+}
+
 /// A decoded instruction or terminator. Every operator has a variant of
 /// its own, so the run loop's one `match` also picks the operator.
 #[derive(Clone, Copy)]
@@ -222,6 +250,15 @@ enum Op {
     Le(Bin),
     Gt(Bin),
     Ge(Bin),
+    /// A compare fused with the `CondBr` on its result that follows it:
+    /// it writes the result and branches, at the compare's cost. The
+    /// `CondBr` keeps its own op, which the run never reaches.
+    EqBr(CmpBr),
+    NeBr(CmpBr),
+    LtBr(CmpBr),
+    LeBr(CmpBr),
+    GtBr(CmpBr),
+    GeBr(CmpBr),
     Neg {
         dst: Val,
         src: Val,
@@ -294,7 +331,8 @@ impl Op {
         }
     }
 
-    /// The operator and operands of a binary op.
+    /// The operator and operands of a binary op; a fused compare's are
+    /// those of its compare.
     fn as_bin(self) -> Option<(BinOp, Bin)> {
         Some(match self {
             Op::Add(b) => (BinOp::Add, b),
@@ -307,14 +345,36 @@ impl Op {
             Op::Xor(b) => (BinOp::Xor, b),
             Op::Shl(b) => (BinOp::Shl, b),
             Op::Shr(b) => (BinOp::Shr, b),
-            Op::Eq(b) => (BinOp::Eq, b),
-            Op::Ne(b) => (BinOp::Ne, b),
-            Op::Lt(b) => (BinOp::Lt, b),
-            Op::Le(b) => (BinOp::Le, b),
-            Op::Gt(b) => (BinOp::Gt, b),
-            Op::Ge(b) => (BinOp::Ge, b),
+            Op::Eq(b) | Op::EqBr(CmpBr { cmp: b, .. }) => (BinOp::Eq, b),
+            Op::Ne(b) | Op::NeBr(CmpBr { cmp: b, .. }) => (BinOp::Ne, b),
+            Op::Lt(b) | Op::LtBr(CmpBr { cmp: b, .. }) => (BinOp::Lt, b),
+            Op::Le(b) | Op::LeBr(CmpBr { cmp: b, .. }) => (BinOp::Le, b),
+            Op::Gt(b) | Op::GtBr(CmpBr { cmp: b, .. }) => (BinOp::Gt, b),
+            Op::Ge(b) | Op::GeBr(CmpBr { cmp: b, .. }) => (BinOp::Ge, b),
             _ => return None,
         })
+    }
+
+    /// Fuses this op with a `CondBr` on `cond` to `then_to` or `else_to`
+    /// when it is a compare whose result `cond` is.
+    fn fuse(&mut self, cond: Val, then_to: u32, else_to: u32) {
+        let Some((op, cmp)) = self.as_bin().filter(|(_, b)| b.dst == cond) else {
+            return;
+        };
+        let c = CmpBr {
+            cmp,
+            then_to,
+            else_to,
+        };
+        *self = match op {
+            BinOp::Eq => Op::EqBr(c),
+            BinOp::Ne => Op::NeBr(c),
+            BinOp::Lt => Op::LtBr(c),
+            BinOp::Le => Op::LeBr(c),
+            BinOp::Gt => Op::GtBr(c),
+            BinOp::Ge => Op::GeBr(c),
+            _ => return,
+        };
     }
 
     /// Cycles the op costs under `cost`.
@@ -329,6 +389,18 @@ impl Op {
             Op::Ret => cost.ret,
             _ => cost.bin_op(self.as_bin().expect("the remaining ops are binary").0),
         }
+    }
+}
+
+/// The register `inst` writes, if any.
+fn written(inst: &MInst) -> Option<PReg> {
+    match *inst {
+        MInst::Copy { dst, .. }
+        | MInst::Bin { dst, .. }
+        | MInst::Un { dst, .. }
+        | MInst::Load { dst, .. }
+        | MInst::FuncAddr { dst, .. } => Some(dst),
+        MInst::Store { .. } | MInst::Call { .. } | MInst::Print { .. } => None,
     }
 }
 
@@ -378,6 +450,35 @@ struct Seg {
     traffic: Traffic,
 }
 
+impl Seg {
+    /// Enters the segment: charges its cycles against `fuel`, counts the
+    /// entry in `count` and charges its traffic to ledger edge `edge`.
+    /// Returns false, charging nothing, when the cycles would cross the
+    /// fuel.
+    #[inline(always)]
+    fn charge(
+        self,
+        fuel: &mut u64,
+        count: &mut u64,
+        ledger: &mut [EdgePenalty],
+        edge: usize,
+    ) -> bool {
+        if self.cycles > *fuel {
+            return false;
+        }
+        *fuel -= self.cycles;
+        *count += 1;
+        if !self.traffic.is_empty() {
+            let e = &mut ledger[edge];
+            e.sr_loads += u64::from(self.traffic.sr_loads);
+            e.sr_stores += u64::from(self.traffic.sr_stores);
+            e.spill_loads += u64::from(self.traffic.spill_loads);
+            e.spill_stores += u64::from(self.traffic.spill_stores);
+        }
+        true
+    }
+}
+
 /// Where one function's code and state live. Every activation of a
 /// function has the same shape, so this is computed once per run.
 struct Func {
@@ -389,9 +490,11 @@ struct Func {
     outgoing: usize,
     /// Cells in the outgoing-argument area (`max_outgoing`).
     outgoing_len: usize,
-    /// The registers the function must preserve (empty without
-    /// convention checking).
-    preserve: RegMask,
+    /// The registers the convention check compares at return: those the
+    /// function must preserve that its activations can write (empty
+    /// without convention checking). With none, an activation takes no
+    /// snapshot.
+    check: RegMask,
 }
 
 /// One activation. Its frame occupies `mem[base..base + size]`.
@@ -409,7 +512,7 @@ struct Frame {
     /// Incoming stack arguments: `num_stack_args` of the creating call.
     nargs: usize,
     /// Where this activation's entry register values sit on the snapshot
-    /// stack (only when its function must preserve any).
+    /// stack (only when its function's return is checked).
     snap: usize,
     /// Ledger index of the call edge `(caller, callee)` that created this
     /// activation; save/restore and spill traffic executed by the
@@ -417,8 +520,163 @@ struct Frame {
     edge: usize,
 }
 
+impl Frame {
+    /// The arena cell `a` names for this activation, or the trap an
+    /// access outside its object raises.
+    #[inline(always)]
+    fn resolve(&self, a: Addr, vals: &[i64], module: &MModule) -> Result<usize, SimTrap> {
+        let base = match a.region {
+            Region::Global(_) => 0,
+            Region::Slot(_) | Region::Outgoing => self.base,
+        };
+        let i = vals[a.index as usize];
+        if i as u64 >= u64::from(a.len) {
+            return Err(out_of_bounds(module, a.region, i));
+        }
+        Ok(base + a.at as usize + i as usize)
+    }
+
+    /// The arena cell of incoming stack argument `index`.
+    #[inline(always)]
+    fn incoming(&self, index: u32) -> Result<usize, SimTrap> {
+        let i = index as usize;
+        if i >= self.nargs {
+            return Err(SimTrap::OutOfBounds {
+                what: "incoming arguments".into(),
+                index: index.into(),
+            });
+        }
+        Ok(self.args + i)
+    }
+}
+
 /// Ledger index of the program-entry edge `<entry> -> main`.
 const ROOT_EDGE: usize = 0;
+
+/// The memory arena and the call stack.
+struct Stack {
+    /// The memory arena: the globals, then the frame stack, which each
+    /// call extends with a zero-filled frame and each return truncates.
+    mem: Vec<i64>,
+    /// The suspended activations; the current one is kept apart.
+    frames: Vec<Frame>,
+    /// The registers at entry of every live activation whose return is
+    /// checked, `NUM_REGS` cells each.
+    snaps: Vec<i64>,
+    /// Indexed by depth: activations entered there (`main` enters at
+    /// depth 1). Folded into the depth histogram when the run ends.
+    depths: Vec<u64>,
+    /// The deepest stack allowed.
+    max_depth: usize,
+}
+
+impl Stack {
+    /// A fresh activation of `funcs[func]` over ledger edge `edge`, whose
+    /// `nargs` incoming stack arguments start at arena cell `args`: a
+    /// zeroed frame at the end of the arena, a snapshot of `regs` when its
+    /// return is checked, and one more activation at its depth.
+    #[inline(always)]
+    fn enter(
+        &mut self,
+        funcs: &[Func],
+        regs: &Regs,
+        func: usize,
+        args: usize,
+        nargs: usize,
+        edge: usize,
+    ) -> Frame {
+        let f = &funcs[func];
+        let base = self.mem.len();
+        self.mem.resize(base + f.size, 0);
+        let snap = self.snaps.len();
+        if !f.check.is_empty() {
+            self.snaps.extend_from_slice(regs);
+        }
+        // Each call goes one deeper than the deepest counted so far at
+        // most, so a new depth is always the next slot.
+        let depth = self.frames.len() + 1;
+        match self.depths.get_mut(depth) {
+            Some(n) => *n += 1,
+            None => self.depths.push(1),
+        }
+        Frame {
+            func,
+            ret: 0,
+            base,
+            args,
+            nargs,
+            snap,
+            edge,
+        }
+    }
+
+    /// Calls `funcs[func]` from `cur` over ledger edge `edge` with `nargs`
+    /// stack arguments: `cur`, which already names its return op, is
+    /// suspended and becomes the callee's fresh activation. Returns the
+    /// callee's entry op.
+    #[inline(always)]
+    fn call(
+        &mut self,
+        cur: &mut Frame,
+        funcs: &[Func],
+        regs: &Regs,
+        func: usize,
+        edge: usize,
+        nargs: u32,
+    ) -> Result<usize, SimTrap> {
+        // The first cells of the caller's outgoing area are the callee's
+        // incoming stack arguments.
+        let caller = &funcs[cur.func];
+        let nargs = nargs as usize;
+        if nargs > caller.outgoing_len {
+            return Err(SimTrap::OutOfBounds {
+                what: "outgoing-argument area".into(),
+                index: nargs as i64 - 1,
+            });
+        }
+        if self.frames.len() + 1 >= self.max_depth {
+            return Err(SimTrap::StackOverflow);
+        }
+        let args = cur.base + caller.outgoing;
+        self.frames.push(*cur);
+        *cur = self.enter(funcs, regs, func, args, nargs, edge);
+        Ok(funcs[func].entry)
+    }
+
+    /// Returns from `cur`, whose return checks the registers in `check`:
+    /// each must still hold its entry value. The whole register file is
+    /// compared at once; the lowest changed register in `check` is the
+    /// error. Otherwise pops `cur`'s frame and returns the activation to
+    /// resume, none after `main`.
+    #[inline(always)]
+    fn leave(&mut self, cur: &Frame, check: RegMask, regs: &Regs) -> Result<Option<Frame>, PReg> {
+        if !check.is_empty() {
+            let entry: &Regs = self.snaps[cur.snap..cur.snap + NUM_REGS]
+                .try_into()
+                .expect("a snapshot holds every register");
+            let mut changed = 0u32;
+            for (r, (before, after)) in entry.iter().zip(regs).enumerate() {
+                changed |= u32::from(before != after) << r;
+            }
+            if changed & check.0 != 0 {
+                return Err(PReg((changed & check.0).trailing_zeros() as u8));
+            }
+            self.snaps.truncate(cur.snap);
+        }
+        self.mem.truncate(cur.base);
+        Ok(self.frames.pop())
+    }
+
+    #[cold]
+    fn violation(&self, module: &MModule, cur: Frame, reg: PReg, regs: &Regs) -> SimTrap {
+        SimTrap::ConventionViolation {
+            func: module.funcs[FuncId(cur.func as u32)].name.clone(),
+            reg,
+            before: self.snaps[cur.snap + reg.index()],
+            after: regs[reg.index()],
+        }
+    }
+}
 
 /// A decoded module and the state of one run over it.
 struct Machine<'a> {
@@ -430,14 +688,7 @@ struct Machine<'a> {
     funcs: Vec<Func>,
     /// The value file: registers, then immediates.
     vals: Vec<i64>,
-    /// The memory arena: the globals, then the frame stack, which each
-    /// call extends with a zero-filled frame and each return truncates.
-    mem: Vec<i64>,
-    /// The suspended activations; the current one is kept apart.
-    stack: Vec<Frame>,
-    /// The registers at entry of every live activation that must preserve
-    /// any, `NUM_REGS` cells each.
-    snaps: Vec<i64>,
+    stack: Stack,
     /// One entry per call edge: call counts and the traffic charged to
     /// activations the edge created. Entry 0 is the program-entry edge.
     ledger: Vec<EdgePenalty>,
@@ -449,7 +700,6 @@ struct Machine<'a> {
     /// Cycles left before the fuel runs out.
     left: u64,
     output: Vec<i64>,
-    depth_hist: Log2Histogram,
 }
 
 /// Runs `main` of a lowered module.
@@ -494,9 +744,44 @@ fn reg(r: PReg) -> Val {
     r.index() as Val
 }
 
+/// The register part of the value file.
+#[inline(always)]
+fn regs(vals: &[i64]) -> &Regs {
+    vals[..NUM_REGS]
+        .try_into()
+        .expect("the value file starts with the registers")
+}
+
 /// `n` as a decoded op index, value-file index, arena offset or size.
 fn index32(n: usize) -> u32 {
     u32::try_from(n).expect("a module's ops, values and memory fit 32-bit indices")
+}
+
+/// The registers an activation of each function can write: the
+/// function's own destinations, closed over its direct callees in
+/// `callees`. A function that can reach an indirect call can write
+/// whatever any function writes.
+fn may_write(
+    writes: &[RegMask],
+    indirect: &[bool],
+    callees: &[Vec<(usize, usize)>],
+) -> Vec<RegMask> {
+    let any = writes.iter().fold(RegMask::EMPTY, |a, &w| a.union(w));
+    let mut may: Vec<RegMask> = writes
+        .iter()
+        .zip(indirect)
+        .map(|(&w, &ind)| if ind { any } else { w })
+        .collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (f, known) in callees.iter().enumerate() {
+            let m = known.iter().fold(may[f], |m, &(g, _)| m.union(may[g]));
+            changed |= m != may[f];
+            may[f] = m;
+        }
+    }
+    may
 }
 
 impl<'a> Machine<'a> {
@@ -550,6 +835,8 @@ impl<'a> Machine<'a> {
             ..EdgePenalty::default()
         }];
         let mut callees = vec![Vec::new(); module.funcs.len()];
+        let mut writes = vec![RegMask::EMPTY; module.funcs.len()];
+        let mut indirect = vec![false; module.funcs.len()];
         for (fid, f) in module.funcs.iter() {
             let mut size = 0;
             let slots: Vec<(u32, u32)> = f
@@ -567,7 +854,9 @@ impl<'a> Machine<'a> {
                 size: size + outgoing_len as usize,
                 outgoing: size,
                 outgoing_len: outgoing_len as usize,
-                preserve: match &opts.preserve_masks {
+                // The registers to preserve; narrowed below to those the
+                // activations can write.
+                check: match &opts.preserve_masks {
                     Some(masks) => RegMask(all.0 & !masks[fid.index()].0 & !opts.exempt.0),
                     None => RegMask::EMPTY,
                 },
@@ -598,8 +887,12 @@ impl<'a> Machine<'a> {
             };
             let block = |b: BlockId| starts[fid.index()][b.index()];
             for b in f.blocks.values() {
-                let mut seg = ops.len();
+                let start = ops.len();
+                let mut seg = start;
                 for inst in &b.insts {
+                    if let Some(r) = written(inst) {
+                        writes[fid.index()].insert(r);
+                    }
                     let op = match *inst {
                         MInst::Copy { dst, src } => Op::Copy {
                             dst: reg(dst),
@@ -656,10 +949,13 @@ impl<'a> Machine<'a> {
                         MInst::Call {
                             callee: MCallee::Indirect(t),
                             num_stack_args: nargs,
-                        } => Op::CallIndirect {
-                            target: imms.operand(t),
-                            nargs,
-                        },
+                        } => {
+                            indirect[fid.index()] = true;
+                            Op::CallIndirect {
+                                target: imms.operand(t),
+                                nargs,
+                            }
+                        }
                         MInst::FuncAddr { dst, func } => Op::Copy {
                             dst: reg(dst),
                             src: imms.imm(func.index() as i64),
@@ -682,15 +978,28 @@ impl<'a> Machine<'a> {
                         cond,
                         then_to,
                         else_to,
-                    } => Op::CondBr {
-                        cond: imms.operand(cond),
-                        then_to: block(then_to),
-                        else_to: block(else_to),
-                    },
+                    } => {
+                        let (cond, then_to, else_to) =
+                            (imms.operand(cond), block(then_to), block(else_to));
+                        if let Some(last) = ops[start..].last_mut() {
+                            last.fuse(cond, then_to, else_to);
+                        }
+                        Op::CondBr {
+                            cond,
+                            then_to,
+                            else_to,
+                        }
+                    }
                 };
                 segs[seg].cycles += op.cost(&opts.cost);
                 ops.push(op);
             }
+        }
+        for (f, may) in funcs
+            .iter_mut()
+            .zip(may_write(&writes, &indirect, &callees))
+        {
+            f.check = f.check.intersect(may);
         }
 
         Machine {
@@ -701,130 +1010,148 @@ impl<'a> Machine<'a> {
             segs,
             funcs,
             vals,
-            mem,
-            stack: Vec::new(),
-            snaps: Vec::new(),
+            stack: Stack {
+                mem,
+                frames: Vec::new(),
+                snaps: Vec::new(),
+                depths: vec![0],
+                max_depth: opts.max_depth,
+            },
             ledger,
             callees,
             left: opts.fuel,
             output: Vec::new(),
-            depth_hist: Log2Histogram::default(),
         }
     }
 
     /// Runs `main` to its return. The arms only execute: statistics are
-    /// charged where control enters a segment.
+    /// charged where control enters a segment. The loop runs on local
+    /// bindings of the machine's vectors, so a store into the value file
+    /// forces no reload of the others.
     fn execute(&mut self, main: FuncId) -> Result<(), SimTrap> {
-        let mut cur = self.enter(main.index(), 0, 0, ROOT_EDGE);
-        let mut pc = self.funcs[cur.func].entry;
-        self.charge(pc, &cur)?;
-        loop {
-            match self.ops[pc] {
-                Op::Copy { dst, src } => self.copy(dst, src),
-                Op::Add(b) => self.bin(BinOp::Add, b)?,
-                Op::Sub(b) => self.bin(BinOp::Sub, b)?,
-                Op::Mul(b) => self.bin(BinOp::Mul, b)?,
-                Op::Div(b) => self.bin(BinOp::Div, b)?,
-                Op::Rem(b) => self.bin(BinOp::Rem, b)?,
-                Op::And(b) => self.bin(BinOp::And, b)?,
-                Op::Or(b) => self.bin(BinOp::Or, b)?,
-                Op::Xor(b) => self.bin(BinOp::Xor, b)?,
-                Op::Shl(b) => self.bin(BinOp::Shl, b)?,
-                Op::Shr(b) => self.bin(BinOp::Shr, b)?,
-                Op::Eq(b) => self.bin(BinOp::Eq, b)?,
-                Op::Ne(b) => self.bin(BinOp::Ne, b)?,
-                Op::Lt(b) => self.bin(BinOp::Lt, b)?,
-                Op::Le(b) => self.bin(BinOp::Le, b)?,
-                Op::Gt(b) => self.bin(BinOp::Gt, b)?,
-                Op::Ge(b) => self.bin(BinOp::Ge, b)?,
-                Op::Neg { dst, src } => self.un(UnOp::Neg, dst, src),
-                Op::Not { dst, src } => self.un(UnOp::Not, dst, src),
-                Op::Load { dst, addr } => self.load(dst, addr, &cur)?,
-                Op::Store { src, addr } => self.store(src, addr, &cur)?,
-                Op::LoadArg { dst, index } => self.load_arg(dst, index, &cur)?,
-                Op::StoreArg { index } => return Err(store_arg(index)),
-                Op::Print { arg } => self.print(arg),
-                Op::Call { func, edge, nargs } => {
-                    pc = self.call(&mut cur, pc + 1, func as usize, edge as usize, nargs)?;
-                    self.charge(pc, &cur)?;
-                    continue;
-                }
-                Op::CallIndirect { target, nargs } => {
-                    let raw = self.vals[target as usize];
-                    if raw < 0 || raw as usize >= self.funcs.len() {
-                        return Err(SimTrap::BadIndirectTarget(raw));
+        let Machine {
+            module,
+            ops,
+            segs,
+            funcs,
+            vals,
+            stack,
+            ledger,
+            callees,
+            counts,
+            left,
+            output,
+            ..
+        } = self;
+        let (ops, segs, funcs) = (ops.as_slice(), segs.as_slice(), funcs.as_slice());
+        let (vals, counts) = (vals.as_mut_slice(), counts.as_mut_slice());
+        let module: &MModule = module;
+        let mut fuel = *left;
+        let mut cur = stack.enter(funcs, regs(vals), main.index(), 0, 0, ROOT_EDGE);
+        let mut pc = funcs[cur.func].entry;
+        // Each pass enters the segment at `pc` and runs its ops; the call
+        // or terminator that ends it breaks out with the next one.
+        while segs[pc].charge(&mut fuel, &mut counts[pc], ledger, cur.edge) {
+            pc = loop {
+                match ops[pc] {
+                    Op::Copy { dst, src } => vals[dst as usize] = vals[src as usize],
+                    Op::Add(b) => bin(vals, BinOp::Add, b)?,
+                    Op::Sub(b) => bin(vals, BinOp::Sub, b)?,
+                    Op::Mul(b) => bin(vals, BinOp::Mul, b)?,
+                    Op::Div(b) => bin(vals, BinOp::Div, b)?,
+                    Op::Rem(b) => bin(vals, BinOp::Rem, b)?,
+                    Op::And(b) => bin(vals, BinOp::And, b)?,
+                    Op::Or(b) => bin(vals, BinOp::Or, b)?,
+                    Op::Xor(b) => bin(vals, BinOp::Xor, b)?,
+                    Op::Shl(b) => bin(vals, BinOp::Shl, b)?,
+                    Op::Shr(b) => bin(vals, BinOp::Shr, b)?,
+                    Op::Eq(b) => bin(vals, BinOp::Eq, b)?,
+                    Op::Ne(b) => bin(vals, BinOp::Ne, b)?,
+                    Op::Lt(b) => bin(vals, BinOp::Lt, b)?,
+                    Op::Le(b) => bin(vals, BinOp::Le, b)?,
+                    Op::Gt(b) => bin(vals, BinOp::Gt, b)?,
+                    Op::Ge(b) => bin(vals, BinOp::Ge, b)?,
+                    Op::Neg { dst, src } => vals[dst as usize] = UnOp::Neg.eval(vals[src as usize]),
+                    Op::Not { dst, src } => vals[dst as usize] = UnOp::Not.eval(vals[src as usize]),
+                    Op::Load { dst, addr } => {
+                        vals[dst as usize] = stack.mem[cur.resolve(addr, vals, module)?];
                     }
-                    let func = raw as usize;
-                    let edge = edge_index(&mut self.callees, &mut self.ledger, cur.func, func);
-                    pc = self.call(&mut cur, pc + 1, func, edge, nargs)?;
-                    self.charge(pc, &cur)?;
-                    continue;
+                    Op::Store { src, addr } => {
+                        stack.mem[cur.resolve(addr, vals, module)?] = vals[src as usize];
+                    }
+                    Op::LoadArg { dst, index } => {
+                        vals[dst as usize] = stack.mem[cur.incoming(index)?];
+                    }
+                    Op::StoreArg { index } => return Err(store_arg(index)),
+                    Op::Print { arg } => output.push(vals[arg as usize]),
+                    Op::Call { func, edge, nargs } => {
+                        ledger[edge as usize].calls += 1;
+                        cur.ret = pc + 1;
+                        let (func, edge) = (func as usize, edge as usize);
+                        break stack.call(&mut cur, funcs, regs(vals), func, edge, nargs)?;
+                    }
+                    Op::CallIndirect { target, nargs } => {
+                        let raw = vals[target as usize];
+                        if raw < 0 || raw as usize >= funcs.len() {
+                            return Err(SimTrap::BadIndirectTarget(raw));
+                        }
+                        let func = raw as usize;
+                        let edge = edge_index(callees, ledger, cur.func, func);
+                        ledger[edge].calls += 1;
+                        cur.ret = pc + 1;
+                        break stack.call(&mut cur, funcs, regs(vals), func, edge, nargs)?;
+                    }
+                    Op::Br { to } => break to as usize,
+                    Op::CondBr {
+                        cond,
+                        then_to,
+                        else_to,
+                    } => {
+                        break (if vals[cond as usize] != 0 {
+                            then_to
+                        } else {
+                            else_to
+                        }) as usize
+                    }
+                    Op::EqBr(c) => break c.run(BinOp::Eq, vals),
+                    Op::NeBr(c) => break c.run(BinOp::Ne, vals),
+                    Op::LtBr(c) => break c.run(BinOp::Lt, vals),
+                    Op::LeBr(c) => break c.run(BinOp::Le, vals),
+                    Op::GtBr(c) => break c.run(BinOp::Gt, vals),
+                    Op::GeBr(c) => break c.run(BinOp::Ge, vals),
+                    Op::Ret => match stack.leave(&cur, funcs[cur.func].check, regs(vals)) {
+                        Ok(Some(parent)) => {
+                            cur = parent;
+                            break cur.ret;
+                        }
+                        Ok(None) => {
+                            *left = fuel;
+                            return Ok(());
+                        }
+                        Err(reg) => return Err(stack.violation(module, cur, reg, regs(vals))),
+                    },
                 }
-                Op::Br { to } => {
-                    pc = to as usize;
-                    self.charge(pc, &cur)?;
-                    continue;
-                }
-                Op::CondBr {
-                    cond,
-                    then_to,
-                    else_to,
-                } => {
-                    pc = if self.vals[cond as usize] != 0 {
-                        then_to
-                    } else {
-                        else_to
-                    } as usize;
-                    self.charge(pc, &cur)?;
-                    continue;
-                }
-                Op::Ret => {
-                    self.check_preserved(&cur)?;
-                    self.snaps.truncate(cur.snap);
-                    self.mem.truncate(cur.base);
-                    let Some(parent) = self.stack.pop() else {
-                        return Ok(());
-                    };
-                    cur = parent;
-                    pc = cur.ret;
-                    self.charge(pc, &cur)?;
-                    continue;
-                }
-            }
-            pc += 1;
+                pc += 1;
+            };
         }
-    }
-
-    /// Enters the segment starting at op `pc`: charges its cycles, counts
-    /// it and charges its traffic to the activation's edge. When the
-    /// cycles would exceed the fuel, the segment is replayed op by op
-    /// instead, to find which trap comes first.
-    #[inline(always)]
-    fn charge(&mut self, pc: usize, cur: &Frame) -> Result<(), SimTrap> {
-        let Seg { cycles, traffic } = self.segs[pc];
-        if cycles > self.left {
-            return self.replay(pc, cur);
-        }
-        self.left -= cycles;
-        self.counts[pc] += 1;
-        if !traffic.is_empty() {
-            let e = &mut self.ledger[cur.edge];
-            e.sr_loads += u64::from(traffic.sr_loads);
-            e.sr_stores += u64::from(traffic.sr_stores);
-            e.spill_loads += u64::from(traffic.spill_loads);
-            e.spill_stores += u64::from(traffic.spill_stores);
-        }
-        Ok(())
+        *left = fuel;
+        self.replay(pc, cur)
     }
 
     /// Executes the segment at `pc` one op at a time, charging each op
     /// before it runs, up to the first trap: one an op raises, or
     /// `OutOfFuel` at the op whose charge crosses the fuel. The segment's
     /// total crosses, so that op is at the latest its call or terminator,
-    /// and no control op ever executes here. Never returns `Ok`.
+    /// and no control op ever executes here; a fused compare runs as its
+    /// plain compare. Never returns `Ok`.
+    ///
+    /// Like [`Stack::violation`], it takes the activation by value: a
+    /// reference would let the run loop's current frame escape, and the
+    /// loop would then keep that frame in memory instead of in registers.
     #[cold]
     #[inline(never)]
-    fn replay(&mut self, mut pc: usize, cur: &Frame) -> Result<(), SimTrap> {
+    fn replay(&mut self, mut pc: usize, cur: Frame) -> Result<(), SimTrap> {
+        let (vals, mem) = (&mut self.vals, &mut self.stack.mem);
         loop {
             let op = self.ops[pc];
             let cost = op.cost(&self.opts.cost);
@@ -833,14 +1160,18 @@ impl<'a> Machine<'a> {
             }
             self.left -= cost;
             match op {
-                Op::Copy { dst, src } => self.copy(dst, src),
-                Op::Neg { dst, src } => self.un(UnOp::Neg, dst, src),
-                Op::Not { dst, src } => self.un(UnOp::Not, dst, src),
-                Op::Load { dst, addr } => self.load(dst, addr, cur)?,
-                Op::Store { src, addr } => self.store(src, addr, cur)?,
-                Op::LoadArg { dst, index } => self.load_arg(dst, index, cur)?,
+                Op::Copy { dst, src } => vals[dst as usize] = vals[src as usize],
+                Op::Neg { dst, src } => vals[dst as usize] = UnOp::Neg.eval(vals[src as usize]),
+                Op::Not { dst, src } => vals[dst as usize] = UnOp::Not.eval(vals[src as usize]),
+                Op::Load { dst, addr } => {
+                    vals[dst as usize] = mem[cur.resolve(addr, vals, self.module)?];
+                }
+                Op::Store { src, addr } => {
+                    mem[cur.resolve(addr, vals, self.module)?] = vals[src as usize];
+                }
+                Op::LoadArg { dst, index } => vals[dst as usize] = mem[cur.incoming(index)?],
                 Op::StoreArg { index } => return Err(store_arg(index)),
-                Op::Print { arg } => self.print(arg),
+                Op::Print { arg } => self.output.push(vals[arg as usize]),
                 Op::Call { .. }
                 | Op::CallIndirect { .. }
                 | Op::Br { .. }
@@ -848,181 +1179,10 @@ impl<'a> Machine<'a> {
                 | Op::Ret => unreachable!("the segment's total did not cross the fuel"),
                 _ => {
                     let (op, b) = op.as_bin().expect("the remaining ops are binary");
-                    self.bin(op, b)?
+                    bin(vals, op, b)?
                 }
             }
             pc += 1;
-        }
-    }
-
-    #[inline(always)]
-    fn copy(&mut self, dst: Val, src: Val) {
-        self.vals[dst as usize] = self.vals[src as usize];
-    }
-
-    #[inline(always)]
-    fn bin(&mut self, op: BinOp, Bin { dst, lhs, rhs }: Bin) -> Result<(), SimTrap> {
-        let (a, b) = (self.vals[lhs as usize], self.vals[rhs as usize]);
-        self.vals[dst as usize] = op.eval(a, b).ok_or(SimTrap::DivideByZero)?;
-        Ok(())
-    }
-
-    #[inline(always)]
-    fn un(&mut self, op: UnOp, dst: Val, src: Val) {
-        self.vals[dst as usize] = op.eval(self.vals[src as usize]);
-    }
-
-    #[inline(always)]
-    fn load(&mut self, dst: Val, addr: Addr, cur: &Frame) -> Result<(), SimTrap> {
-        let at = self.resolve(addr, cur)?;
-        self.vals[dst as usize] = self.mem[at];
-        Ok(())
-    }
-
-    #[inline(always)]
-    fn store(&mut self, src: Val, addr: Addr, cur: &Frame) -> Result<(), SimTrap> {
-        let at = self.resolve(addr, cur)?;
-        self.mem[at] = self.vals[src as usize];
-        Ok(())
-    }
-
-    #[inline(always)]
-    fn load_arg(&mut self, dst: Val, index: u32, cur: &Frame) -> Result<(), SimTrap> {
-        let i = index as usize;
-        if i >= cur.nargs {
-            return Err(SimTrap::OutOfBounds {
-                what: "incoming arguments".into(),
-                index: index.into(),
-            });
-        }
-        self.vals[dst as usize] = self.mem[cur.args + i];
-        Ok(())
-    }
-
-    #[inline(always)]
-    fn print(&mut self, arg: Val) {
-        self.output.push(self.vals[arg as usize]);
-    }
-
-    /// The arena cell `a` names for the activation `cur`, or the trap an
-    /// access outside its object raises.
-    #[inline(always)]
-    fn resolve(&self, a: Addr, cur: &Frame) -> Result<usize, SimTrap> {
-        let base = match a.region {
-            Region::Global(_) => 0,
-            Region::Slot(_) | Region::Outgoing => cur.base,
-        };
-        let i = self.vals[a.index as usize];
-        if i as u64 >= u64::from(a.len) {
-            return Err(self.out_of_bounds(a.region, i));
-        }
-        Ok(base + a.at as usize + i as usize)
-    }
-
-    #[cold]
-    fn out_of_bounds(&self, region: Region, index: i64) -> SimTrap {
-        let what = match region {
-            Region::Global(g) => format!("global `{}`", self.module.globals[g].name),
-            Region::Slot(s) => format!("frame slot {s}"),
-            Region::Outgoing => "outgoing arguments".into(),
-        };
-        SimTrap::OutOfBounds { what, index }
-    }
-
-    /// Calls `func` from `cur` over ledger edge `edge`: `cur` is
-    /// suspended to resume at op `ret`, and becomes the callee's fresh
-    /// activation. Returns the callee's entry op.
-    #[inline(always)]
-    fn call(
-        &mut self,
-        cur: &mut Frame,
-        ret: usize,
-        func: usize,
-        edge: usize,
-        nargs: u32,
-    ) -> Result<usize, SimTrap> {
-        // The first cells of the caller's outgoing area are the callee's
-        // incoming stack arguments.
-        let caller = &self.funcs[cur.func];
-        let nargs = nargs as usize;
-        if nargs > caller.outgoing_len {
-            return Err(SimTrap::OutOfBounds {
-                what: "outgoing-argument area".into(),
-                index: nargs as i64 - 1,
-            });
-        }
-        if self.stack.len() + 1 >= self.opts.max_depth {
-            return Err(SimTrap::StackOverflow);
-        }
-        let args = cur.base + caller.outgoing;
-        self.ledger[edge].calls += 1;
-        cur.ret = ret;
-        self.stack.push(*cur);
-        *cur = self.enter(func, args, nargs, edge);
-        Ok(self.funcs[func].entry)
-    }
-
-    /// The register part of the value file.
-    #[inline(always)]
-    fn regs(&self) -> &Regs {
-        self.vals[..NUM_REGS]
-            .try_into()
-            .expect("the value file starts with the registers")
-    }
-
-    /// A fresh activation of `func`: a zeroed frame, and a snapshot of the
-    /// registers when it must preserve any.
-    #[inline(always)]
-    fn enter(&mut self, func: usize, args: usize, nargs: usize, edge: usize) -> Frame {
-        let f = &self.funcs[func];
-        let base = self.mem.len();
-        self.mem.resize(base + f.size, 0);
-        let snap = self.snaps.len();
-        if !f.preserve.is_empty() {
-            self.snaps.extend_from_slice(&self.vals[..NUM_REGS]);
-        }
-        self.depth_hist.observe(self.stack.len() as u64 + 1);
-        Frame {
-            func,
-            ret: 0,
-            base,
-            args,
-            nargs,
-            snap,
-            edge,
-        }
-    }
-
-    /// The convention check at `cur`'s return: every register the
-    /// function must preserve still holds its entry value. The whole
-    /// register file is compared at once; the lowest changed register
-    /// the function must preserve is reported.
-    #[inline(always)]
-    fn check_preserved(&self, cur: &Frame) -> Result<(), SimTrap> {
-        let preserve = self.funcs[cur.func].preserve;
-        if preserve.is_empty() {
-            return Ok(());
-        }
-        let entry: &Regs = self.snaps[cur.snap..cur.snap + NUM_REGS]
-            .try_into()
-            .expect("a snapshot holds every register");
-        let mut changed = 0u32;
-        for (r, (before, after)) in entry.iter().zip(self.regs()).enumerate() {
-            changed |= u32::from(before != after) << r;
-        }
-        match changed & preserve.0 {
-            0 => Ok(()),
-            bad => Err(self.violation(cur, PReg(bad.trailing_zeros() as u8))),
-        }
-    }
-
-    #[cold]
-    fn violation(&self, cur: &Frame, reg: PReg) -> SimTrap {
-        SimTrap::ConventionViolation {
-            func: self.module.funcs[FuncId(cur.func as u32)].name.clone(),
-            reg,
-            before: self.snaps[cur.snap + reg.index()],
-            after: self.vals[reg.index()],
         }
     }
 
@@ -1067,10 +1227,10 @@ impl<'a> Machine<'a> {
             }
         }
 
-        let mut stats = Stats {
-            depth_hist: self.depth_hist,
-            ..Stats::default()
-        };
+        let mut stats = Stats::default();
+        for (depth, &n) in self.stack.depths.iter().enumerate() {
+            stats.depth_hist.observe_n(depth as u64, n);
+        }
         for f in &per_func {
             stats.cycles += f.cycles;
             stats.insts += f.insts;
@@ -1106,6 +1266,23 @@ impl<'a> Machine<'a> {
             block_profile: profile,
         }
     }
+}
+
+#[inline(always)]
+fn bin(vals: &mut [i64], op: BinOp, Bin { dst, lhs, rhs }: Bin) -> Result<(), SimTrap> {
+    let (a, b) = (vals[lhs as usize], vals[rhs as usize]);
+    vals[dst as usize] = op.eval(a, b).ok_or(SimTrap::DivideByZero)?;
+    Ok(())
+}
+
+#[cold]
+fn out_of_bounds(module: &MModule, region: Region, index: i64) -> SimTrap {
+    let what = match region {
+        Region::Global(g) => format!("global `{}`", module.globals[g].name),
+        Region::Slot(s) => format!("frame slot {s}"),
+        Region::Outgoing => "outgoing arguments".into(),
+    };
+    SimTrap::OutOfBounds { what, index }
 }
 
 /// The trap a store to incoming stack argument `index` raises.

@@ -14,7 +14,10 @@
 //! value file, which holds the registers and then the run's immediates.
 //! Addresses carry their object's arena offset and length, branches name
 //! op indices, a function address becomes an immediate, and each binary
-//! operator gets an op of its own.
+//! operator gets an op of its own. A compare whose result the block's
+//! `CondBr` tests becomes one op that writes the result and branches, at
+//! the compare's cost; the `CondBr` keeps its own op, so op `i` is still
+//! the `i`-th instruction.
 //!
 //! Statistics are charged per *segment*, not per instruction. A segment is
 //! a block's ops up to and including the next call, or up to and including
@@ -22,14 +25,26 @@
 //! counts it once, and charges its save/restore and spill accesses to the
 //! call edge of the current activation. Everything else in [`Stats`], the
 //! per-function attribution and the block profile are derived from the
-//! segment counts when the run ends.
+//! segment counts when the run ends, and the depth histogram from the
+//! activations counted per depth.
+//!
+//! The convention checker compares only the registers an activation can
+//! write. Decoding gives each function the registers its instructions
+//! write, closed over its direct callees; a function that can reach an
+//! indirect call may write whatever any function writes. A function whose
+//! preserved registers miss that set takes no snapshot on entry and no
+//! check on return. A register nothing in the call tree writes cannot
+//! change, so the check reports exactly what comparing every preserved
+//! register would.
 //!
 //! Every instruction is charged before it executes, so a trap is reported
 //! only if the trapping instruction's own charge fits the fuel. When a
 //! segment's cycles would cross the fuel, its ops are replayed one at a
-//! time through the same per-kind helpers up to the crossing one. A trap
-//! before it wins; otherwise the run stops with [`SimTrap::OutOfFuel`].
+//! time through the same per-kind helpers up to the crossing one, a fused
+//! compare as its plain compare. A trap before it wins; otherwise the run
+//! stops with [`SimTrap::OutOfFuel`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod exec;
@@ -999,6 +1014,133 @@ mod tests {
                 reg: lo,
                 before: 1,
                 after: 10,
+            }
+        );
+    }
+
+    // The convention check compares only the registers an activation can
+    // write: those its function's instructions write, closed over its
+    // callees. These runs fail or pass exactly as a check of every
+    // preserved register would.
+
+    /// The first callee-saved register.
+    fn s0(regs: &RegFile) -> ipra_machine::PReg {
+        regs.allocatable_of(ipra_machine::RegClass::CalleeSaved)
+            .next()
+            .expect("has callee-saved regs")
+    }
+
+    /// `dst = v`.
+    fn copy(dst: ipra_machine::PReg, v: i64) -> MInst {
+        MInst::Copy {
+            dst,
+            src: MOperand::Imm(v),
+        }
+    }
+
+    #[test]
+    fn a_write_through_an_indirect_call_is_checked() {
+        // main sets s0 = 1 and calls mid, which promises to preserve s0
+        // and calls leaf through a function pointer; leaf sets s0 = 7.
+        // mid writes only t0 itself, so only its indirect callee can
+        // change s0.
+        let regs = RegFile::mips_like();
+        let (s0, t0) = (s0(&regs), regs.allocatable()[4]);
+        let leaf = straight("leaf", vec![copy(s0, 7)]);
+        let mid = straight(
+            "mid",
+            vec![
+                MInst::FuncAddr {
+                    dst: t0,
+                    func: FuncId(0),
+                },
+                MInst::Call {
+                    callee: MCallee::Indirect(MOperand::Reg(t0)),
+                    num_stack_args: 0,
+                },
+            ],
+        );
+        let main = straight("main", vec![copy(s0, 1), call(1, 0)]);
+        let both = RegMask::single(s0).union(RegMask::single(t0));
+        let masks = vec![RegMask::single(s0), RegMask::single(t0), both];
+        let opts = SimOptions::for_target(&regs).check_preservation(masks);
+        assert_eq!(
+            run(&module(vec![leaf, mid, main]), &regs, &opts).unwrap_err(),
+            SimTrap::ConventionViolation {
+                func: "mid".into(),
+                reg: s0,
+                before: 1,
+                after: 7,
+            }
+        );
+    }
+
+    #[test]
+    fn a_write_three_direct_calls_below_the_promise_is_checked() {
+        // top promises to preserve s0 and calls a, which calls b, which
+        // calls c; only c writes s0. Callers come before their callees,
+        // so the closure over callees takes more than one pass.
+        let regs = RegFile::mips_like();
+        let s0 = s0(&regs);
+        let m = module(vec![
+            straight("top", vec![call(1, 0)]),
+            straight("a", vec![call(2, 0)]),
+            straight("b", vec![call(3, 0)]),
+            straight("c", vec![copy(s0, 42)]),
+            straight("main", vec![copy(s0, 3), call(0, 0)]),
+        ]);
+        let mut masks = vec![RegMask::single(s0); 5];
+        masks[0] = RegMask::EMPTY;
+        let opts = SimOptions::for_target(&regs).check_preservation(masks);
+        assert_eq!(
+            run(&m, &regs, &opts).unwrap_err(),
+            SimTrap::ConventionViolation {
+                func: "top".into(),
+                reg: s0,
+                before: 3,
+                after: 42,
+            }
+        );
+    }
+
+    #[test]
+    fn a_preserved_register_restored_before_return_passes() {
+        // child saves s0 in its frame, overwrites it and reloads it before
+        // returning. It writes s0, so its return is checked, and the check
+        // passes; without the reload it fails.
+        let regs = RegFile::mips_like();
+        let s0 = s0(&regs);
+        let print = MInst::Print {
+            arg: MOperand::Reg(s0),
+        };
+        let mut child = straight(
+            "child",
+            vec![
+                MInst::Store {
+                    src: MOperand::Reg(s0),
+                    addr: elem(0, 0),
+                    class: MemClass::SaveRestore,
+                },
+                copy(s0, 99),
+                print.clone(),
+                load(s0, elem(0, 0), MemClass::SaveRestore),
+            ],
+        );
+        child.frame = frame(&[1]);
+        let main = straight("main", vec![copy(s0, 5), call(0, 0), print]);
+        let mut m = module(vec![child, main]);
+        let opts = SimOptions::for_target(&regs)
+            .check_preservation(vec![RegMask::EMPTY, RegMask::single(s0)]);
+        let r = run(&m, &regs, &opts).expect("child restores s0");
+        assert_eq!(r.output, vec![99, 5]);
+        m.funcs[FuncId(0)].blocks[BlockId(0)].insts.pop();
+        assert_eq!(
+            run(&m, &regs, &opts).unwrap_err(),
+            SimTrap::ConventionViolation {
+                func: "child".into(),
+                reg: s0,
+                before: 5,
+                after: 99,
             }
         );
     }
