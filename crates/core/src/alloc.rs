@@ -15,7 +15,7 @@ use ipra_machine::{PReg, RegMask, Target};
 use crate::analysis::{AnalysisCache, FuncAnalyses};
 use crate::color::{color_with, Assignment, VregLoc};
 use crate::config::{AllocMode, AllocOptions};
-use crate::priority::PriorityCtx;
+use crate::priority::{PriorityCtx, PriorityStats};
 use crate::ranges::{BlockWeights, RangeData};
 use crate::scratch::{CompileScratch, MaskPool};
 use crate::shrinkwrap::{shrink_wrap_with, SavePlan};
@@ -243,7 +243,7 @@ pub fn allocate_function_with(
 
     // Color.
     let color_span = ipra_obs::span("color");
-    let assignment = if opts.mode == AllocMode::NoAlloc {
+    let (assignment, priority) = if opts.mode == AllocMode::NoAlloc {
         // Every candidate is trivially a memory decision under -O0.
         for lr in ranges.ranges.iter().filter(|lr| lr.is_candidate()) {
             ipra_obs::event("alloc.decision", || {
@@ -254,11 +254,12 @@ pub fn allocate_function_with(
                 ]
             });
         }
-        Assignment {
+        let assignment = Assignment {
             whole: vec![VregLoc::Mem; func.num_vregs()],
             split: vec![None; func.num_vregs()],
             used: RegMask::EMPTY,
-        }
+        };
+        (assignment, PriorityStats::default())
     } else {
         let ctx = PriorityCtx {
             target,
@@ -273,6 +274,10 @@ pub fn allocate_function_with(
         color_with(&ctx, cfg, liveness, opts.split_ranges, scratch)
     };
     drop(color_span);
+    let func_label = [("func", func.name.as_str())];
+    ipra_obs::counter("priority.rows", &func_label, priority.rows);
+    ipra_obs::counter("priority.parts", &func_label, priority.parts);
+    ipra_obs::counter("priority.scans", &func_label, priority.scans);
 
     // My own parameter arrival convention.
     let mut param_locs = Vec::with_capacity(func.params.len());
@@ -404,7 +409,6 @@ pub fn allocate_function_with(
     }
     drop(shrink_span);
     scratch.masks.give(occupancy);
-    let func_label = [("func", func.name.as_str())];
     ipra_obs::counter(
         "shrink_wrap.iterations",
         &func_label,

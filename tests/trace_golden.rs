@@ -12,9 +12,12 @@ use common::DEMO;
 const PHASES: [&str; 5] = ["ranges", "priority", "color", "shrink_wrap", "lower"];
 
 /// Counters the compile records once per function, with a `func` label.
-const PER_FUNC: [&str; 4] = [
+const PER_FUNC: [&str; 7] = [
     "dataflow.liveness.iterations",
     "ranges.interference_edges",
+    "priority.rows",
+    "priority.parts",
+    "priority.scans",
     "shrink_wrap.iterations",
     "shrink_wrap.antav.sweeps",
 ];
@@ -202,11 +205,35 @@ fn trace_counts_match_function_reports() {
     let trace = m.trace.unwrap();
     let compiled = compile_only(&module, &Config::c());
 
+    let text = trace.render_text();
     for (ft, report) in trace.funcs.iter().zip(&compiled.reports) {
+        let label = [("func", ft.name.as_str())];
         let shrink = trace
             .metrics
-            .counter_value("shrink_wrap.iterations", &[("func", &ft.name)]);
+            .counter_value("shrink_wrap.iterations", &label);
         assert_eq!(shrink, u64::from(report.shrink_iterations));
+        // Coloring prices every candidate range once, into one to 24
+        // parts.
+        let rows = trace.metrics.counter_value("priority.rows", &label);
+        let parts = trace.metrics.counter_value("priority.parts", &label);
+        assert_eq!(rows, report.candidate_vregs as u64, "rows of `{}`", ft.name);
+        assert!(
+            (rows..=24 * rows).contains(&parts),
+            "parts of `{}`",
+            ft.name
+        );
+        // `mini-cc --trace` prints them in the function's section.
+        let start = text.find(&format!("fn {}:\n", ft.name)).unwrap();
+        let section = &text[start..];
+        let section = &section[..section[1..].find("\nfn ").map_or(section.len(), |e| e + 1)];
+        for name in ["priority.rows", "priority.parts", "priority.scans"] {
+            let v = trace.metrics.counter_value(name, &label);
+            assert!(
+                section.contains(&format!("\n  {name}: {v}\n")),
+                "`{name}` in the text section of `{}`:\n{section}",
+                ft.name
+            );
+        }
         let split = ft.decisions.iter().filter(|d| d.kind == "split").count();
         let mem = ft.decisions.iter().filter(|d| d.kind == "mem").count();
         assert_eq!(split, report.split_vregs, "split count in `{}`", ft.name);
