@@ -131,14 +131,13 @@ impl SccInfo {
         self.components.iter().flatten().copied().collect()
     }
 
-    /// Partitions the components into *waves* (levels of the condensation
-    /// DAG): level 0 holds the components with no calls outside themselves;
-    /// a component's level is one more than the deepest level it calls
+    /// Partitions the components into levels of the condensation DAG:
+    /// level 0 holds the components with no calls outside themselves; a
+    /// component's level is one more than the deepest level it calls
     /// into. All components of one level are mutually independent — none
-    /// (transitively) calls another — so once every lower level is
-    /// summarized, a whole level can be looked up and allocated against
-    /// one summary environment without violating the paper's bottom-up
-    /// invariant (callee summaries ready at every call site).
+    /// (transitively) calls another. The allocator walks
+    /// [`SccInfo::components`] in index order instead; the levels
+    /// describe the call graph's shape (depth and widest level).
     ///
     /// Returns component indices into [`SccInfo::components`], each level
     /// sorted ascending (bottom-up order within the level).

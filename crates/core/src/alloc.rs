@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ipra_cfg::{Cfg, Liveness, LoopInfo};
-use ipra_ir::{hash_function, FuncId, InstLoc, Module, Operand};
+use ipra_ir::{FuncId, InstLoc, Module, Operand};
 use ipra_machine::{PReg, RegMask, Target};
 
 use crate::analysis::{AnalysisCache, FuncAnalyses};
@@ -132,8 +132,9 @@ pub fn allocate_function(
         is_open,
         env,
         profile,
-        &AnalysisCache::default(),
-        hash_function(module, fid),
+        // A one-shot memo ignores the key, so the body is not hashed.
+        &AnalysisCache::one_shot(),
+        0,
         &mut CompileScratch::default(),
     )
 }
@@ -141,9 +142,9 @@ pub fn allocate_function(
 /// [`allocate_function`] drawing the function's analyses from an
 /// [`AnalysisCache`] (keyed by `body_hash`, see
 /// [`ipra_ir::hash_function`]) and its transient buffers from the
-/// caller's [`CompileScratch`]. The pipeline driver passes each compile's
-/// own cache and a pooled scratch; the plain entry point above supplies
-/// one-shot instances.
+/// caller's [`CompileScratch`]. The pipeline driver passes a one-shot
+/// cache, which ignores the key, and a pooled scratch; the plain entry
+/// point above passes a one-shot cache and a fresh scratch.
 #[allow(clippy::too_many_arguments)]
 pub fn allocate_function_with(
     module: &Module,
@@ -159,7 +160,7 @@ pub fn allocate_function_with(
 ) -> FuncArtifacts {
     let func = &module.funcs[fid];
     let ranges_span = ipra_obs::span("ranges");
-    let (analyses, _) = analyses.get_or_compute(body_hash, func);
+    let analyses = analyses.get_or_compute(body_hash, func);
     let cfg = &analyses.cfg;
     let loops = &analyses.loops;
     let liveness = &analyses.liveness;

@@ -6,9 +6,12 @@
 //! value for as long as the cache lives, keyed by the function's
 //! structural body hash ([`ipra_ir::hash_function`]): a second lookup of
 //! an unedited function costs one hash lookup and an `Arc` clone instead
-//! of four dataflow solves. A compile uses one of its own, which keeps
-//! nothing: across compiles a [`crate::Pipeline`] replays whole compiled
-//! components, so an unchanged function needs no analyses at all.
+//! of four dataflow solves. The compiler itself uses a one-shot cache,
+//! which keeps nothing and ignores the key: across compiles a
+//! [`crate::Pipeline`] replays whole compiled components, so an unchanged
+//! function needs no analyses at all. Only a caller that allocates the
+//! same body more than once, such as a staged replay of the pipeline's
+//! phases, fills the memo.
 //!
 //! The hash is exactly the invalidation rule. It covers the function name,
 //! attributes, parameters, vreg table and every block, so any edit that
@@ -17,7 +20,6 @@
 //! compiles reading the same function's analyses never copy them.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ipra_cfg::{Cfg, Dominators, Liveness, LoopInfo};
@@ -54,16 +56,6 @@ impl FuncAnalyses {
     }
 }
 
-/// Hit/miss totals of an [`AnalysisCache`] over its lifetime (for a
-/// compile's own cache, that compile).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AnalysisStats {
-    /// Lookups answered from the memo.
-    pub hits: u64,
-    /// Lookups that had to compute.
-    pub misses: u64,
-}
-
 /// Memo of [`FuncAnalyses`] keyed by structural body hash.
 ///
 /// Thread-safe, so one memo may serve concurrent compiles. Within one
@@ -72,17 +64,15 @@ pub struct AnalysisStats {
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
     map: Mutex<HashMap<u64, Arc<FuncAnalyses>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Computes without looking up or storing: a one-shot compile's memo,
-    /// which no later lookup could hit (the body hash includes the
-    /// function name, so distinct functions never share an entry).
+    /// Computes without looking up or storing, so the key is ignored:
+    /// the compiler's own memo, since a compile allocates each body at
+    /// most once.
     one_shot: bool,
 }
 
 impl AnalysisCache {
-    /// The memo of a one-shot compile: every lookup misses and nothing
-    /// is kept.
+    /// The memo the compiler allocates through: every lookup computes,
+    /// nothing is kept, and the key is never read.
     pub(crate) fn one_shot() -> AnalysisCache {
         AnalysisCache {
             one_shot: true,
@@ -91,27 +81,23 @@ impl AnalysisCache {
     }
 
     /// Returns the memoized analyses for `body_hash`, computing (and
-    /// remembering) them from `func` on a miss. The second element reports
-    /// whether this was a hit.
-    pub fn get_or_compute(&self, body_hash: u64, func: &Function) -> (Arc<FuncAnalyses>, bool) {
+    /// remembering) them from `func` on a miss.
+    pub fn get_or_compute(&self, body_hash: u64, func: &Function) -> Arc<FuncAnalyses> {
         if self.one_shot {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return (Arc::new(FuncAnalyses::compute(func)), false);
+            return Arc::new(FuncAnalyses::compute(func));
         }
         if let Some(a) = self.map.lock().unwrap().get(&body_hash) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(a), true);
+            return Arc::clone(a);
         }
         // Compute outside the lock so a large function never stalls
         // other threads' lookups.
         let a = Arc::new(FuncAnalyses::compute(func));
-        self.misses.fetch_add(1, Ordering::Relaxed);
         self.map
             .lock()
             .unwrap()
             .entry(body_hash)
             .or_insert_with(|| Arc::clone(&a));
-        (a, false)
+        a
     }
 
     /// Number of memoized entries.
@@ -122,14 +108,6 @@ impl AnalysisCache {
     /// Whether the memo holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Lifetime hit/miss totals.
-    pub fn stats(&self) -> AnalysisStats {
-        AnalysisStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -158,20 +136,18 @@ mod tests {
         let cache = AnalysisCache::default();
         let h = hash_function(&m, fid);
 
-        let (a1, hit1) = cache.get_or_compute(h, &m.funcs[fid]);
-        assert!(!hit1);
-        let (a2, hit2) = cache.get_or_compute(h, &m.funcs[fid]);
-        assert!(hit2);
+        let a1 = cache.get_or_compute(h, &m.funcs[fid]);
+        let a2 = cache.get_or_compute(h, &m.funcs[fid]);
         assert!(Arc::ptr_eq(&a1, &a2), "hit shares the same analyses");
-        assert_eq!(cache.stats(), AnalysisStats { hits: 1, misses: 1 });
+        assert_eq!(cache.len(), 1);
 
         // An edit changes the hash, so the memo recomputes.
         let mut m2 = demo();
         m2.funcs[fid].new_named_vreg("__edited");
         let h2 = hash_function(&m2, fid);
         assert_ne!(h, h2);
-        let (_, hit3) = cache.get_or_compute(h2, &m2.funcs[fid]);
-        assert!(!hit3);
+        let a3 = cache.get_or_compute(h2, &m2.funcs[fid]);
+        assert!(!Arc::ptr_eq(&a1, &a3));
         assert_eq!(cache.len(), 2);
     }
 

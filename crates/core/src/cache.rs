@@ -28,6 +28,7 @@
 //! compile.
 
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use ipra_ir::{BinOp, BlockId, Callee, EntityVec, Fnv64, FuncId, Inst, Module, UnOp};
@@ -294,6 +295,25 @@ fn shard_name(key: u64) -> String {
     format!("{key:016x}.ce.json")
 }
 
+/// Reads the shard at `path` whole, or `None` unless it is a regular file
+/// of at most `cap` bytes. A daemon client names the cache directory, so
+/// a shard may link to a device that never reaches end of file, or be a
+/// FIFO whose open blocks: neither is opened. A file that grows after the
+/// check is read no further than one byte past `cap`.
+fn read_shard(path: &Path, cap: u64) -> Option<String> {
+    let meta = std::fs::metadata(path).ok()?;
+    if !meta.is_file() || meta.len() > cap {
+        return None;
+    }
+    let mut text = String::with_capacity(usize::try_from(meta.len()).ok()?);
+    std::fs::File::open(path)
+        .ok()?
+        .take(cap + 1)
+        .read_to_string(&mut text)
+        .ok()?;
+    (text.len() as u64 <= cap).then_some(text)
+}
+
 impl AllocCache {
     /// Opens the cache at `dir`. No I/O happens here: entries are read
     /// lazily on [`AllocCache::lookup`], so opening a huge shared cache
@@ -308,10 +328,13 @@ impl AllocCache {
     /// Reads the shard file under `key` and decodes its entry against the
     /// current module; an entry inserted but not yet saved is not seen.
     /// Returns `None` — a plain miss — when the key is absent, its file is
-    /// unreadable, unparsable or version-skewed, or the entry is stale
-    /// (names a function or global the module no longer has).
+    /// not a regular file, longer than a protocol frame
+    /// ([`ipra_obs::frame::MAX_FRAME_LEN`]), unreadable, unparsable or
+    /// version-skewed, or the entry is stale (names a function or global
+    /// the module no longer has).
     pub fn lookup(&self, key: u64, module: &Module) -> Option<Vec<CachedFunc>> {
-        let text = std::fs::read_to_string(self.dir.join(shard_name(key))).ok()?;
+        let path = self.dir.join(shard_name(key));
+        let text = read_shard(&path, u64::from(ipra_obs::frame::MAX_FRAME_LEN))?;
         let doc = json::parse(&text).ok()?;
         if doc.get("version").and_then(Json::as_i64) != Some(CACHE_FORMAT_VERSION) {
             return None;
@@ -1132,5 +1155,23 @@ mod tests {
                 Some(&profile)
             )
         );
+    }
+
+    #[test]
+    fn shards_are_read_only_from_regular_files_within_the_cap() {
+        let dir = test_dir("read-shard");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("shard.ce.json");
+        std::fs::write(&file, "0123456789").unwrap();
+        assert_eq!(
+            read_shard(&file, 10).as_deref(),
+            Some("0123456789"),
+            "a file within the cap reads whole"
+        );
+        assert_eq!(read_shard(&file, 9), None, "one byte over the cap");
+        assert_eq!(read_shard(&dir, 1 << 20), None, "a directory");
+        // A device, although reading this one is harmless.
+        assert_eq!(read_shard(Path::new("/dev/null"), 10), None, "a device");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

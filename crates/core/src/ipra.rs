@@ -7,20 +7,18 @@
 //! driver also runs the intra-procedural and no-allocation configurations,
 //! which simply never consult summaries.
 //!
-//! # Wave order
+//! # Bottom-up order
 //!
-//! The bottom-up invariant only orders a function after its callees. The
-//! driver walks the SCC condensation level by level
-//! ([`SccInfo::levels`]): every component of a level, a *wave*, has all
-//! its callees in lower levels. Within a wave the driver looks each
-//! component up in the incremental cache and either replays it or
-//! compiles it, in order, on the calling thread, against the summary
-//! environment as it stood when the wave began. It then publishes the
-//! wave's records to the environment, the trace and the cache statistics
-//! in `FuncId` order. The unit of work is the *component*, not the
-//! function: members of a multi-node SCC see each other's whole-tree
-//! usage in their processing order, so a component replays that order
-//! against a private copy of the environment.
+//! The driver walks the SCC components in index order
+//! ([`SccInfo::components`]), which is bottom-up: every callee outside a
+//! component has a smaller index. It looks each component up in the
+//! incremental cache and either replays it or compiles it on the calling
+//! thread, then publishes its members to the environment at once, so a
+//! caller's key and allocation see every callee's summary. The unit of
+//! work is the *component*, not the function: members of a multi-node
+//! SCC see each other's whole-tree usage in their processing order, so a
+//! component replays that order against a private copy of the
+//! environment.
 //!
 //! A component allocates and then lowers each member, so a function
 //! leaves it as one [`CachedFunc`] record: the same record an
@@ -32,10 +30,10 @@ use std::sync::Arc;
 
 use ipra_callgraph::{CallGraph, OpenReason, Openness, SccInfo};
 use ipra_ir::{hash_all_functions, EntityVec, FuncId, Module};
-use ipra_machine::{MFunction, MModule, RegMask, Target};
+use ipra_machine::{MModule, RegMask, Target};
 
 use crate::alloc::{allocate_function_with, SummaryEnv};
-use crate::analysis::{AnalysisCache, AnalysisStats};
+use crate::analysis::AnalysisCache;
 use crate::cache::{component_key, config_fingerprint, AllocCache, CacheStats, CachedFunc};
 use crate::config::{AllocMode, AllocOptions};
 use crate::inline::{inline_hot_calls, InlineStats};
@@ -86,12 +84,6 @@ pub struct CompiledModule {
     /// Incremental-cache outcome: the component memo's and the cache
     /// directory's (default for a one-shot compile without a directory).
     pub cache: CacheStats,
-    /// This compile's analysis lookups: analyses are not memoized across
-    /// compiles, so every function it allocated is one miss and a
-    /// replayed function is none. Counted by this compile's own memo, so
-    /// concurrent compiles sharing a pipeline never pollute each other's
-    /// window.
-    pub analysis: AnalysisStats,
 }
 
 impl CompiledModule {
@@ -100,33 +92,6 @@ impl CompiledModule {
     /// default convention's.
     pub fn clobber_masks(&self) -> Vec<RegMask> {
         self.summaries.iter().map(|s| s.clobbers).collect()
-    }
-}
-
-/// One function's record, owned or shared with a component entry. A
-/// compile that looks no component up (a one-shot compile without a
-/// cache directory) owns its fresh records, so their code moves into the
-/// module; a hit, and a fresh record the memo or the cache also keeps,
-/// points into the shared component entry (`Arc` + member index), so
-/// neither replay nor store clones the entry per function.
-enum FuncRecord {
-    Owned(CachedFunc),
-    Shared(Arc<Vec<CachedFunc>>, usize),
-}
-
-impl FuncRecord {
-    fn get(&self) -> &CachedFunc {
-        match self {
-            FuncRecord::Owned(cf) => cf,
-            FuncRecord::Shared(entry, m) => &entry[*m],
-        }
-    }
-
-    fn into_code(self) -> MFunction {
-        match self {
-            FuncRecord::Owned(cf) => cf.code,
-            FuncRecord::Shared(entry, m) => entry[m].code.clone(),
-        }
     }
 }
 
@@ -243,13 +208,9 @@ pub(crate) fn compile_prepared(
 
     // Flight-recorder shape of the traversal, recorded from the SCC
     // structure itself.
-    let waves = scc.levels(cg);
     if ipra_obs::is_enabled() {
         for comp in &scc.components {
             ipra_obs::observe("callgraph.scc_size", &[], comp.len() as u64);
-        }
-        for wave in &waves {
-            ipra_obs::observe("wave.width", &[], wave.len() as u64);
         }
     }
 
@@ -264,9 +225,7 @@ pub(crate) fn compile_prepared(
 
     // Incremental cache (see `crate::cache`): the pipeline's component
     // memo, then the cache directory. Components are looked up whenever
-    // either tier could answer. Every lookup in a wave reads the
-    // environment as the wave began, so output is bit-identical for any
-    // hit/miss pattern.
+    // either tier could answer.
     let mut cache = opts.cache_dir.as_deref().map(AllocCache::load);
     let keyed = pipe.looks_up_components(opts);
     debug_assert!(!keyed || body_hashes.len() == n, "unhashed module");
@@ -285,81 +244,65 @@ pub(crate) fn compile_prepared(
     };
     let mut recompiled = vec![false; n];
     let mut stores: Vec<(u64, Arc<Vec<CachedFunc>>)> = Vec::new();
-    let mut records: Vec<Option<FuncRecord>> = (0..n).map(|_| None).collect();
-    // This compile's own analyses: a replayed component needs none, and
-    // none outlive the compile.
-    let analyses = AnalysisCache::one_shot();
+    let mut records: Vec<Option<CachedFunc>> = (0..n).map(|_| None).collect();
     let mut scratch = pipe.scratch.acquire();
 
-    for wave in &waves {
-        // The wave's records, each marked fresh or replayed, until the
-        // wave is published.
-        let mut wave_records: Vec<(FuncId, FuncRecord, bool)> =
-            Vec::with_capacity(wave.iter().map(|&ci| scc.components[ci].len()).sum());
-        for &ci in wave {
-            let comp = scc.components[ci].as_slice();
-            let key = keyed.then(|| {
-                component_key(
-                    module,
-                    body_hashes,
-                    comp,
-                    treated_open,
-                    fingerprint,
-                    inter,
-                    &env,
-                    profile,
-                )
-            });
-            let hit = key.and_then(|key| {
-                let memo_key = (key, numbering, directory);
-                lookup_component(pipe, cache.as_ref(), memo_key, module, comp)
-            });
-            if let Some(entry) = hit {
-                for (m, &fid) in comp.iter().enumerate() {
-                    wave_records.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), false));
-                }
-                continue;
-            }
-            let funcs = compile_component(
+    // Components are in bottom-up order: every callee outside a component
+    // has a smaller index, so it has been published before the component
+    // is keyed, replayed or compiled.
+    for comp in &scc.components {
+        let key = keyed.then(|| {
+            component_key(
                 module,
+                body_hashes,
                 comp,
-                target,
-                opts,
                 treated_open,
+                fingerprint,
+                inter,
                 &env,
                 profile,
-                &analyses,
-                &mut scratch,
-            );
-            // When components are looked up, a fresh one becomes the very
-            // entry a later compile replays, queued under its lookup-time
-            // key (the queue fixes the component memo's FIFO order);
-            // otherwise its records stay owned.
-            if let Some(key) = key {
+            )
+        });
+        let hit = key.and_then(|key| {
+            let memo_key = (key, numbering, directory);
+            lookup_component(pipe, cache.as_ref(), memo_key, module, comp)
+        });
+        let fresh = hit.is_none();
+        let entry = match hit {
+            Some(entry) => entry,
+            None => {
+                let funcs = compile_component(
+                    module,
+                    comp,
+                    target,
+                    opts,
+                    treated_open,
+                    &env,
+                    profile,
+                    &mut scratch,
+                );
+                // Nothing keeps a component that is not looked up, so its
+                // records move into the module.
+                let Some(key) = key else {
+                    for (&fid, cf) in comp.iter().zip(funcs) {
+                        recompiled[fid.index()] = true;
+                        env.publish(fid, &cf.summary, cf.tree_used);
+                        records[fid.index()] = Some(cf);
+                    }
+                    continue;
+                };
+                // Otherwise the fresh component becomes the very entry a
+                // later compile replays. It waits in `stores` under its
+                // lookup-time key until the walk ends, so no memo
+                // insertion evicts an entry a later component looks up.
                 let entry = pipe.shared_entry(funcs);
-                for (m, &fid) in comp.iter().enumerate() {
-                    wave_records.push((fid, FuncRecord::Shared(Arc::clone(&entry), m), true));
-                }
-                stores.push((key, entry));
-            } else {
-                for (&fid, cf) in comp.iter().zip(funcs) {
-                    wave_records.push((fid, FuncRecord::Owned(cf), true));
-                }
+                stores.push((key, Arc::clone(&entry)));
+                entry
             }
-        }
-
-        // Publish in FuncId order, so the environment, the trace and the
-        // cache statistics do not depend on which components hit.
-        wave_records.sort_unstable_by_key(|(fid, _, _)| fid.index());
-        for (fid, record, fresh) in wave_records {
-            let cf = record.get();
-            env.publish(fid, &cf.summary, cf.tree_used);
+        };
+        for (&fid, cf) in comp.iter().zip(entry.iter()) {
             if fresh {
                 recompiled[fid.index()] = true;
-                if keyed {
-                    cache_stats.misses += 1;
-                    cache_stats.recompiled.push(cf.name.clone());
-                }
             } else {
                 cache_stats.hits += 1;
                 // A hit whose direct callee was recompiled is an early
@@ -373,10 +316,17 @@ pub(crate) fn compile_prepared(
                 let _obs = ipra_obs::scope(&cf.name);
                 let _t = ipra_obs::span("cache.hit");
             }
-            records[fid.index()] = Some(record);
+            env.publish(fid, &cf.summary, cf.tree_used);
+            records[fid.index()] = Some(cf.clone());
         }
     }
     pipe.scratch.release(scratch);
+    for (func, &fresh) in module.funcs.values().zip(&recompiled) {
+        if keyed && fresh {
+            cache_stats.recompiled.push(func.name.clone());
+        }
+    }
+    cache_stats.misses = cache_stats.recompiled.len() as u64;
 
     // Keep every miss in the component memo, so the next recompile
     // through the same pipeline replays it from memory, and store it in
@@ -395,13 +345,11 @@ pub(crate) fn compile_prepared(
     let mut summaries = Vec::with_capacity(n);
     let mut reports = Vec::with_capacity(n);
     for (fid, record) in module.funcs.ids().zip(records) {
-        let record = record.expect("every function compiled");
-        let cf = record.get();
-        summaries.push(cf.summary.clone());
+        let cf = record.expect("every function compiled");
         reports.push(FuncReport {
-            name: cf.name.clone(),
             open_reasons: openness.reasons(fid).to_vec(),
             forced_open: opts.forced_open.contains(&cf.name),
+            name: cf.name,
             used: cf.used,
             locally_saved: cf.locally_saved,
             shrink_iterations: cf.shrink_iterations,
@@ -409,7 +357,8 @@ pub(crate) fn compile_prepared(
             split_vregs: cf.split_vregs,
             candidate_vregs: cf.candidate_vregs,
         });
-        funcs.push(record.into_code());
+        summaries.push(cf.summary);
+        funcs.push(cf.code);
     }
 
     CompiledModule {
@@ -423,7 +372,6 @@ pub(crate) fn compile_prepared(
         promotion,
         inline: prep.inline.clone(),
         cache: cache_stats,
-        analysis: analyses.stats(),
     }
 }
 
@@ -471,7 +419,6 @@ fn compile_component(
     treated_open: impl Fn(FuncId) -> bool,
     env: &SummaryEnv,
     profile: Option<&[Vec<u64>]>,
-    analyses: &AnalysisCache,
     scratch: &mut CompileScratch,
 ) -> Vec<CachedFunc> {
     let mut overlay = (comp.len() > 1).then(|| env.clone());
@@ -488,8 +435,9 @@ fn compile_component(
                 treated_open(fid),
                 overlay.as_ref().unwrap_or(env),
                 profile.map(|p| p[fid.index()].as_slice()),
-                analyses,
-                // A compile's analyses are one-shot, which ignores the key.
+                // A replayed component needs no analyses, so a compile
+                // memoizes none; a one-shot memo ignores the key.
+                &AnalysisCache::one_shot(),
                 0,
                 scratch,
             );

@@ -36,7 +36,7 @@ pub mod shrinkwrap;
 pub mod summary;
 
 pub use alloc::{allocate_function, CallPlan, FuncAllocation, FuncArtifacts, SummaryEnv};
-pub use analysis::{AnalysisCache, AnalysisStats, FuncAnalyses};
+pub use analysis::{AnalysisCache, FuncAnalyses};
 pub use cache::{AllocCache, CacheStats, CachedFunc};
 pub use color::{Assignment, VregLoc};
 pub use config::{AllocMode, AllocOptions};

@@ -219,12 +219,12 @@ fn check_scratch_reuse(module: &Module) -> Result<(), DiffFailure> {
             "memoized recompile differs from fresh compile",
         ));
     }
-    if second.analysis.misses != 0 {
+    if second.cache.misses != 0 {
         return Err(fail(
             "scratch",
             format!(
                 "warm recompile expected to allocate no function, allocated {}",
-                second.analysis.misses
+                second.cache.misses
             ),
         ));
     }

@@ -43,8 +43,12 @@
 //!  "run": true, "trace": false}
 //! ```
 //!
-//! `source` may be replaced by `path` (read server-side) or `workload`
-//! (a bundled benchmark name); exactly one of the three is required.
+//! `source` may be replaced by `workload` (a bundled benchmark name);
+//! exactly one of `source`, `path` or `workload` is required, and a
+//! `path`, which the wire form keeps for [`CompileRequest`]'s round
+//! trip, is answered with a structured `error` before anything is read:
+//! the daemon opens no file a client names (`mini-cc --remote` ships a
+//! file's text as `source`).
 //! Every `options` field is optional and defaults to the `mini-cc`
 //! defaults (`-O3`, shrink-wrap on, full register file, no cache,
 //! inliner off); `jobs`, a count, is accepted and ignored. The request is
@@ -59,7 +63,9 @@
 //! `status` (`ok` | `error` | `busy`), and on success the rendered
 //! `asm`, a `warm` flag (the compile allocated no function and replayed
 //! at least one, from the component memo or the `cache_dir`),
-//! `cache`/`analysis` statistics, plus `output` and
+//! `cache` statistics and an `analysis` object derived from them
+//! (`{"hits": 0, "misses": <cache.misses>}`: analyses are not memoized
+//! across compiles), plus `output` and
 //! `stats` when `run` was set and a `trace` document when `trace` was.
 //! A run gets a budget of 10⁸ cycles; a program that exhausts it is
 //! answered with an `error` ("runtime trap: cycle budget exhausted") and
@@ -376,8 +382,17 @@ impl Service {
     }
 
     fn handle_compile(&self, req: &Json, id: &Json) -> Json {
-        let resolved = CompileRequest::from_json(req)
-            .and_then(|spec| Ok((spec.source.text()?, spec.config()?, spec.run, spec.trace)));
+        let resolved = CompileRequest::from_json(req).and_then(|spec| {
+            // The daemon reads no file a client names: a path may name a
+            // device that never reaches end of file, or a file whose first
+            // token a front-end error would echo back.
+            if let RequestSource::Path(_) = spec.source {
+                return Err(
+                    "the daemon reads no `path`; send the program text as `source`".to_string(),
+                );
+            }
+            Ok((spec.source.text()?, spec.config()?, spec.run, spec.trace))
+        });
         let (source, config, run, trace) = match resolved {
             Ok(resolved) => resolved,
             Err(e) => return error_response(id, &e),
@@ -453,11 +468,15 @@ impl Service {
                     ("cutoffs", Json::Int(compiled.cache.cutoffs as i64)),
                 ]),
             ),
+            // Derived from `cache`: analyses are not memoized across
+            // compiles, so a compile computes those of exactly the
+            // functions it allocates and hits none. perfbench's
+            // `daemon-edit` accounting reads the object.
             (
                 "analysis",
                 Json::obj(vec![
-                    ("hits", Json::Int(compiled.analysis.hits as i64)),
-                    ("misses", Json::Int(compiled.analysis.misses as i64)),
+                    ("hits", Json::Int(0)),
+                    ("misses", Json::Int(compiled.cache.misses as i64)),
                 ]),
             ),
         ];
@@ -494,7 +513,8 @@ impl Service {
 pub enum RequestSource {
     /// Inline Mini source.
     Source(String),
-    /// A path, read by whichever side compiles.
+    /// A path, read by `mini-cc`. The daemon answers it with an error
+    /// and reads nothing.
     Path(String),
     /// A bundled benchmark name.
     Workload(String),

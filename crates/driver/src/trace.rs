@@ -8,7 +8,6 @@
 
 use ipra_core::cache::CacheStats;
 use ipra_core::ipra::CompiledModule;
-use ipra_core::AnalysisStats;
 use ipra_obs::json::Json;
 use ipra_obs::metrics::{Log2Histogram, Metrics};
 use ipra_obs::Trace;
@@ -164,9 +163,6 @@ pub struct CompileTrace {
     pub sim: Option<SimTrace>,
     /// Incremental-cache outcome, when a cache directory was configured.
     pub cache: Option<CacheStats>,
-    /// Analysis-memo outcome of this compile: how many per-function
-    /// analysis bundles were replayed by body hash vs computed fresh.
-    pub analysis: AnalysisStats,
     /// Per-call-edge penalty ledger: executed edges first (in function-id
     /// order, the `<entry>` edge last), then statically-planned edges the
     /// run never took, in name order.
@@ -370,7 +366,6 @@ impl CompileTrace {
             funcs,
             sim,
             cache: compiled.cache.enabled.then(|| compiled.cache.clone()),
-            analysis: compiled.analysis,
             penalty_by_edge,
             metrics: raw.metrics.clone(),
         }
@@ -391,11 +386,6 @@ impl CompileTrace {
                 c.hits, c.misses, c.cutoffs
             );
         }
-        let _ = writeln!(
-            out,
-            "  analysis memo: {} hits, {} misses",
-            self.analysis.hits, self.analysis.misses
-        );
         fn write_phase(out: &mut String, p: &PhaseTime, depth: usize) {
             use std::fmt::Write as _;
             let indent = "  ".repeat(depth + 1);
@@ -537,13 +527,6 @@ impl CompileTrace {
                 ]),
             ));
         }
-        root.push((
-            "analysis",
-            Json::obj(vec![
-                ("hits", Json::Int(self.analysis.hits as i64)),
-                ("misses", Json::Int(self.analysis.misses as i64)),
-            ]),
-        ));
         if let Some(s) = &self.sim {
             root.push((
                 "sim",

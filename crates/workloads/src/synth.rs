@@ -914,7 +914,7 @@ pub struct ShapeStats {
     pub indirect_sites: usize,
     /// Direct call sites.
     pub direct_sites: usize,
-    /// Depth of the SCC condensation (number of wave levels): the static
+    /// Depth of the SCC condensation (number of levels): the static
     /// call-depth bound for acyclic programs, a lower bound otherwise.
     pub max_call_depth: usize,
     /// Largest declared parameter count.

@@ -1,12 +1,10 @@
 //! Tests for the component memo and the reusable scratch pools: a
 //! persistent [`ipra_core::Pipeline`] must replay every unchanged
-//! component and allocate exactly the edited ones, the compile trace
-//! must carry the compile's analysis counters, and reusing scratch
+//! component and allocate exactly the edited ones, and reusing scratch
 //! across compiles must never change the machine code.
 
 use ipra_core::Pipeline;
-use ipra_driver::{compile_and_run_traced, compile_only, Config};
-use ipra_obs::json::parse;
+use ipra_driver::{compile_only, Config};
 
 const CHAIN: &str = r#"
 fn leaf(a: int) -> int { return a + 1; }
@@ -34,12 +32,10 @@ fn memo_invalidation_follows_body_edits_exactly() {
     let pipe = Pipeline::new();
     let cold = pipe.compile(&m1, &cfg.target, &cfg.opts);
     assert_eq!((cold.cache.hits, cold.cache.misses), (0, n));
-    assert_eq!(cold.analysis.misses, n);
 
     let warm = pipe.compile(&m1, &cfg.target, &cfg.opts);
     assert_eq!(
-        (warm.analysis.misses, warm.cache.misses),
-        (0, 0),
+        warm.cache.misses, 0,
         "the warm recompile allocates no function"
     );
     assert_eq!(warm.cache.hits, n, "and replays every one");
@@ -56,7 +52,6 @@ fn memo_invalidation_follows_body_edits_exactly() {
         ["leaf"],
         "editing one body must allocate exactly that function"
     );
-    assert_eq!(edited.analysis.misses, 1);
     assert_eq!(edited.cache.hits, n - 1);
     assert_eq!(
         edited.cache.cutoffs, 1,
@@ -67,29 +62,6 @@ fn memo_invalidation_follows_body_edits_exactly() {
         asm(&compile_only(&m2, &cfg)),
         "memoized compile of the edited module == fresh compile"
     );
-}
-
-/// The compile trace carries the analysis-memo window of its compile, in
-/// both the JSON document and the text rendering. A one-shot compile
-/// always runs on a fresh memo: all misses, no hits.
-#[test]
-fn trace_reports_analysis_memo_counters() {
-    let module = ipra_frontend::compile(CHAIN).unwrap();
-    let m = compile_and_run_traced(&module, &Config::c()).unwrap();
-    let trace = m.trace.expect("traced run carries a trace");
-
-    let doc = parse(&trace.to_json().render_pretty()).expect("emitted JSON parses");
-    let analysis = doc
-        .get("analysis")
-        .expect("trace JSON has an analysis object");
-    assert_eq!(analysis.get("hits").unwrap().as_i64(), Some(0));
-    assert_eq!(
-        analysis.get("misses").unwrap().as_i64(),
-        Some(module.funcs.len() as i64)
-    );
-    assert!(trace
-        .render_text()
-        .contains("analysis memo: 0 hits, 5 misses"));
 }
 
 /// Scratch reuse must be invisible in the output: recompiling through

@@ -39,7 +39,7 @@ fn observe(compiled: &CompiledModule, config: &Config) -> String {
 /// Warm compiles must replay every function from the cache and still be
 /// bit-identical to the cold compile — machine code, summaries, clobber
 /// masks, reports, output and stats. `tree-8x2`, a 256-function call
-/// DAG whose widest wave holds 128 components, joins the corpus.
+/// tree with 128 leaves, joins the corpus.
 #[test]
 fn warm_compile_is_bit_identical_to_cold_across_corpus() {
     let tree = ("tree-8x2".to_string(), synth::call_tree_program(7, 2, 8, 1));
@@ -74,6 +74,22 @@ fn top(a: int) -> int { return mid(a) * 2; }
 fn other(a: int) -> int { return a * 3; }
 fn main() { print(top(2) + other(5)); }
 "#;
+
+/// A cold compile lists its recompiled functions in `FuncId` order, not in
+/// the bottom-up order it compiled them (`leaf` and `other` first).
+#[test]
+fn cold_compile_lists_recompiled_functions_in_func_id_order() {
+    let m1 = ipra_frontend::compile(CHAIN_V1).unwrap();
+    let dir = cache_dir("recompiled-order");
+    let mut cfg = Config::c();
+    cfg.opts.cache_dir = Some(dir.clone());
+    let cold = compile_only(&m1, &cfg);
+    assert_eq!(
+        cold.cache.recompiled,
+        ["leaf", "mid", "top", "other", "main"]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 /// Editing a leaf's body without changing its summary or subtree register
 /// usage must recompile exactly that leaf: its callers replay from the

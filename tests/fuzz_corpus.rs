@@ -6,7 +6,7 @@
 //! Repros are plain Mini sources (`*.mini`), optionally with `//` header
 //! comments recording their provenance. The synthetic call tree
 //! `tree-8x2` rides along as the widest call DAG the check sees: its
-//! widest wave holds 128 components, far more than any repro's.
+//! 256 functions include 128 leaves, far more than any repro's.
 
 use ipra_driver::differential::{check_module, check_source, DiffOptions, DiffVerdict};
 use ipra_workloads::synth;

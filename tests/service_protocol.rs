@@ -449,3 +449,73 @@ fn mistyped_or_misspelled_fields_are_structured_errors_naming_the_field() {
     );
     assert_eq!(resp[bad.len()].get("id"), Some(&id));
 }
+
+/// The daemon reads no file a client names: a `path` request gets a
+/// structured error that carries nothing of the file, and the session
+/// then answers a `ping`.
+#[test]
+fn a_path_request_is_an_error_and_reads_nothing() {
+    const SENTINEL: &str = "sentinel_e1f7";
+    let dir = std::env::temp_dir().join(format!("ipra-path-request-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("prog.mini");
+    std::fs::write(&file, format!("{SENTINEL} fn main() {{ print(1); }}")).unwrap();
+
+    let service = Service::with_defaults();
+    let mut input = Vec::new();
+    let path = RequestSource::Path(file.to_string_lossy().into_owned());
+    write_frame(&mut input, &CompileRequest::new(1, path).to_json()).unwrap();
+    write_frame(
+        &mut input,
+        &Json::obj(vec![
+            ("cmd", Json::Str("ping".into())),
+            ("id", Json::Int(2)),
+        ]),
+    )
+    .unwrap();
+    let mut output = Vec::new();
+    service
+        .serve_session(Cursor::new(input), &mut output)
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let resp = responses_of(output);
+    assert_eq!(resp.len(), 2);
+    assert_eq!(resp[0].get("status").and_then(Json::as_str), Some("error"));
+    let rendered = resp[0].render();
+    assert!(
+        !rendered.contains(SENTINEL),
+        "the file was read: {rendered}"
+    );
+    assert_eq!(resp[1].get("pong"), Some(&Json::Bool(true)));
+}
+
+/// A response's `analysis` object is derived from its `cache` object: no
+/// hits, and one miss per function the compile allocated. A cold, a warm
+/// and an edited compile through one session each carry it.
+#[test]
+fn analysis_object_reports_the_cache_misses() {
+    let service = Service::with_defaults();
+    let edited = DEMO.replace("id(7)", "id(8)");
+    let mut input = Vec::new();
+    for (i, text) in [DEMO, DEMO, edited.as_str()].into_iter().enumerate() {
+        let req = CompileRequest::new(i as i64, RequestSource::Source(text.into()));
+        write_frame(&mut input, &req.to_json()).unwrap();
+    }
+    let mut output = Vec::new();
+    service
+        .serve_session(Cursor::new(input), &mut output)
+        .unwrap();
+    let resp = responses_of(output);
+    let misses: Vec<i64> = resp
+        .iter()
+        .map(|r| {
+            assert_eq!(r.get("status").and_then(Json::as_str), Some("ok"), "{r:?}");
+            let misses = r.get("cache").and_then(|c| c.get("misses")).unwrap();
+            let want = Json::obj(vec![("hits", Json::Int(0)), ("misses", misses.clone())]);
+            assert_eq!(r.get("analysis"), Some(&want), "{r:?}");
+            misses.as_i64().unwrap()
+        })
+        .collect();
+    assert_eq!(misses, [2, 0, 1], "cold, warm and edited compiles");
+}

@@ -244,9 +244,9 @@ fn trace_counts_match_function_reports() {
 /// Every count lives once, in the registry: the document has no `module`
 /// member and no per-function `counters`, module-level counters are
 /// unlabeled, per-function ones name their function in a `func` label,
-/// and nothing repeats the cache or analysis-memo outcome that the
-/// `cache` and `analysis` objects already carry. Checked cold (every
-/// function allocated) and warm (every function replayed from the cache).
+/// and no counter repeats the cache outcome that the `cache` object
+/// carries, or names an analysis outcome. Checked cold (every function
+/// allocated) and warm (every function replayed from the cache).
 #[test]
 fn each_count_is_recorded_once_in_metrics() {
     let module = ipra_frontend::compile(DEMO).unwrap();
